@@ -12,9 +12,10 @@ Exit codes: 0 ok, 2 bad config, 3 mathematical precondition violated
 (singular matrix, inadmissible or composite p where primality is
 needed), 4 resource budget exceeded (including "not mixed by n_max").
 
-Randomized subcommands default to seed 12345 unless one is given; the
-AFFINEWALK_THREADS environment variable (or --threads) sets the
-character-sum thread count.
+Randomized subcommands default to seed 12345 unless one is given.
+--threads and the AFFINEWALK_THREADS environment variable are accepted
+and ignored: the character square sum is reduced serially, in a fixed
+chunk order.
 """
 
 from __future__ import annotations

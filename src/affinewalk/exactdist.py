@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, islice, repeat
+from typing import Iterator
 
 import numpy as np
 
@@ -118,20 +120,32 @@ def step_exact(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
     return DenseDistribution(p, d, out)
 
 
+def dense_states(
+    cfg: WalkConfig, state_cap: int = DEFAULT_STATE_CAP
+) -> Iterator[DenseDistribution]:
+    """P_0, P_1, P_2, ... from the point mass at zero, one step_exact per
+    item, with the mass defect checked after every step. The state cap is
+    checked on the call, before any item is drawn."""
+    if cfg.num_states > state_cap:
+        raise BudgetError(
+            f"p^d = {cfg.num_states} exceeds the dense-state cap {state_cap}"
+        )
+
+    def step(P: DenseDistribution, _) -> DenseDistribution:
+        P = step_exact(P, cfg)
+        P.check_mass()
+        return P
+
+    return accumulate(repeat(None), step, initial=delta_at_zero(cfg.p, cfg.d))
+
+
 def evolve(
     cfg: WalkConfig, n: int, state_cap: int = DEFAULT_STATE_CAP
 ) -> DenseDistribution:
     """n-fold step from the point mass at zero."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if cfg.num_states > state_cap:
-        raise BudgetError(
-            f"p^d = {cfg.num_states} exceeds the dense-state cap {state_cap}"
-        )
-    P = delta_at_zero(cfg.p, cfg.d)
-    for _ in range(n):
-        P = step_exact(P, cfg)
-    return P
+    return next(islice(dense_states(cfg, state_cap), n, None))
 
 
 def tv_distance(P: DenseDistribution, Q: DenseDistribution) -> float:

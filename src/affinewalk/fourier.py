@@ -14,9 +14,9 @@ import cmath
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from itertools import accumulate, islice, repeat
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ CharacterIndex = ModVector
 DEFAULT_CHAR_CAP = 1_000_000
 DEFAULT_C1 = 0.125
 DEFAULT_MIX_CAP = 100_000
-_REDUCE_CHUNK = 1 << 16  # fixed, so chunk layout never depends on threads
+_REDUCE_CHUNK = 1 << 16  # fixed: the chunk order sets the float sum's bits
 
 
 def default_ell_max(p: int) -> int:
@@ -40,6 +40,8 @@ def default_ell_max(p: int) -> int:
 
 
 def default_threads() -> int:
+    """AFFINEWALK_THREADS as an int >= 1 (default 1). Accepted for
+    compatibility only: every reduction runs serially."""
     try:
         return max(1, int(os.environ.get("AFFINEWALK_THREADS", "1")))
     except ValueError:
@@ -140,12 +142,13 @@ def fourier_n(c: CharacterIndex, n: int, cfg: WalkConfig) -> complex:
     return head * cmath.exp(reps * log_cycle) * tail
 
 
-def fourier_n_all(
-    n: int, cfg: WalkConfig, char_cap: int = DEFAULT_CHAR_CAP
-) -> np.ndarray:
-    """P_hat_n over every character at once via the one-step recurrence
-    P_hat_{n+1}(c) = f(c) P_hat_n(T^t c)."""
-    cfg.require_admissible()
+def char_transforms(
+    cfg: WalkConfig, char_cap: int = DEFAULT_CHAR_CAP
+) -> Iterator[np.ndarray]:
+    """P_hat_0, P_hat_1, ... over every character, by the one-step
+    recurrence P_hat_{n+1}(c) = f(c) P_hat_n(T^t c). The character cap is
+    checked on the call, before any item is drawn; admissibility is the
+    caller's to check."""
     if cfg.num_states > char_cap:
         raise BudgetError(
             f"p^d = {cfg.num_states} exceeds the character cap {char_cap}; "
@@ -153,29 +156,31 @@ def fourier_n_all(
         )
     f = step_factor_table(cfg.p, cfg.d)
     perm = transpose_perm(cfg)
-    F = np.ones(cfg.num_states, dtype=complex)
-    for _ in range(n):
-        F = f * F[perm]
-    return F
+    F0 = np.ones(cfg.num_states, dtype=complex)
+    return accumulate(repeat(None), lambda F, _: f * F[perm], initial=F0)
 
 
-def _sq_sum_nontrivial(F: np.ndarray, threads: int) -> float:
-    """sum_{c != 0} |F(c)|^2 with a thread-count-independent reduction:
-    fixed-size chunks, partials combined in chunk order."""
+def fourier_n_all(
+    n: int, cfg: WalkConfig, char_cap: int = DEFAULT_CHAR_CAP
+) -> np.ndarray:
+    """P_hat_n over every character at once (see char_transforms)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    cfg.require_admissible()
+    return next(islice(char_transforms(cfg, char_cap), n, None))
+
+
+def _ub_from_transform(F: np.ndarray) -> float:
+    """(1/2) sqrt(sum_{c != 0} |F(c)|^2), summed serially over fixed-size
+    chunks in index order: the chunk layout is part of the result's bits,
+    so it must not change (one np.sum over the whole vector rounds
+    differently)."""
     mags = np.abs(F) ** 2
     mags[0] = 0.0
-    chunks = [
-        mags[i : i + _REDUCE_CHUNK] for i in range(0, mags.shape[0], _REDUCE_CHUNK)
-    ]
-    if threads <= 1 or len(chunks) == 1:
-        partials = [float(ch.sum()) for ch in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(lambda ch: float(ch.sum()), chunks))
     total = 0.0
-    for s in partials:
-        total += s
-    return total
+    for i in range(0, mags.shape[0], _REDUCE_CHUNK):
+        total += float(mags[i : i + _REDUCE_CHUNK].sum())
+    return 0.5 * math.sqrt(total)
 
 
 def ub_bound(
@@ -185,10 +190,10 @@ def ub_bound(
     threads: Optional[int] = None,
 ) -> float:
     """Square-root character bound on TV: (1/2) sqrt(sum_{c!=0} |P_hat_n(c)|^2).
-    All characters have degree 1, so the trace form is just squared moduli."""
-    threads = default_threads() if threads is None else threads
-    F = fourier_n_all(n, cfg, char_cap=char_cap)
-    return 0.5 * math.sqrt(_sq_sum_nontrivial(F, threads))
+    All characters have degree 1, so the trace form is just squared moduli.
+    `threads` is accepted and ignored: the square sum is serial, in a
+    fixed chunk order."""
+    return _ub_from_transform(fourier_n_all(n, cfg, char_cap=char_cap))
 
 
 def char_lower_bound(
@@ -360,6 +365,18 @@ def orbit_constant_report(
     return report
 
 
+def first_below(values: Iterable[float], eps: float, n_cap: int, method: str) -> int:
+    """Least n with values[n] <= eps, drawing values lazily for
+    n = 0, 1, ..., n_cap; raises NotMixedError with the value at n_cap
+    when none qualifies."""
+    for n, value in enumerate(values):
+        if value <= eps:
+            return n
+        if n >= n_cap:
+            raise NotMixedError(n_cap, method, value)
+    raise ValueError("value sequence ended before the search cap")
+
+
 def mixing_time(
     cfg: WalkConfig,
     eps: float,
@@ -372,41 +389,19 @@ def mixing_time(
     """Least n with TV(P_n, U) <= eps (method='exact') or with the
     character upper bound <= eps (method='ub'); raises NotMixedError at
     the cap. n=0 counts: TV(P_0, U) = 1 - 1/p^d, so eps at or above that
-    returns 0 for either method."""
+    returns 0 for either method. `threads` is accepted and ignored."""
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
     cfg.require_admissible()
-    n_states = cfg.num_states
-    if eps >= 1.0 - 1.0 / n_states:
+    if eps >= 1.0 - 1.0 / cfg.num_states:
         return 0
-    threads = default_threads() if threads is None else threads
     if method == "exact":
-        if n_states > state_cap:
-            raise BudgetError(f"p^d = {n_states} exceeds the dense-state cap")
-        P = exactdist.delta_at_zero(cfg.p, cfg.d)
-        value = exactdist.tv_from_uniform(P)
-        for n in range(1, n_cap + 1):
-            P = exactdist.step_exact(P, cfg)
-            value = exactdist.tv_from_uniform(P)
-            if value <= eps:
-                return n
-        raise NotMixedError(n_cap, method, value)
-    if method == "ub":
-        if n_states > char_cap:
-            raise BudgetError(f"p^d = {n_states} exceeds the character cap")
-        f = step_factor_table(cfg.p, cfg.d)
-        perm = transpose_perm(cfg)
-        F = np.ones(n_states, dtype=complex)
-        value = 0.5 * math.sqrt(_sq_sum_nontrivial(F, threads))
-        if value <= eps:
-            return 0
-        for n in range(1, n_cap + 1):
-            F = f * F[perm]
-            value = 0.5 * math.sqrt(_sq_sum_nontrivial(F, threads))
-            if value <= eps:
-                return n
-        raise NotMixedError(n_cap, method, value)
-    raise ValueError(f"unknown method {method!r} (want 'exact' or 'ub')")
+        values = map(exactdist.tv_from_uniform, exactdist.dense_states(cfg, state_cap))
+    elif method == "ub":
+        values = map(_ub_from_transform, char_transforms(cfg, char_cap))
+    else:
+        raise ValueError(f"unknown method {method!r} (want 'exact' or 'ub')")
+    return first_below(values, eps, n_cap, method)
 
 
 @dataclass
@@ -459,32 +454,26 @@ def bound_series(
     threads: Optional[int] = None,
 ) -> BoundSeries:
     """Walk n upward once, collecting ub, lb (max |P_hat_n| over all
-    nonzero characters), and optionally exact TV at each requested n."""
+    nonzero characters), and optionally exact TV at each requested n.
+    `threads` is accepted and ignored."""
     cfg.require_admissible()
-    threads = default_threads() if threads is None else threads
-    n_values = sorted(set(int(n) for n in n_values))
-    if any(n < 0 for n in n_values):
+    wanted = set(int(n) for n in n_values)
+    if any(n < 0 for n in wanted):
         raise ValueError("n values must be >= 0")
-    if cfg.num_states > char_cap:
-        raise BudgetError(f"p^d = {cfg.num_states} exceeds the character cap")
+    chars = char_transforms(cfg, char_cap)
     if include_exact is None:
         include_exact = cfg.num_states <= state_cap
-    if include_exact and cfg.num_states > state_cap:
-        raise BudgetError(f"p^d = {cfg.num_states} exceeds the dense-state cap")
+    states = exactdist.dense_states(cfg, state_cap) if include_exact else repeat(None)
     series = BoundSeries(tv_exact=[] if include_exact else None)
-    f = step_factor_table(cfg.p, cfg.d)
-    perm = transpose_perm(cfg)
-    F = np.ones(cfg.num_states, dtype=complex)
-    P = exactdist.delta_at_zero(cfg.p, cfg.d) if include_exact else None
-    cur = 0
-    for n in n_values:
-        while cur < n:
-            F = f * F[perm]
-            if P is not None:
-                P = exactdist.step_exact(P, cfg)
-            cur += 1
+    for n in range(max(wanted, default=-1) + 1):
+        # one statement per draw, so the previous F is freed before the
+        # dense step runs (as many arrays live at once as in a plain loop)
+        F = next(chars)
+        P = next(states)
+        if n not in wanted:
+            continue
         series.n.append(n)
-        series.ub.append(0.5 * math.sqrt(_sq_sum_nontrivial(F, threads)))
+        series.ub.append(_ub_from_transform(F))
         mods = np.abs(F)
         mods[0] = 0.0
         series.lb.append(0.5 * float(mods.max()))

@@ -176,10 +176,6 @@ def is_admissible(T: IntMatrix, p: int) -> bool:
     return det != 0 and math.gcd(abs(det), p) == 1
 
 
-def mat_mul_mod(A: IntMatrix, B: IntMatrix, p: int) -> IntMatrix:
-    return (A @ B).mod(p)
-
-
 def mat_pow_mod(T: IntMatrix, k: int, p: int) -> IntMatrix:
     """T^k with entries reduced mod p; binary exponentiation, reducing at
     every multiply so operands never grow past p^2 * d."""
@@ -191,8 +187,8 @@ def mat_pow_mod(T: IntMatrix, k: int, p: int) -> IntMatrix:
     base = T.mod(p)
     while k:
         if k & 1:
-            result = mat_mul_mod(result, base, p)
-        base = mat_mul_mod(base, base, p)
+            result = (result @ base).mod(p)
+        base = (base @ base).mod(p)
         k >>= 1
     return result
 

@@ -12,12 +12,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import exactdist, fourier, indexing, spectral
 from .errors import (
+    AffineWalkError,
     BudgetError,
     DegeneratePrimeError,
     NotMixedError,
@@ -220,6 +222,19 @@ def projection_functional(T: IntMatrix, p: int, m: int) -> ProjectionReport:
     )
 
 
+def _projected_dists(report: ProjectionReport, p: int) -> Iterator[np.ndarray]:
+    """Law of pi(X_{b m}) for b = 0, 1, 2, ...: the point mass at 0, then
+    one convolution with the block increment distribution per item."""
+    dist = np.zeros(p)
+    dist[0] = 1.0
+    while True:
+        yield dist
+        nxt = np.zeros(p)
+        for r, pr in report.increment_support:
+            nxt += pr * np.roll(dist, r)
+        dist = nxt
+
+
 def projected_walk_dist(
     report: ProjectionReport, cfg: WalkConfig, blocks: int
 ) -> np.ndarray:
@@ -230,16 +245,7 @@ def projected_walk_dist(
         raise ValueError("blocks must be >= 0")
     if report.v.p != cfg.p:
         raise ValueError("projection and config use different moduli")
-    p = cfg.p
-    dist = np.zeros(p)
-    dist[0] = 1.0
-    support = report.increment_support
-    for _ in range(blocks):
-        nxt = np.zeros(p)
-        for r, pr in support:
-            nxt += pr * np.roll(dist, r)
-        dist = nxt
-    return dist
+    return next(islice(_projected_dists(report, cfg.p), blocks, None))
 
 
 def projected_mixing_time(
@@ -263,21 +269,11 @@ def projected_mixing_time(
             raise PreconditionError("matrix has no root-of-unity eigenvalue")
     report = projection_functional(T, p, m)
     blocks_cap = 4 * p * p if blocks_cap is None else blocks_cap
-    dist = np.zeros(p)
-    dist[0] = 1.0
-    value = exactdist.tv_vector(dist)
-    if value <= eps:
-        return 0
-    support = report.increment_support
-    for b in range(1, blocks_cap + 1):
-        nxt = np.zeros(p)
-        for r, pr in support:
-            nxt += pr * np.roll(dist, r)
-        dist = nxt
-        value = exactdist.tv_vector(dist)
-        if value <= eps:
-            return b * m
-    raise NotMixedError(blocks_cap * m, "projected", value)
+    values = map(exactdist.tv_vector, _projected_dists(report, p))
+    try:
+        return m * fourier.first_below(values, eps, blocks_cap, "projected")
+    except NotMixedError as exc:  # the cap is counted in steps, not blocks
+        raise NotMixedError(blocks_cap * m, "projected", exc.last_value) from None
 
 
 @dataclass
@@ -338,8 +334,9 @@ def scaling_sweep(
     state_cap: int = exactdist.DEFAULT_STATE_CAP,
     threads: Optional[int] = None,
 ) -> list[ScalingReport]:
-    """Mixing time for each (T, p) cell; per-cell failures are recorded
-    and the sweep continues. method: 'exact' | 'ub' | 'projected', or
+    """Mixing time for each (T, p) cell; a cell that fails with a package
+    error or a ValueError is recorded and the sweep continues (any other
+    exception is a bug and propagates). method: 'exact' | 'ub' | 'projected', or
     'auto' to pick 'ub' for spectra off the unit circle and 'projected'
     for root-of-unity spectra."""
     reports = []
@@ -369,7 +366,7 @@ def scaling_sweep(
                         threads=threads,
                     )
                 rep.cells.append((p, n_mix))
-            except Exception as exc:  # recorded, sweep continues
+            except (AffineWalkError, ValueError) as exc:  # recorded, sweep continues
                 rep.failures.append((p, f"{type(exc).__name__}: {exc}"))
         if len(rep.cells) >= 2:
             if spec.classification == spectral.Classification.ROOT_OF_UNITY:
