@@ -10,7 +10,10 @@ bytes.
 
 Exit codes: 0 ok, 2 bad config, 3 mathematical precondition violated
 (singular matrix, inadmissible or composite p where primality is
-needed), 4 resource budget exceeded (including "not mixed by n_max").
+needed) or eigenvalue refinement that failed to converge, 4 resource
+budget exceeded (including "not mixed by n_max", and moduli too large
+for exact int64 simulation). --n-cap counts steps for every mixing
+method; the projected search stops after floor(n_cap / m) m-step blocks.
 
 Randomized subcommands default to seed 12345 unless one is given.
 --threads and the AFFINEWALK_THREADS environment variable are accepted
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import __version__, exactdist, fourier, montecarlo, spectral
-from .errors import BudgetError, PreconditionError
+from .errors import BudgetError, PreconditionError, RootConvergenceError
 from .exactdist import WalkConfig
 from .modmath import IntMatrix, ModVector, is_admissible
 
@@ -239,7 +242,14 @@ def cmd_mixtime(cfg: ExperimentConfig) -> int:
     if cfg.epsilon >= 1.0:
         n = 0  # TV never exceeds 1, so any n qualifies
     elif method == "projected":
-        n = montecarlo.projected_mixing_time(cfg.T, cfg.p, cfg.epsilon, m=cfg.m)
+        m = montecarlo.root_order(cfg.T)
+        n = montecarlo.projected_mixing_time(
+            cfg.T,
+            cfg.p,
+            cfg.epsilon,
+            m=m if cfg.m is None else cfg.m,
+            blocks_cap=cfg.n_cap // m,
+        )
     else:
         n = fourier.mixing_time(
             walk,
@@ -274,14 +284,7 @@ def cmd_orbit(cfg: ExperimentConfig) -> int:
 
 
 def cmd_project(cfg: ExperimentConfig) -> int:
-    m = cfg.m
-    if m is None:
-        m = spectral.cyclotomic_order(spectral.char_poly(cfg.T))
-        if m is None:
-            raise PreconditionError(
-                "matrix has no root-of-unity eigenvalue; the projection "
-                "construction does not apply"
-            )
+    m = montecarlo.root_order(cfg.T) if cfg.m is None else cfg.m
     report = montecarlo.projection_functional(cfg.T, cfg.p, m)
     doc = json.loads(report.to_json())
     if cfg.blocks is not None:
@@ -437,6 +440,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except RootConvergenceError as exc:
+        print(f"eigenvalue refinement failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

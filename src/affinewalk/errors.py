@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these onto its exit-code scheme: PreconditionError -> 3,
-BudgetError (and subclasses) -> 4, config problems -> 2.
+The CLI maps these onto its exit-code scheme: PreconditionError and
+RootConvergenceError -> 3, BudgetError (and subclasses) -> 4, config
+problems -> 2.
 """
 
 

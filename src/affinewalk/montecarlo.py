@@ -2,9 +2,16 @@
 
 When a root-of-unity factor of order m forces T^m to fix a direction
 mod p, the walk observed through that direction is a random walk on
-Z/pZ with increments supported on at most (d+1)^m residues. That
-projected walk is evolved exactly (a length-p convolution per m-step
-block) and its distance from uniform is the slow-mixing witness.
+Z/pZ with increments supported on at most (d+1)^m residues. Its
+distance from uniform is the slow-mixing witness. The law after k
+m-step blocks is the k-fold convolution of the block increment law:
+`projected_walk_dist` evolves it exactly, one length-p convolution per
+block, and `projected_mixing_time` reads it from the spectrum as
+ifft(phi^k), phi the DFT of the increment law. Convolving with a
+probability measure cannot move a law away from uniform (uniform is
+invariant under it), so the distance is non-increasing in k and the
+least mixed block count is found by bisection, in O(p log p * log cap)
+time instead of O(n_mix * u * p / m).
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -40,6 +47,7 @@ from .modmath import (
 # stream layout never depends on thread count or batch size.
 RNG_CHUNK = 4096
 DEFAULT_SEED = 12345
+INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,12 +91,19 @@ def simulate(cfg: WalkConfig, n: int, samples: int, seed: int) -> TrajectoryBatc
     Identical (cfg, n, samples, seed) always yields an identical batch;
     chunks of RNG_CHUNK trajectories each draw from their own Philox
     substream, so chunks could be filled in parallel without changing
-    the result.
+    the result. States are reduced in int64, so moduli with
+    d (p-1)^2 + 1 > 2^63 - 1 are refused with BudgetError.
     """
     if n < 0 or samples < 0:
         raise ValueError("n and samples must be >= 0")
     cfg.require_admissible()
     p, d = cfg.p, cfg.d
+    # a coordinate of X @ tmod_t + increment is at most d (p-1)^2 + 1
+    if d * (p - 1) ** 2 + 1 > INT64_MAX:
+        raise BudgetError(
+            f"simulate needs d*(p-1)^2 + 1 <= 2^63 - 1 for exact int64 "
+            f"arithmetic; d={d}, p={p} exceeds it"
+        )
     steps = np.empty((samples, n), dtype=np.uint8)
     for ci, lo in enumerate(range(0, samples, RNG_CHUNK)):
         rows = min(RNG_CHUNK, samples - lo)
@@ -222,17 +237,38 @@ def projection_functional(T: IntMatrix, p: int, m: int) -> ProjectionReport:
     )
 
 
+def root_order(T: IntMatrix) -> int:
+    """Order m of the primitive root of unity in T's spectrum, the block
+    length of the projected walk; PreconditionError when there is none."""
+    m = spectral.cyclotomic_order(spectral.char_poly(T))
+    if m is None:
+        raise PreconditionError("matrix has no root-of-unity eigenvalue")
+    return m
+
+
 def _projected_dists(report: ProjectionReport, p: int) -> Iterator[np.ndarray]:
     """Law of pi(X_{b m}) for b = 0, 1, 2, ...: the point mass at 0, then
-    one convolution with the block increment distribution per item."""
+    one convolution with the block increment distribution per item.
+
+    Row j of dist[idx] is np.roll(dist, r_j) for the j-th support residue
+    r_j. The weighted rows are summed in support order, so every item has
+    the bits of the sum of pr * np.roll(dist, r) taken in that order.
+    Memory is O(u p) for a support of u residues."""
+    residues = np.array([r for r, _ in report.increment_support], dtype=np.int64)
+    probs = np.array([pr for _, pr in report.increment_support])[:, None]
+    idx = (np.arange(p) - residues[:, None]) % p
     dist = np.zeros(p)
     dist[0] = 1.0
     while True:
         yield dist
-        nxt = np.zeros(p)
-        for r, pr in report.increment_support:
-            nxt += pr * np.roll(dist, r)
-        dist = nxt
+        dist = np.add.reduce(probs * dist[idx], axis=0)
+
+
+def _block_tv(increment_probs: np.ndarray) -> Callable[[int], float]:
+    """k -> TV(law after k blocks, uniform), with the law read from the
+    spectrum as ifft(phi^k), phi the DFT of the block increment law."""
+    phi = np.fft.fft(increment_probs)
+    return lambda k: exactdist.tv_vector(np.fft.ifft(phi**k).real)
 
 
 def projected_walk_dist(
@@ -255,25 +291,39 @@ def projected_mixing_time(
     m: Optional[int] = None,
     blocks_cap: Optional[int] = None,
 ) -> int:
-    """Least n = blocks*m with TV(projection of P_n, uniform) <= eps.
+    """Least n = blocks*m with TV(projection of P_n, uniform) <= eps,
+    searching blocks = 0, ..., blocks_cap (default 4 p^2); raises
+    NotMixedError, with its cap counted in steps, when none qualifies.
 
     The projected TV lower-bounds the full TV, so this n lower-bounds
     the true mixing time - the quantity whose growth in p is the
     slow-mixing signature.
+
+    The law after k blocks is ifft(phi^k), phi the DFT of the block
+    increment law, so any k is reached without stepping through the
+    ones before it. Its TV to uniform is non-increasing in k (uniform is
+    invariant under convolution with a probability measure), so the
+    search checks the cap and then bisects: O(p log p * log blocks_cap).
     """
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
     if m is None:
-        m = spectral.cyclotomic_order(spectral.char_poly(T))
-        if m is None:
-            raise PreconditionError("matrix has no root-of-unity eigenvalue")
+        m = root_order(T)
     report = projection_functional(T, p, m)
     blocks_cap = 4 * p * p if blocks_cap is None else blocks_cap
-    values = map(exactdist.tv_vector, _projected_dists(report, p))
-    try:
-        return m * fourier.first_below(values, eps, blocks_cap, "projected")
-    except NotMixedError as exc:  # the cap is counted in steps, not blocks
-        raise NotMixedError(blocks_cap * m, "projected", exc.last_value) from None
+    tv = _block_tv(report.increment_probs())
+    hi = max(blocks_cap, 0)  # a negative cap still checks block 0
+    at_cap = tv(hi)
+    if at_cap > eps:
+        raise NotMixedError(blocks_cap * m, "projected", at_cap)
+    lo = 0
+    while lo < hi:  # tv(hi) <= eps, and tv(k) > eps for every k < lo
+        mid = (lo + hi) // 2
+        if tv(mid) <= eps:
+            hi = mid
+        else:
+            lo = mid + 1
+    return m * hi
 
 
 @dataclass
@@ -338,7 +388,8 @@ def scaling_sweep(
     error or a ValueError is recorded and the sweep continues (any other
     exception is a bug and propagates). method: 'exact' | 'ub' | 'projected', or
     'auto' to pick 'ub' for spectra off the unit circle and 'projected'
-    for root-of-unity spectra."""
+    for root-of-unity spectra. n_cap counts steps for every method: the
+    projected search stops after floor(n_cap / m) m-step blocks."""
     reports = []
     for T in Ts:
         spec = spectral.classify(T)
@@ -354,7 +405,8 @@ def scaling_sweep(
         for p in ps:
             try:
                 if cell_method == "projected":
-                    n_mix = projected_mixing_time(T, p, eps)
+                    m = root_order(T)
+                    n_mix = projected_mixing_time(T, p, eps, m=m, blocks_cap=n_cap // m)
                 else:
                     n_mix = fourier.mixing_time(
                         WalkConfig(T, p),

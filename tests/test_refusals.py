@@ -1,0 +1,55 @@
+"""Typed refusals: inputs the package cannot handle exactly end in a
+package error and an exit code, never in a traceback or a wrong answer."""
+
+import numpy as np
+import pytest
+
+from affinewalk import cli, montecarlo, spectral
+from affinewalk.errors import BudgetError, RootConvergenceError
+from affinewalk.exactdist import WalkConfig
+from affinewalk.modmath import IntMatrix
+
+
+def test_root_convergence_error_exits_3(monkeypatch, capsys):
+    def no_convergence(*args, **kwargs):
+        raise RootConvergenceError("residuals not certified")
+
+    monkeypatch.setattr(spectral, "complex_roots", no_convergence)
+    assert cli.main(["classify", "--matrix", "[[2,1],[1,1]]"]) == cli.EXIT_PRECONDITION
+    assert "residuals not certified" in capsys.readouterr().err
+
+
+def replay(cfg, n, samples, seed):
+    """Final states recomputed with Python integers from the same steps."""
+    T = cfg.T.mod(cfg.p).entries
+    steps = montecarlo._step_stream(seed, 0, samples, n, cfg.d)
+    rows = []
+    for s in steps:
+        x = [0] * cfg.d
+        for b in s:
+            x = [sum(T[i][j] * x[j] for j in range(cfg.d)) for i in range(cfg.d)]
+            if b:
+                x[b - 1] += 1
+            x = [v % cfg.p for v in x]
+        rows.append(x)
+    return np.array(rows, dtype=np.int64)
+
+
+class TestSimulateInt64Limit:
+    def test_overflowing_modulus_is_refused(self):
+        # int64 wraparound gave 64 of 64 wrong rows here, with no error
+        cfg = WalkConfig(IntMatrix([[3, -1], [1, 0]]), 2**32 + 1)
+        with pytest.raises(BudgetError, match=r"2\^63 - 1"):
+            montecarlo.simulate(cfg, 60, 64, seed=1)
+
+    def test_limit_is_sharp(self):
+        # d = 2: 2 (p-1)^2 + 1 <= 2^63 - 1 exactly when p <= 2^31
+        T = IntMatrix([[2, 1], [1, 1]])
+        montecarlo.simulate(WalkConfig(T, 2**31), 1, 1, seed=1)
+        with pytest.raises(BudgetError):
+            montecarlo.simulate(WalkConfig(T, 2**31 + 1), 1, 1, seed=1)
+
+    def test_minstd_modulus_still_exact(self):
+        cfg = WalkConfig(IntMatrix([[2, 1], [1, 1]]), 2**31 - 1)
+        batch = montecarlo.simulate(cfg, 40, 16, seed=7)
+        assert np.array_equal(batch.final_states, replay(cfg, 40, 16, 7))
