@@ -13,12 +13,10 @@ Exit codes: 0 ok, 2 bad config, 3 mathematical precondition violated
 needed) or eigenvalue refinement that failed to converge, 4 resource
 budget exceeded (including "not mixed by n_max", and moduli too large
 for exact int64 simulation). --n-cap counts steps for every mixing
-method; the projected search stops after floor(n_cap / m) m-step blocks.
+method; the projected search stops after floor(n_cap / m) m-step blocks,
+m the root-of-unity order, which `mixtime` and `project` detect.
 
 Randomized subcommands default to seed 12345 unless one is given.
---threads and the AFFINEWALK_THREADS environment variable are accepted
-and ignored: the character square sum is reduced serially, in a fixed
-chunk order.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 from . import __version__, exactdist, fourier, montecarlo, spectral
@@ -56,7 +54,6 @@ class ExperimentConfig:
     n_max: Optional[int] = None
     c: Optional[list[int]] = None
     c1: float = fourier.DEFAULT_C1
-    m: Optional[int] = None
     blocks: Optional[int] = None
     samples: Optional[int] = None
     seed: int = montecarlo.DEFAULT_SEED
@@ -70,7 +67,6 @@ class ExperimentConfig:
     char_cap: int = fourier.DEFAULT_CHAR_CAP
     ell_max: Optional[int] = None
     n_cap: int = fourier.DEFAULT_MIX_CAP
-    threads: Optional[int] = None
     raw: dict = field(default_factory=dict)
 
     @property
@@ -88,6 +84,12 @@ class ExperimentConfig:
 
     def meta_dict(self) -> dict:
         return {"tool": f"affinewalk {__version__}", "config": self.raw}
+
+
+# fields copied from the merged options as they are; the rest are parsed
+_PLAIN_FIELDS = tuple(
+    f.name for f in fields(ExperimentConfig) if f.name not in ("matrices", "ps", "c", "raw")
+)
 
 
 def _parse_matrix(value) -> IntMatrix:
@@ -157,11 +159,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError("all moduli must be >= 2")
 
     cfg = ExperimentConfig(matrices=matrices, ps=ps)
-    for name in (
-        "epsilon", "n", "n_min", "n_max", "c1", "m", "blocks", "samples",
-        "seed", "method", "tol", "output", "fit_json", "dump_states",
-        "exact", "state_cap", "char_cap", "ell_max", "n_cap", "threads",
-    ):
+    for name in _PLAIN_FIELDS:
         if merged.get(name) is not None:
             setattr(cfg, name, merged[name])
     if merged.get("c") is not None:
@@ -221,7 +219,6 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
         include_exact=include_exact,
         state_cap=cfg.state_cap,
         char_cap=cfg.char_cap,
-        threads=cfg.threads,
     )
     _emit(series.to_csv(header_comment=cfg.meta()), cfg.output)
     if partial:
@@ -242,14 +239,7 @@ def cmd_mixtime(cfg: ExperimentConfig) -> int:
     if cfg.epsilon >= 1.0:
         n = 0  # TV never exceeds 1, so any n qualifies
     elif method == "projected":
-        m = montecarlo.root_order(cfg.T)
-        n = montecarlo.projected_mixing_time(
-            cfg.T,
-            cfg.p,
-            cfg.epsilon,
-            m=m if cfg.m is None else cfg.m,
-            blocks_cap=cfg.n_cap // m,
-        )
+        n = montecarlo.projected_mixing_time(cfg.T, cfg.p, cfg.epsilon, n_cap=cfg.n_cap)
     else:
         n = fourier.mixing_time(
             walk,
@@ -258,7 +248,6 @@ def cmd_mixtime(cfg: ExperimentConfig) -> int:
             n_cap=cfg.n_cap,
             state_cap=cfg.state_cap,
             char_cap=cfg.char_cap,
-            threads=cfg.threads,
         )
     doc = json.dumps(
         {
@@ -284,8 +273,7 @@ def cmd_orbit(cfg: ExperimentConfig) -> int:
 
 
 def cmd_project(cfg: ExperimentConfig) -> int:
-    m = montecarlo.root_order(cfg.T) if cfg.m is None else cfg.m
-    report = montecarlo.projection_functional(cfg.T, cfg.p, m)
+    report = montecarlo.projection_functional(cfg.T, cfg.p, montecarlo.root_order(cfg.T))
     doc = json.loads(report.to_json())
     if cfg.blocks is not None:
         walk = WalkConfig(cfg.T, cfg.p)
@@ -334,7 +322,6 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
             n_cap=cfg.n_cap,
             char_cap=cfg.char_cap,
             state_cap=cfg.state_cap,
-            threads=cfg.threads,
         )
     _emit(montecarlo.sweep_csv(reports, header_comment=cfg.meta()), cfg.output)
     if cfg.fit_json:
@@ -367,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("-o", "--output", help="output file (default stdout)")
         sp.add_argument("--state-cap", type=int, dest="state_cap")
         sp.add_argument("--char-cap", type=int, dest="char_cap")
-        sp.add_argument("--threads", type=int)
 
     sp = sub.add_parser("classify", help="spectrum report for the matrix")
     common(sp)
@@ -391,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--epsilon", type=float)
     sp.add_argument("--method", choices=["exact", "ub", "projected"])
     sp.add_argument("--n-cap", type=int, dest="n_cap")
-    sp.add_argument("--m", type=int)
     sp.set_defaults(func=cmd_mixtime)
 
     sp = sub.add_parser("orbit", help="orbit of a character under T^t")
@@ -403,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("project", help="slow-mixing projection functional")
     common(sp)
-    sp.add_argument("--m", type=int, help="root-of-unity order (default: detected)")
     sp.add_argument("--blocks", type=int, help="also evolve the projected walk")
     sp.set_defaults(func=cmd_project)
 

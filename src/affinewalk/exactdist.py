@@ -49,6 +49,15 @@ class WalkConfig:
                 f"gcd(det T, p) = 1, det = {_det_str(self.T)}"
             )
 
+    def require_int64(self, what: str) -> None:
+        """BudgetError unless a row of residues times T mod p, plus one,
+        stays exact in int64: d (p-1)^2 + 1 <= 2^63 - 1."""
+        if self.d * (self.p - 1) ** 2 + 1 > 2**63 - 1:
+            raise BudgetError(
+                f"{what} needs d*(p-1)^2 + 1 <= 2^63 - 1 for exact int64 "
+                f"arithmetic; d={self.d}, p={self.p} exceeds it"
+            )
+
 
 def _det_str(T: IntMatrix) -> str:
     from .modmath import int_det

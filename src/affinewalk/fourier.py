@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from itertools import accumulate, islice, repeat
 from typing import Iterable, Iterator, Optional, Sequence
@@ -37,15 +36,6 @@ _REDUCE_CHUNK = 1 << 16  # fixed: the chunk order sets the float sum's bits
 def default_ell_max(p: int) -> int:
     """Generous orbit-length budget, ~10 log2 p."""
     return math.ceil(10 * math.log2(p))
-
-
-def default_threads() -> int:
-    """AFFINEWALK_THREADS as an int >= 1 (default 1). Accepted for
-    compatibility only: every reduction runs serially."""
-    try:
-        return max(1, int(os.environ.get("AFFINEWALK_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def step_factor(c: CharacterIndex) -> complex:
@@ -87,25 +77,25 @@ def contraction_gap(d: int, c1: float = DEFAULT_C1) -> float:
     return (1.0 - math.cos(2 * math.pi * c1)) / (2 * (d + 1))
 
 
-def _orbit_factors(c: CharacterIndex, cfg: WalkConfig, need: int):
-    """Step factors along the orbit of c until a repeat or `need` terms.
+def _orbit(c: CharacterIndex, cfg: WalkConfig, limit: int):
+    """(T^t)^l c mod p for l = 0, 1, ... until a repeat or `limit` terms.
 
-    Returns (factors, cycle_start, cycle_length); the cycle fields are
-    None when no repeat occurred within `need` terms.
+    Returns (orbit, cycle_start, cycle_length); the cycle fields are
+    None when no repeat occurred within `limit` terms.
     """
     Tt = cfg.T.transpose()
     seen: dict[tuple[int, ...], int] = {}
-    factors: list[complex] = []
+    orbit: list[ModVector] = []
     vec = ModVector(cfg.p, c.entries)
-    while len(factors) < need:
+    while len(orbit) < limit:
         key = vec.entries
         if key in seen:
             start = seen[key]
-            return factors, start, len(factors) - start
-        seen[key] = len(factors)
-        factors.append(step_factor(vec))
+            return orbit, start, len(orbit) - start
+        seen[key] = len(orbit)
+        orbit.append(vec)
         vec = mat_vec_mod(Tt, vec, cfg.p)
-    return factors, None, None
+    return orbit, None, None
 
 
 def _product(factors: Sequence[complex]) -> complex:
@@ -127,7 +117,8 @@ def fourier_n(c: CharacterIndex, n: int, cfg: WalkConfig) -> complex:
     cfg.require_admissible()
     if c.p != cfg.p or c.d != cfg.d:
         raise ValueError("character does not match config")
-    factors, cyc_start, cyc_len = _orbit_factors(c, cfg, n)
+    orbit, cyc_start, cyc_len = _orbit(c, cfg, n)
+    factors = [step_factor(v) for v in orbit]
     if len(factors) == n:
         return _product(factors)
     # repeat found before n factors were consumed
@@ -187,12 +178,9 @@ def ub_bound(
     n: int,
     cfg: WalkConfig,
     char_cap: int = DEFAULT_CHAR_CAP,
-    threads: Optional[int] = None,
 ) -> float:
     """Square-root character bound on TV: (1/2) sqrt(sum_{c!=0} |P_hat_n(c)|^2).
-    All characters have degree 1, so the trace form is just squared moduli.
-    `threads` is accepted and ignored: the square sum is serial, in a
-    fixed chunk order."""
+    All characters have degree 1, so the trace form is just squared moduli."""
     return _ub_from_transform(fourier_n_all(n, cfg, char_cap=char_cap))
 
 
@@ -269,26 +257,9 @@ def orbit_analysis(
         raise ValueError("c1 must lie in (0, 1/2]")
     p = cfg.p
     ell_max = default_ell_max(p) if ell_max is None else ell_max
-    Tt = cfg.T.transpose()
-    seen: dict[tuple[int, ...], int] = {}
-    orbit: list[ModVector] = []
-    mags: list[int] = []
-    first_large = None
-    cycle_start = cycle_length = None
-    vec = ModVector(p, c.entries)
-    for ell in range(ell_max + 1):
-        key = vec.entries
-        if key in seen:
-            cycle_start = seen[key]
-            cycle_length = len(orbit) - cycle_start
-            break
-        seen[key] = len(orbit)
-        orbit.append(vec)
-        m = center(vec).max_abs()
-        mags.append(m)
-        if first_large is None and m >= c1 * p:
-            first_large = ell
-        vec = mat_vec_mod(Tt, vec, p)
+    orbit, cycle_start, cycle_length = _orbit(c, cfg, ell_max + 1)
+    mags = [center(v).max_abs() for v in orbit]
+    first_large = next((ell for ell, m in enumerate(mags) if m >= c1 * p), None)
     return OrbitRecord(
         c=c,
         orbit=tuple(orbit),
@@ -308,7 +279,10 @@ def first_large_sweep(
 ) -> np.ndarray:
     """first_large_ell for many characters at once (-1 where the
     threshold was never reached within ell_max). `cs` is an (m, d) array
-    of residue coordinates; default: every nonzero character."""
+    of residue coordinates; default: every nonzero character. The
+    orbit step C @ T mod p runs in int64, so moduli with
+    d (p-1)^2 + 1 > 2^63 - 1 are refused with BudgetError."""
+    cfg.require_int64("first_large_sweep")
     p, d = cfg.p, cfg.d
     ell_max = default_ell_max(p) if ell_max is None else ell_max
     if cs is None:
@@ -384,12 +358,11 @@ def mixing_time(
     n_cap: int = DEFAULT_MIX_CAP,
     state_cap: int = exactdist.DEFAULT_STATE_CAP,
     char_cap: int = DEFAULT_CHAR_CAP,
-    threads: Optional[int] = None,
 ) -> int:
     """Least n with TV(P_n, U) <= eps (method='exact') or with the
     character upper bound <= eps (method='ub'); raises NotMixedError at
     the cap. n=0 counts: TV(P_0, U) = 1 - 1/p^d, so eps at or above that
-    returns 0 for either method. `threads` is accepted and ignored."""
+    returns 0 for either method."""
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
     cfg.require_admissible()
@@ -451,11 +424,9 @@ def bound_series(
     include_exact: Optional[bool] = None,
     state_cap: int = exactdist.DEFAULT_STATE_CAP,
     char_cap: int = DEFAULT_CHAR_CAP,
-    threads: Optional[int] = None,
 ) -> BoundSeries:
     """Walk n upward once, collecting ub, lb (max |P_hat_n| over all
-    nonzero characters), and optionally exact TV at each requested n.
-    `threads` is accepted and ignored."""
+    nonzero characters), and optionally exact TV at each requested n."""
     cfg.require_admissible()
     wanted = set(int(n) for n in n_values)
     if any(n < 0 for n in wanted):

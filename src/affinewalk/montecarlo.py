@@ -47,7 +47,6 @@ from .modmath import (
 # stream layout never depends on thread count or batch size.
 RNG_CHUNK = 4096
 DEFAULT_SEED = 12345
-INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,13 +96,8 @@ def simulate(cfg: WalkConfig, n: int, samples: int, seed: int) -> TrajectoryBatc
     if n < 0 or samples < 0:
         raise ValueError("n and samples must be >= 0")
     cfg.require_admissible()
+    cfg.require_int64("simulate")
     p, d = cfg.p, cfg.d
-    # a coordinate of X @ tmod_t + increment is at most d (p-1)^2 + 1
-    if d * (p - 1) ** 2 + 1 > INT64_MAX:
-        raise BudgetError(
-            f"simulate needs d*(p-1)^2 + 1 <= 2^63 - 1 for exact int64 "
-            f"arithmetic; d={d}, p={p} exceeds it"
-        )
     steps = np.empty((samples, n), dtype=np.uint8)
     for ci, lo in enumerate(range(0, samples, RNG_CHUNK)):
         rows = min(RNG_CHUNK, samples - lo)
@@ -285,15 +279,13 @@ def projected_walk_dist(
 
 
 def projected_mixing_time(
-    T: IntMatrix,
-    p: int,
-    eps: float,
-    m: Optional[int] = None,
-    blocks_cap: Optional[int] = None,
+    T: IntMatrix, p: int, eps: float, n_cap: int = fourier.DEFAULT_MIX_CAP
 ) -> int:
-    """Least n = blocks*m with TV(projection of P_n, uniform) <= eps,
-    searching blocks = 0, ..., blocks_cap (default 4 p^2); raises
-    NotMixedError, with its cap counted in steps, when none qualifies.
+    """Least n = blocks*m with TV(projection of P_n, uniform) <= eps, m
+    the root-of-unity order of T, searching blocks = 0, ...,
+    floor(n_cap / m); raises NotMixedError, with its cap counted in
+    steps, when none qualifies. n_cap counts steps as it does for
+    fourier.mixing_time.
 
     The projected TV lower-bounds the full TV, so this n lower-bounds
     the true mixing time - the quantity whose growth in p is the
@@ -303,19 +295,18 @@ def projected_mixing_time(
     increment law, so any k is reached without stepping through the
     ones before it. Its TV to uniform is non-increasing in k (uniform is
     invariant under convolution with a probability measure), so the
-    search checks the cap and then bisects: O(p log p * log blocks_cap).
+    search checks the cap and then bisects: O(p log p * log(n_cap / m)).
     """
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
-    if m is None:
-        m = root_order(T)
+    m = root_order(T)
     report = projection_functional(T, p, m)
-    blocks_cap = 4 * p * p if blocks_cap is None else blocks_cap
+    blocks = n_cap // m
     tv = _block_tv(report.increment_probs())
-    hi = max(blocks_cap, 0)  # a negative cap still checks block 0
+    hi = max(blocks, 0)  # a negative cap still checks block 0
     at_cap = tv(hi)
     if at_cap > eps:
-        raise NotMixedError(blocks_cap * m, "projected", at_cap)
+        raise NotMixedError(blocks * m, "projected", at_cap)
     lo = 0
     while lo < hi:  # tv(hi) <= eps, and tv(k) > eps for every k < lo
         mid = (lo + hi) // 2
@@ -382,14 +373,13 @@ def scaling_sweep(
     n_cap: int = fourier.DEFAULT_MIX_CAP,
     char_cap: int = fourier.DEFAULT_CHAR_CAP,
     state_cap: int = exactdist.DEFAULT_STATE_CAP,
-    threads: Optional[int] = None,
 ) -> list[ScalingReport]:
     """Mixing time for each (T, p) cell; a cell that fails with a package
     error or a ValueError is recorded and the sweep continues (any other
     exception is a bug and propagates). method: 'exact' | 'ub' | 'projected', or
     'auto' to pick 'ub' for spectra off the unit circle and 'projected'
-    for root-of-unity spectra. n_cap counts steps for every method: the
-    projected search stops after floor(n_cap / m) m-step blocks."""
+    for root-of-unity spectra. n_cap counts steps for every method and is
+    passed to each search as it is."""
     reports = []
     for T in Ts:
         spec = spectral.classify(T)
@@ -405,8 +395,7 @@ def scaling_sweep(
         for p in ps:
             try:
                 if cell_method == "projected":
-                    m = root_order(T)
-                    n_mix = projected_mixing_time(T, p, eps, m=m, blocks_cap=n_cap // m)
+                    n_mix = projected_mixing_time(T, p, eps, n_cap=n_cap)
                 else:
                     n_mix = fourier.mixing_time(
                         WalkConfig(T, p),
@@ -415,7 +404,6 @@ def scaling_sweep(
                         n_cap=n_cap,
                         char_cap=char_cap,
                         state_cap=state_cap,
-                        threads=threads,
                     )
                 rep.cells.append((p, n_mix))
             except (AffineWalkError, ValueError) as exc:  # recorded, sweep continues

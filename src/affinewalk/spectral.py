@@ -276,11 +276,6 @@ def _reciprocal_gcd_degree(cp: CharPoly) -> tuple[int, list[complex]]:
     a = [Fraction(c) for c in cp.coeffs]
     b = [Fraction(c) for c in reversed(cp.coeffs)]
 
-    def trim(c):
-        while len(c) > 1 and c[-1] == 0:
-            c.pop()
-        return c
-
     def pdivmod(num, den):
         num = list(num)
         q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
@@ -291,9 +286,9 @@ def _reciprocal_gcd_degree(cp: CharPoly) -> tuple[int, list[complex]]:
             if c:
                 for j, dcoef in enumerate(den):
                     num[k - (len(den) - 1) + j] -= c * dcoef
-        return trim(q), trim(num)
+        return _poly_trim(q), _poly_trim(num)
 
-    a, b = trim(a), trim(b)
+    a, b = _poly_trim(a), _poly_trim(b)
     while b != [Fraction(0)]:
         _, r = pdivmod(a, b)
         a, b = b, r

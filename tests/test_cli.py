@@ -262,3 +262,26 @@ class TestRoundTrip:
             ModVector(101, [1, 0]), WalkConfig(IntMatrix([[2, 1], [1, 1]]), 101)
         )
         assert back == direct
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestRemovedOptions:
+    """--threads was ignored and --m had one legal value; both are gone."""
+
+    ROT = ["--matrix", "[[0,-1],[1,0]]", "--p", "101"]
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--matrix", "[[2,1],[1,1]]", "--p", "101", "--n-max", "3", "--threads", "4"],
+        ["mixtime", *ROT, "--epsilon", "0.25", "--method", "projected", "--threads", "4"],
+        ["mixtime", *ROT, "--epsilon", "0.25", "--method", "projected", "--m", "4"],
+        # argparse reads --m as an abbreviation of --matrix here; "4" is no matrix
+        ["project", *ROT, "--m", "4"],
+    ])
+    def test_exit_2(self, argv, capsys):
+        assert exit_code(argv) == 2

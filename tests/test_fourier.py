@@ -157,11 +157,6 @@ class TestUpperBound:
         cfg = WalkConfig(FIB, 101)
         assert ub_bound(17, cfg) < 0.01 < ub_bound(16, cfg)
 
-    def test_thread_count_invariance(self):
-        cfg = WalkConfig(FIB, 11)
-        vals = {ub_bound(8, cfg, threads=t) for t in (1, 2, 4)}
-        assert len(vals) == 1  # fixed chunking makes it bit-identical
-
     def test_character_budget(self):
         with pytest.raises(BudgetError):
             ub_bound(1, WalkConfig(FIB, 101), char_cap=100)
@@ -320,14 +315,3 @@ def test_transpose_perm_definition():
         c = ModVector(5, indexing.state_of(idx, 5, 2))
         expected = indexing.index_of(mat_vec_mod(Tt, c, 5).entries, 5)
         assert perm[idx] == expected
-
-
-def test_thread_default_env_var(monkeypatch):
-    from affinewalk.fourier import default_threads
-
-    monkeypatch.delenv("AFFINEWALK_THREADS", raising=False)
-    assert default_threads() == 1
-    monkeypatch.setenv("AFFINEWALK_THREADS", "4")
-    assert default_threads() == 4
-    monkeypatch.setenv("AFFINEWALK_THREADS", "junk")
-    assert default_threads() == 1

@@ -60,18 +60,18 @@ def test_cap_reports_stepped_tv_at_cap():
     report = projection_functional(ROT, 101, 4)
     tvs = [exactdist.tv_vector(d) for d in ref_projected(report, 101, 3)]
     with pytest.raises(NotMixedError) as err:
-        projected_mixing_time(ROT, 101, 0.25, blocks_cap=3)
+        projected_mixing_time(ROT, 101, 0.25, n_cap=3 * 4)
     assert err.value.n_cap == 3 * 4
     assert err.value.last_value == pytest.approx(tvs[3], abs=1e-12)
 
 
 def test_zero_block_cap():
     with pytest.raises(NotMixedError) as err:
-        projected_mixing_time(ROT, 101, 0.25, blocks_cap=0)
+        projected_mixing_time(ROT, 101, 0.25, n_cap=0)
     assert err.value.n_cap == 0
     assert err.value.last_value == pytest.approx(1 - 1 / 101, abs=1e-12)
     # TV of the point mass is 1 - 1/3 <= 0.7, so zero blocks suffice
-    assert projected_mixing_time(ROT, 3, 0.7, blocks_cap=0) == 0
+    assert projected_mixing_time(ROT, 3, 0.7, n_cap=0) == 0
 
 
 @st.composite
@@ -124,6 +124,13 @@ class TestStepCap:
         assert json.loads(out.read_text())["n_mix"] == 2180
         # 2179 // 4 = 544 blocks, one short of the 545 needed
         assert self.mixtime(tmp_path, 2179)[0] == cli.EXIT_BUDGET
+
+    def test_library_default_is_the_shared_step_cap(self):
+        # the rotation at eps 0.25 first needs more than 100000 steps at p=691
+        with pytest.raises(NotMixedError) as err:
+            projected_mixing_time(ROT, 691, 0.25)
+        assert err.value.n_cap == 100000
+        assert projected_mixing_time(ROT, 691, 0.25, n_cap=101924) == 101924
 
     def test_sweep_records_capped_cell(self):
         (rep,) = scaling_sweep([ROT], [101, 151], 0.25, n_cap=3000)

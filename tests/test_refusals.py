@@ -4,10 +4,10 @@ package error and an exit code, never in a traceback or a wrong answer."""
 import numpy as np
 import pytest
 
-from affinewalk import cli, montecarlo, spectral
+from affinewalk import cli, fourier, montecarlo, spectral
 from affinewalk.errors import BudgetError, RootConvergenceError
 from affinewalk.exactdist import WalkConfig
-from affinewalk.modmath import IntMatrix
+from affinewalk.modmath import IntMatrix, ModVector
 
 
 def test_root_convergence_error_exits_3(monkeypatch, capsys):
@@ -53,3 +53,34 @@ class TestSimulateInt64Limit:
         cfg = WalkConfig(IntMatrix([[2, 1], [1, 1]]), 2**31 - 1)
         batch = montecarlo.simulate(cfg, 40, 16, seed=7)
         assert np.array_equal(batch.final_states, replay(cfg, 40, 16, 7))
+
+
+class TestFirstLargeSweepInt64Limit:
+    T = IntMatrix([[3, -1], [1, 0]])
+
+    @staticmethod
+    def characters(p, rows):
+        return np.random.default_rng(0).integers(1, p, size=(rows, 2))
+
+    def test_overflowing_modulus_is_refused(self):
+        # int64 wraparound in C @ T mod p made 222 of these 300 rows
+        # differ from orbit_analysis, with no error
+        cfg = WalkConfig(self.T, 2**32 + 15)
+        with pytest.raises(BudgetError, match=r"first_large_sweep .* 2\^63 - 1"):
+            fourier.first_large_sweep(cfg, c1=0.49, cs=self.characters(cfg.p, 300))
+
+    def test_limit_is_shared_with_simulate(self):
+        fourier.first_large_sweep(WalkConfig(self.T, 2**31), cs=[[1, 0]])
+        with pytest.raises(BudgetError):
+            fourier.first_large_sweep(WalkConfig(self.T, 2**31 + 1), cs=[[1, 0]])
+
+    def test_minstd_modulus_matches_orbit_analysis(self):
+        cfg = WalkConfig(self.T, 2**31 - 1)
+        cs = self.characters(cfg.p, 60)
+        got = fourier.first_large_sweep(cfg, c1=0.49, cs=cs)
+        want = [
+            fourier.orbit_analysis(ModVector(cfg.p, [int(x) for x in c]), cfg, c1=0.49)
+            .first_large_ell
+            for c in cs
+        ]
+        assert got.tolist() == [-1 if w is None else w for w in want]

@@ -165,7 +165,7 @@ def test_projected_search_cap_counts_steps():
     rot = IntMatrix([[0, -1], [1, 0]])
     assert projection_functional(rot, 101, 4).m == 4
     with pytest.raises(NotMixedError) as err:
-        projected_mixing_time(rot, 101, 0.25, blocks_cap=3)
+        projected_mixing_time(rot, 101, 0.25, n_cap=3 * 4)
     assert err.value.n_cap == 3 * 4
     assert err.value.method == "projected"
 
