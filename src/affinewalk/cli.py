@@ -339,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="affinewalk",
         description="Mixing analysis of the walk x -> T x + b (mod p) on (Z/pZ)^d",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"affinewalk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -355,12 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--state-cap", type=int, dest="state_cap")
         sp.add_argument("--char-cap", type=int, dest="char_cap")
 
-    sp = sub.add_parser("classify", help="spectrum report for the matrix")
+    sp = sub.add_parser("classify", help="spectrum report for the matrix", allow_abbrev=False)
     common(sp)
     sp.add_argument("--tol", type=float)
     sp.set_defaults(func=cmd_classify)
 
-    sp = sub.add_parser("bounds", help="upper/lower/exact TV series as CSV")
+    sp = sub.add_parser("bounds", help="upper/lower/exact TV series as CSV", allow_abbrev=False)
     common(sp)
     sp.add_argument("--n-min", type=int, dest="n_min")
     sp.add_argument("--n-max", type=int, dest="n_max")
@@ -372,26 +373,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.set_defaults(func=cmd_bounds)
 
-    sp = sub.add_parser("mixtime", help="least n with distance <= epsilon")
+    sp = sub.add_parser("mixtime", help="least n with distance <= epsilon", allow_abbrev=False)
     common(sp)
     sp.add_argument("--epsilon", type=float)
     sp.add_argument("--method", choices=["exact", "ub", "projected"])
     sp.add_argument("--n-cap", type=int, dest="n_cap")
     sp.set_defaults(func=cmd_mixtime)
 
-    sp = sub.add_parser("orbit", help="orbit of a character under T^t")
+    sp = sub.add_parser("orbit", help="orbit of a character under T^t", allow_abbrev=False)
     common(sp)
     sp.add_argument("--c", help='character vector as JSON, e.g. "[1,0]"')
     sp.add_argument("--c1", type=float)
     sp.add_argument("--ell-max", type=int, dest="ell_max")
     sp.set_defaults(func=cmd_orbit)
 
-    sp = sub.add_parser("project", help="slow-mixing projection functional")
+    sp = sub.add_parser("project", help="slow-mixing projection functional", allow_abbrev=False)
     common(sp)
     sp.add_argument("--blocks", type=int, help="also evolve the projected walk")
     sp.set_defaults(func=cmd_project)
 
-    sp = sub.add_parser("simulate", help="Monte Carlo trajectories")
+    sp = sub.add_parser("simulate", help="Monte Carlo trajectories", allow_abbrev=False)
     common(sp)
     sp.add_argument("--n", type=int)
     sp.add_argument("--samples", type=int)
@@ -401,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.set_defaults(func=cmd_simulate)
 
-    sp = sub.add_parser("sweep", help="mixing-time scaling over moduli")
+    sp = sub.add_parser("sweep", help="mixing-time scaling over moduli", allow_abbrev=False)
     common(sp)
     sp.add_argument("--epsilon", type=float)
     sp.add_argument("--method", choices=["auto", "exact", "ub", "projected"])

@@ -1,8 +1,11 @@
 """Ground-truth engine: exact dense evolution of the walk distribution
 over all p^d states, total variation distance, and a direct character
-transform used as the oracle for the product-formula module.
+transform (an FFT) used as the oracle for the product-formula module.
 
-Dense float64 vectors in mixed-radix index order (see indexing). Mass
+Dense float64 vectors in mixed-radix index order (see indexing). A step
+places P(x)/(d+1) on T x with one gather through a cached inverse
+permutation, then adds the placed grid rolled by one along each axis,
+which is the shift by e_r; no (p^d, d) coordinate table is formed. Mass
 drift is asserted, never renormalized away.
 """
 
@@ -99,34 +102,31 @@ def uniform(p: int, d: int) -> DenseDistribution:
 
 
 @lru_cache(maxsize=16)
-def _scatter_base(T: IntMatrix, p: int) -> np.ndarray:
-    """Index permutation x -> T x mod p over all states."""
-    d = T.dim
-    coords = indexing.all_coords(p, d)
-    tmod = np.array(T.mod(p).entries, dtype=np.int64)
-    return indexing.encode(coords @ tmod.T % p, p)
-
-
-def _shift_targets(base: np.ndarray, r: int, p: int) -> np.ndarray:
-    """Indices of (state + e_r) given state indices, handling the wrap."""
-    w = p**r
-    digit = (base // w) % p
-    return base + np.where(digit == p - 1, w - w * p, w)
+def _gather_index(T: IntMatrix, p: int) -> np.ndarray:
+    """Index map T x -> x over all states: the inverse of x -> T x mod p,
+    so a step reads its sources in index order."""
+    base = indexing.linear_perm(T.mod(p).entries, p)
+    inv = np.empty_like(base)
+    inv[base] = np.arange(base.shape[0])
+    return inv
 
 
 def step_exact(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
-    """One step: scatter P(x)/(d+1) forward onto T x + b for each of the
-    d+1 increments b. Mass is conserved exactly up to float addition."""
+    """One step: place P(x)/(d+1) on T x by one gather through the cached
+    inverse permutation, then add that grid rolled by one along each
+    coordinate r (x + e_r), r = 0..d-1 in order. Each state receives
+    exactly d+1 terms, so mass is conserved up to float addition."""
     cfg.require_admissible()
     if (P.p, P.d) != (cfg.p, cfg.d):
         raise ValueError("distribution does not match config")
-    p, d, n = cfg.p, cfg.d, cfg.num_states
-    base = _scatter_base(cfg.T, p)
-    share = P.masses / (d + 1)
-    out = np.bincount(base, weights=share, minlength=n)
+    p, d = cfg.p, cfg.d
+    placed = P.masses[_gather_index(cfg.T, p)]
+    placed /= d + 1
+    grid = placed.reshape((p,) * d)
+    out = grid.copy()
     for r in range(d):
-        out += np.bincount(_shift_targets(base, r, p), weights=share, minlength=n)
-    return DenseDistribution(p, d, out)
+        out += np.roll(grid, 1, axis=d - 1 - r)
+    return DenseDistribution(p, d, out.reshape(-1))
 
 
 def dense_states(
@@ -165,20 +165,16 @@ def tv_distance(P: DenseDistribution, Q: DenseDistribution) -> float:
 
 
 def tv_from_uniform(P: DenseDistribution) -> float:
-    return tv_distance(P, uniform(P.p, P.d))
+    return tv_vector(P.masses)
 
 
 def dft(P: DenseDistribution) -> np.ndarray:
     """Character transform: out[c] = sum_s P(s) q^(s . c), q = e^(2 pi i/p),
-    indexed like the state space. Applied axis by axis with a dense p x p
-    character matrix (cost d p^(d+1); no FFT needed at desk scale)."""
+    indexed like the state space. The sign of the exponent makes this an
+    unnormalised inverse DFT over the (p,)*d grid: np.fft.ifftn times
+    p^d, cost O(p^d log p)."""
     p, d = P.p, P.d
-    k = np.arange(p)
-    Q = np.exp(2j * np.pi / p * np.outer(k, k))
-    t = P.masses.reshape((p,) * d).astype(complex)
-    for axis in range(d):
-        t = np.moveaxis(np.tensordot(Q, t, axes=(1, axis)), 0, axis)
-    return t.reshape(-1)
+    return (np.fft.ifftn(P.masses.reshape((p,) * d)) * p**d).reshape(-1)
 
 
 def pushforward(P: DenseDistribution, v: ModVector) -> np.ndarray:
@@ -193,7 +189,8 @@ def pushforward(P: DenseDistribution, v: ModVector) -> np.ndarray:
 
 
 def tv_vector(dist_p: np.ndarray) -> float:
-    """TV between a length-p probability vector and uniform on Z/pZ."""
+    """TV between a probability vector of length n and uniform on n
+    points (a length-p law on Z/pZ, or a dense distribution's masses)."""
     n = dist_p.shape[0]
     return 0.5 * float(np.abs(dist_p - 1.0 / n).sum())
 

@@ -48,19 +48,18 @@ def step_factor(c: CharacterIndex) -> complex:
 
 
 def step_factor_table(p: int, d: int) -> np.ndarray:
-    """f(c) for every character index at once."""
-    coords = indexing.all_coords(p, d)
-    acc = np.ones(coords.shape[0], dtype=complex)
+    """f(c) for every character index at once: the p phases q^k, added
+    to a grid of ones along each coordinate in turn."""
+    w = np.exp(2j * np.pi / p * np.arange(p))
+    acc = np.ones((p,) * d, dtype=complex)
     for r in range(d):
-        acc += np.exp(2j * np.pi / p * coords[:, r])
-    return acc / (d + 1)
+        acc += indexing.along(w, d, r)
+    return (acc / (d + 1)).reshape(-1)
 
 
 def transpose_perm(cfg: WalkConfig) -> np.ndarray:
     """Index map c -> T^t c mod p over all characters."""
-    coords = indexing.all_coords(cfg.p, cfg.d)
-    tmod = np.array(cfg.T.mod(cfg.p).entries, dtype=np.int64)
-    return indexing.encode(coords @ tmod % cfg.p, cfg.p)
+    return indexing.linear_perm(cfg.T.transpose().mod(cfg.p).entries, cfg.p)
 
 
 def contraction_gap(d: int, c1: float = DEFAULT_C1) -> float:

@@ -2,7 +2,8 @@
 
 State (x_0, ..., x_{d-1}) <-> index sum_i x_i * p^i, coordinate 0 least
 significant. All dense vectors in the package (distributions, character
-tables) use this encoding.
+tables) use this encoding. Reshaped to the (p,)*d grid in C order,
+coordinate r lies on numpy axis d-1-r, so coordinate 0 is the last axis.
 """
 
 from __future__ import annotations
@@ -35,6 +36,29 @@ def decode(indices, p: int, d: int) -> np.ndarray:
 def all_coords(p: int, d: int) -> np.ndarray:
     """(p^d, d) table of every state's coordinates, in index order."""
     return decode(np.arange(num_states(p, d), dtype=np.int64), p, d)
+
+
+def along(v: np.ndarray, d: int, r: int) -> np.ndarray:
+    """A length-p vector laid along coordinate r of the (p,)*d grid
+    (numpy axis d-1-r), ready to broadcast against the grid."""
+    shape = [1] * d
+    shape[d - 1 - r] = v.shape[0]
+    return v.reshape(shape)
+
+
+def linear_perm(rows, p: int) -> np.ndarray:
+    """Index map x -> M x mod p over all p^d states, M given by its rows
+    of residues mod p.
+
+    Built by broadcasting length-p columns over the (p,)*d grid, so no
+    (p^d, d) coordinate table is formed."""
+    d = len(rows)
+    k = np.arange(p, dtype=np.int64)
+    out = np.zeros((p,) * d, dtype=np.int64)
+    for j, row in enumerate(rows):
+        y = sum(along(m * k % p, d, r) for r, m in enumerate(row))
+        out += y % p * p**j
+    return out.reshape(-1)
 
 
 def index_of(state, p: int) -> int:

@@ -280,8 +280,15 @@ class TestRemovedOptions:
         ["bounds", "--matrix", "[[2,1],[1,1]]", "--p", "101", "--n-max", "3", "--threads", "4"],
         ["mixtime", *ROT, "--epsilon", "0.25", "--method", "projected", "--threads", "4"],
         ["mixtime", *ROT, "--epsilon", "0.25", "--method", "projected", "--m", "4"],
-        # argparse reads --m as an abbreviation of --matrix here; "4" is no matrix
+        # prefix matching is off, so --m is not read as --matrix here
         ["project", *ROT, "--m", "4"],
     ])
     def test_exit_2(self, argv, capsys):
         assert exit_code(argv) == 2
+
+
+def test_flag_prefixes_are_refused(capsys):
+    argv = ["mixtime", "--matrix", "[[2,1],[1,1]]", "--p", "101", "--epsilon", "0.01",
+            "--meth", "ub", "--n", "5"]
+    assert exit_code(argv) == 2
+    assert "unrecognized arguments: --meth ub --n 5" in capsys.readouterr().err

@@ -151,17 +151,20 @@ class TestDFT:
         assert np.abs(got - expected).max() < 1e-12
 
     def test_against_double_sum_oracle(self):
-        rng = np.random.default_rng(0)
-        m = rng.random(25)
-        m /= m.sum()
-        P = DenseDistribution(5, 2, m)
-        brute = np.zeros(25, dtype=complex)
-        for ci in range(25):
-            c = indexing.state_of(ci, 5, 2)
-            for si in range(25):
-                s = indexing.state_of(si, 5, 2)
-                brute[ci] += m[si] * np.exp(2j * np.pi / 5 * (s[0] * c[0] + s[1] * c[1]))
-        assert np.abs(dft(P) - brute).max() < 1e-12
+        for p, d in [(5, 2), (6, 1), (4, 3)]:
+            n = p**d
+            rng = np.random.default_rng(0)
+            m = rng.random(n)
+            m /= m.sum()
+            P = DenseDistribution(p, d, m)
+            brute = np.zeros(n, dtype=complex)
+            for ci in range(n):
+                c = indexing.state_of(ci, p, d)
+                for si in range(n):
+                    s = indexing.state_of(si, p, d)
+                    dot = sum(a * b for a, b in zip(s, c))
+                    brute[ci] += m[si] * np.exp(2j * np.pi / p * dot)
+            assert np.abs(dft(P) - brute).max() < 1e-12
 
 
 class TestPushforward:

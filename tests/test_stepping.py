@@ -1,25 +1,33 @@
 """The stepping generators and the shared first-below search, checked
 against plain step-by-step reference loops with exact equality: the
 generators run the same float operations in the same order, so their
-results must match bit for bit."""
+results must match bit for bit.
+
+The references share no code with the engines they check: the dense
+step is a bincount scatter onto T x + b, and the index and factor
+tables go through the (p^d, d) coordinate table."""
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from affinewalk import exactdist, montecarlo
+from affinewalk import exactdist, indexing, montecarlo
 from affinewalk.errors import BudgetError, NotMixedError
-from affinewalk.exactdist import DenseDistribution, WalkConfig, evolve
+from affinewalk.exactdist import DenseDistribution, WalkConfig, evolve, step_exact
 from affinewalk.fourier import (
     bound_series,
+    char_transforms,
     first_below,
     fourier_n_all,
     mixing_time,
     step_factor_table,
     transpose_perm,
 )
-from affinewalk.modmath import IntMatrix
+from affinewalk.modmath import IntMatrix, is_admissible
 from affinewalk.montecarlo import (
     projected_mixing_time,
     projected_walk_dist,
@@ -37,20 +45,81 @@ PROJECTED = [
     (IntMatrix([[0, -1, 0], [1, 0, 0], [0, 0, 2]]), 13, 4),
 ]
 CHUNK = 1 << 16
+FAST3 = IntMatrix([[0, 0, 1], [1, 0, -1], [0, 1, 3]])
+# companion matrix of x^4 - x - 1, det -1
+D4 = IntMatrix([[0, 0, 0, 1], [1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]])
+# d = 1..4, prime and composite moduli
+MODULI_WALKS = [
+    WalkConfig(IntMatrix([[3]]), 2),
+    WalkConfig(IntMatrix([[5]]), 12),
+    WalkConfig(IntMatrix([[2, 1], [1, 1]]), 2),
+    WalkConfig(IntMatrix([[2, 1], [1, 1]]), 12),
+    WalkConfig(IntMatrix([[2, 1], [1, 1]]), 101),
+    WalkConfig(IntMatrix([[-5, 7], [3, 4]]), 11),
+    WalkConfig(FAST3, 12),
+    WalkConfig(FAST3, 31),
+    WalkConfig(D4, 5),
+    WalkConfig(D4, 6),
+]
+STEPS = 32
+
+
+def ref_tmod(cfg):
+    return np.array(cfg.T.mod(cfg.p).entries, dtype=np.int64)
+
+
+def ref_scatter_base(cfg):
+    """x -> T x mod p through the coordinate table."""
+    coords = indexing.all_coords(cfg.p, cfg.d)
+    return indexing.encode(coords @ ref_tmod(cfg).T % cfg.p, cfg.p)
+
+
+def ref_transpose_perm(cfg):
+    """c -> T^t c mod p through the coordinate table."""
+    coords = indexing.all_coords(cfg.p, cfg.d)
+    return indexing.encode(coords @ ref_tmod(cfg) % cfg.p, cfg.p)
+
+
+def ref_factor_table(p, d):
+    coords = indexing.all_coords(p, d)
+    acc = np.ones(coords.shape[0], dtype=complex)
+    for r in range(d):
+        acc += np.exp(2j * np.pi / p * coords[:, r])
+    return acc / (d + 1)
+
+
+def ref_step(P, cfg):
+    """Scatter P(x)/(d+1) onto T x, then onto T x + e_r for r = 0..d-1,
+    one bincount each."""
+    p, d, n = cfg.p, cfg.d, cfg.num_states
+    base = ref_scatter_base(cfg)
+    share = P.masses / (d + 1)
+    out = np.bincount(base, weights=share, minlength=n)
+    for r in range(d):
+        w = p**r
+        digit = (base // w) % p
+        shifted = base + np.where(digit == p - 1, w - w * p, w)
+        out += np.bincount(shifted, weights=share, minlength=n)
+    return DenseDistribution(p, d, out)
+
+
+def ref_tv(P):
+    n = P.masses.shape[0]
+    return 0.5 * float(np.abs(P.masses - np.full(n, 1.0 / n)).sum())
 
 
 def ref_states(cfg, n):
     P = exactdist.delta_at_zero(cfg.p, cfg.d)
     out = [P]
     for _ in range(n):
-        P = exactdist.step_exact(P, cfg)
+        P = ref_step(P, cfg)
         out.append(P)
     return out
 
 
 def ref_transforms(cfg, n):
-    f = step_factor_table(cfg.p, cfg.d)
-    perm = transpose_perm(cfg)
+    f = ref_factor_table(cfg.p, cfg.d)
+    perm = ref_transpose_perm(cfg)
     F = np.ones(cfg.num_states, dtype=complex)
     out = [F]
     for _ in range(n):
@@ -107,10 +176,10 @@ class TestMatchesReferenceLoops:
             mods[0] = 0.0
             lbs.append(0.5 * float(mods.max()))
         assert series.lb == lbs
-        assert series.tv_exact == [exactdist.tv_from_uniform(states[n]) for n in ns]
+        assert series.tv_exact == [ref_tv(states[n]) for n in ns]
 
     def test_mixing_time_exact(self, cfg):
-        tvs = [exactdist.tv_from_uniform(P) for P in ref_states(cfg, 60)]
+        tvs = [ref_tv(P) for P in ref_states(cfg, 60)]
         assert mixing_time(cfg, 0.1, method="exact") == ref_first_below(tvs, 0.1)
 
     def test_mixing_time_ub(self, cfg):
@@ -125,6 +194,60 @@ def test_ub_keeps_fixed_chunk_order():
     ns = list(range(25))
     series = bound_series(cfg, ns, include_exact=False)
     assert series.ub == [ref_ub(F) for F in ref_transforms(cfg, 24)]
+
+
+@pytest.mark.parametrize("cfg", MODULI_WALKS, ids=lambda c: f"d{c.d}-p{c.p}")
+class TestMatchesCoordinateReferences:
+    def test_tables(self, cfg):
+        assert np.array_equal(transpose_perm(cfg), ref_transpose_perm(cfg))
+        assert np.array_equal(
+            step_factor_table(cfg.p, cfg.d), ref_factor_table(cfg.p, cfg.d)
+        )
+
+    def test_dense_states(self, cfg):
+        got = islice(exactdist.dense_states(cfg), STEPS + 1)
+        for P, Q in zip(got, ref_states(cfg, STEPS), strict=True):
+            assert np.array_equal(P.masses, Q.masses)
+            assert ref_tv(P) == exactdist.tv_from_uniform(P)
+
+    def test_char_transforms(self, cfg):
+        got = islice(char_transforms(cfg), STEPS + 1)
+        for F, G in zip(got, ref_transforms(cfg, STEPS), strict=True):
+            assert np.array_equal(F, G)
+
+
+@st.composite
+def admissible_walks(draw):
+    d = draw(st.integers(1, 4))
+    p = draw(st.integers(2, max(q for q in range(2, 5001) if q**d <= 5000)))
+    entries = draw(st.lists(st.integers(-2 * p, 2 * p), min_size=d * d, max_size=d * d))
+    T = IntMatrix([entries[i * d : (i + 1) * d] for i in range(d)])
+    assume(is_admissible(T, p))
+    return WalkConfig(T, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(admissible_walks())
+def test_random_walks_match_coordinate_references(cfg):
+    assert np.array_equal(transpose_perm(cfg), ref_transpose_perm(cfg))
+    assert np.array_equal(step_factor_table(cfg.p, cfg.d), ref_factor_table(cfg.p, cfg.d))
+    P = Q = exactdist.delta_at_zero(cfg.p, cfg.d)
+    for _ in range(6):
+        P, Q = step_exact(P, cfg), ref_step(Q, cfg)
+        assert np.array_equal(P.masses, Q.masses)
+
+
+def test_dense_and_character_paths_build_no_coordinate_table(monkeypatch):
+    def boom(*args):
+        raise RuntimeError("built the (p^d, d) coordinate table")
+
+    monkeypatch.setattr(indexing, "all_coords", boom)
+    exactdist._gather_index.cache_clear()
+    cfg = WALKS[1]  # d = 3
+    evolve(cfg, 3)
+    mixing_time(cfg, 0.1, method="exact")
+    mixing_time(cfg, 0.1, method="ub")
+    bound_series(cfg, [0, 2, 5], include_exact=True)
 
 
 @pytest.mark.parametrize("T,p,m", PROJECTED, ids=["d2", "d3"])
