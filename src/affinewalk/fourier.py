@@ -62,6 +62,14 @@ def transpose_perm(cfg: WalkConfig) -> np.ndarray:
     return indexing.linear_perm(cfg.T.transpose().mod(cfg.p).entries, cfg.p)
 
 
+def _check_c1(c1: float) -> None:
+    """The orbit threshold c1 p is meaningful only for c1 in (0, 1/2]: a
+    centered coordinate never exceeds p/2, and c1 <= 0 counts every
+    character as large at once."""
+    if not (0 < c1 <= 0.5):
+        raise ValueError("c1 must lie in (0, 1/2]")
+
+
 def contraction_gap(d: int, c1: float = DEFAULT_C1) -> float:
     """Certified gap: if some centered coordinate of c has |c_r| >= c1 p,
     then |f(c)| <= 1 - gap.
@@ -71,8 +79,7 @@ def contraction_gap(d: int, c1: float = DEFAULT_C1) -> float:
     the value returned is the slightly smaller (1 - cos(2 pi c1))/(2(d+1)),
     which that bound always implies.
     """
-    if not (0 < c1 <= 0.5):
-        raise ValueError("c1 must lie in (0, 1/2]")
+    _check_c1(c1)
     return (1.0 - math.cos(2 * math.pi * c1)) / (2 * (d + 1))
 
 
@@ -252,8 +259,7 @@ def orbit_analysis(
     reportable counterexample to the chosen c1."""
     if c.is_zero():
         raise ValueError("orbit analysis needs a nonzero character")
-    if not (0 < c1 <= 0.5):
-        raise ValueError("c1 must lie in (0, 1/2]")
+    _check_c1(c1)
     p = cfg.p
     ell_max = default_ell_max(p) if ell_max is None else ell_max
     orbit, cycle_start, cycle_length = _orbit(c, cfg, ell_max + 1)
@@ -278,26 +284,48 @@ def first_large_sweep(
 ) -> np.ndarray:
     """first_large_ell for many characters at once (-1 where the
     threshold was never reached within ell_max). `cs` is an (m, d) array
-    of residue coordinates; default: every nonzero character. The
-    orbit step C @ T mod p runs in int64, so moduli with
-    d (p-1)^2 + 1 > 2^63 - 1 are refused with BudgetError."""
+    of residue coordinates; default: every nonzero character.
+
+    The characters are kept as d int64 columns, and a step sets column i
+    to sum_j tm[j][i] col_j mod p (the row c times T mod p). Each term is
+    at most (p-1)^2, so the step is exact when d (p-1)^2 + 1 <= 2^63 - 1,
+    the limit simulate shares; larger moduli are refused with
+    BudgetError. A character is dropped once it reaches the threshold,
+    so each ell steps only the characters still below it."""
+    _check_c1(c1)
     cfg.require_int64("first_large_sweep")
     p, d = cfg.p, cfg.d
     ell_max = default_ell_max(p) if ell_max is None else ell_max
     if cs is None:
         cs = indexing.all_coords(p, d)[1:]
     C = np.array(cs, dtype=np.int64) % p
-    tmod = np.array(cfg.T.mod(p).entries, dtype=np.int64)
-    out = np.full(C.shape[0], -1, dtype=np.int64)
-    alive = np.ones(C.shape[0], dtype=bool)
+    if C.ndim != 2 or C.shape[1] != d:
+        raise ValueError(f"cs must be an (m, {d}) array of residues")
+    cols = [C[:, i].copy() for i in range(d)]
+    del C
+    tm = cfg.T.mod(p).entries
+    out = np.full(cols[0].shape[0], -1, dtype=np.int64)
+    live = np.arange(out.shape[0])  # rows of out still below the threshold
     for ell in range(ell_max + 1):
-        mags = np.minimum(C, p - C).max(axis=1)  # centered magnitude
-        hit = alive & (mags >= c1 * p)
-        out[hit] = ell
-        alive &= ~hit
-        if not alive.any():
+        mags = np.minimum(cols[0], p - cols[0])  # centered magnitude
+        for c in cols[1:]:
+            np.maximum(mags, np.minimum(c, p - c), out=mags)
+        hit = mags >= c1 * p
+        out[live[hit]] = ell
+        if hit.any():
+            keep = ~hit
+            live = live[keep]
+            cols = [c[keep] for c in cols]
+        if live.size == 0 or ell == ell_max:
             break
-        C = C @ tmod % p
+        new = []
+        for i in range(d):
+            acc = np.zeros(live.size, dtype=np.int64)
+            for j in range(d):
+                if tm[j][i]:
+                    acc += tm[j][i] * cols[j]
+            new.append(np.remainder(acc, p, out=acc))
+        cols = new
     return out
 
 
@@ -313,6 +341,7 @@ def orbit_constant_report(
     `sample` random) nonzero characters and the implied multiple of
     log p. The theory guarantees such constants exist but never names
     them; this measures them."""
+    _check_c1(c1)
     p, d = cfg.p, cfg.d
     if sample is None:
         cs = None

@@ -47,6 +47,7 @@ from .modmath import (
 # stream layout never depends on thread count or batch size.
 RNG_CHUNK = 4096
 DEFAULT_SEED = 12345
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,13 +61,17 @@ class TrajectoryBatch:
     final_states: np.ndarray  # (samples, d) residues
 
     def states_csv(self, header_comment: str = "") -> str:
-        lines = []
-        if header_comment:
-            lines.append(f"# {header_comment}")
-        lines.append(",".join(f"x{i}" for i in range(self.cfg.d)))
-        for row in self.final_states:
-            lines.append(",".join(str(int(v)) for v in row))
-        return "\n".join(lines) + "\n"
+        """One line per walk, its residues in decimal. Rows are formatted
+        RNG_CHUNK at a time through a %d template, so no more than one
+        block's tuple of Python ints is alive at once."""
+        d = self.cfg.d
+        head = f"# {header_comment}\n" if header_comment else ""
+        parts = [head + ",".join(f"x{i}" for i in range(d)) + "\n"]
+        row = ",".join(["%d"] * d) + "\n"
+        for lo in range(0, self.samples, RNG_CHUNK):
+            blk = self.final_states[lo : lo + RNG_CHUNK]
+            parts.append((row * len(blk)) % tuple(blk.ravel().tolist()))
+        return "".join(parts)
 
 
 def states_from_csv(text: str) -> np.ndarray:
@@ -90,23 +95,48 @@ def simulate(cfg: WalkConfig, n: int, samples: int, seed: int) -> TrajectoryBatc
     Identical (cfg, n, samples, seed) always yields an identical batch;
     chunks of RNG_CHUNK trajectories each draw from their own Philox
     substream, so chunks could be filled in parallel without changing
-    the result. States are reduced in int64, so moduli with
-    d (p-1)^2 + 1 > 2^63 - 1 are refused with BudgetError.
+    the result.
+
+    The state is kept as d int64 columns, and a step sets column i to
+    sum_j tm[i][j] col_j + [step == i+1], with tm = T mod p. Reduction
+    mod p is deferred: every entry stays in [0, hi] (tm is non-negative),
+    a step maps the bound hi to grow*hi + 1 with grow the largest row sum
+    of tm, and the columns are reduced only before a step that could
+    pass 2^63 - 1. Right after a reduction hi = p - 1 and grow <= d(p-1),
+    so the next step reaches at most d (p-1)^2 + 1: the int64 refusal
+    (BudgetError above that limit) is exactly what keeps every step
+    exact, and needs no change for the deferral.
     """
     if n < 0 or samples < 0:
         raise ValueError("n and samples must be >= 0")
     cfg.require_admissible()
     cfg.require_int64("simulate")
     p, d = cfg.p, cfg.d
-    steps = np.empty((samples, n), dtype=np.uint8)
+    steps = np.empty((n, samples), dtype=np.uint8)  # one row per time step
     for ci, lo in enumerate(range(0, samples, RNG_CHUNK)):
         rows = min(RNG_CHUNK, samples - lo)
-        steps[lo : lo + rows] = _step_stream(seed, ci, rows, n, d)
-    increments = np.vstack([np.zeros(d, dtype=np.int64), np.eye(d, dtype=np.int64)])
-    tmod_t = np.array(cfg.T.mod(p).entries, dtype=np.int64).T
-    X = np.zeros((samples, d), dtype=np.int64)
-    for t in range(n):
-        X = (X @ tmod_t + increments[steps[:, t]]) % p
+        steps[:, lo : lo + rows] = _step_stream(seed, ci, rows, n, d).T
+    tm = cfg.T.mod(p).entries
+    grow = max(sum(r) for r in tm)
+    cols = [np.zeros(samples, dtype=np.int64) for _ in range(d)]
+    hi = 0  # every entry of every column lies in [0, hi]
+    for s in steps:
+        if grow * hi + 1 > _INT64_MAX:
+            for c in cols:
+                np.remainder(c, p, out=c)
+            hi = p - 1
+        new = []
+        for i in range(d):
+            acc = (s == i + 1).astype(np.int64)
+            for j, t in enumerate(tm[i]):
+                if t:
+                    acc += t * cols[j]
+            new.append(acc)
+        cols = new
+        hi = grow * hi + 1
+    X = np.empty((samples, d), dtype=np.int64)
+    for i, c in enumerate(cols):
+        np.remainder(c, p, out=X[:, i])
     return TrajectoryBatch(cfg=cfg, n=n, seed=seed, samples=samples, final_states=X)
 
 
@@ -376,13 +406,21 @@ def scaling_sweep(
 ) -> list[ScalingReport]:
     """Mixing time for each (T, p) cell; a cell that fails with a package
     error or a ValueError is recorded and the sweep continues (any other
-    exception is a bug and propagates). method: 'exact' | 'ub' | 'projected', or
-    'auto' to pick 'ub' for spectra off the unit circle and 'projected'
-    for root-of-unity spectra. n_cap counts steps for every method and is
-    passed to each search as it is."""
+    exception is a bug and propagates). A matrix whose classification
+    fails that way records the failure at every p. method: 'exact' | 'ub'
+    | 'projected', or 'auto' to pick 'ub' for spectra off the unit circle
+    and 'projected' for root-of-unity spectra. n_cap counts steps for
+    every method and is passed to each search as it is."""
     reports = []
     for T in Ts:
-        spec = spectral.classify(T)
+        try:
+            spec = spectral.classify(T)
+        except (AffineWalkError, ValueError) as exc:  # recorded, sweep continues
+            msg = f"{type(exc).__name__}: {exc}"
+            reports.append(
+                ScalingReport(T.tag(), method, failures=[(p, msg) for p in ps])
+            )
+            continue
         if method == "auto":
             cell_method = (
                 "projected"

@@ -205,21 +205,92 @@ def cyclotomic_order(cp: CharPoly) -> Optional[int]:
     return None
 
 
-def complex_roots(
-    cp: CharPoly, tol: float = DEFAULT_TOL, max_attempts: int = 4
-) -> list[tuple[complex, int]]:
-    """All roots of cp with certified residuals, roots within tol of each
-    other merged into one entry with summed multiplicity.
+def _q_divmod(num: Sequence[Fraction], den: Sequence[Fraction]) -> tuple[list, list]:
+    """Quotient and remainder of polynomials over Q (den nonzero)."""
+    num = list(num)
+    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
+    inv = 1 / den[-1]
+    for k in range(len(num) - 1, len(den) - 2, -1):
+        c = num[k] * inv
+        q[k - (len(den) - 1)] = c
+        if c:
+            for j, dcoef in enumerate(den):
+                num[k - (len(den) - 1) + j] -= c * dcoef
+    return _poly_trim(q), _poly_trim(num)
 
-    Uses simultaneous (Durand-Kerner) iteration at increasing working
-    precision; raises RootConvergenceError if no attempt both converges
-    and certifies.
+
+def _q_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    """Monic gcd over Q by Euclid's algorithm (a nonzero)."""
+    a, b = _poly_trim(list(a)), _poly_trim(list(b))
+    while b != [Fraction(0)]:
+        _, r = _q_divmod(a, b)
+        a, b = b, r
+    lead = a[-1]
+    return [c / lead for c in a]
+
+
+def _q_exact_div(num: Sequence[Fraction], den: Sequence[Fraction]) -> list[Fraction]:
+    quot, rem = _q_divmod(num, den)
+    assert rem == [Fraction(0)], "inexact polynomial division"
+    return quot
+
+
+def _q_deriv(a: Sequence[Fraction]) -> list[Fraction]:
+    return _poly_trim([k * a[k] for k in range(1, len(a))] or [Fraction(0)])
+
+
+def _q_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    n = max(len(a), len(b))
+    a = list(a) + [Fraction(0)] * (n - len(a))
+    b = list(b) + [Fraction(0)] * (n - len(b))
+    return _poly_trim([x - y for x, y in zip(a, b)])
+
+
+def _square_free_factors(cp: CharPoly) -> list[tuple[CharPoly, int]]:
+    """cp = prod_i a_i^i with each a_i square-free and the a_i pairwise
+    coprime, by Yun's algorithm over Q; returns the (a_i, i) with
+    deg a_i >= 1. Every a_i is a monic factor of a monic integer
+    polynomial, so its coefficients are integers (Gauss's lemma)."""
+    f = [Fraction(c) for c in cp.coeffs]
+    df = _q_deriv(f)
+    g = _q_gcd(f, df)
+    b = _q_exact_div(f, g)
+    dd = _q_sub(_q_exact_div(df, g), _q_deriv(b))
+    out = []
+    i = 1
+    while len(b) > 1:
+        a = _q_gcd(b, dd)
+        b = _q_exact_div(b, a)
+        dd = _q_sub(_q_exact_div(dd, a), _q_deriv(b))
+        if len(a) > 1:
+            assert all(c.denominator == 1 for c in a)
+            out.append((CharPoly([int(c) for c in a]), i))
+        i += 1
+    return out
+
+
+def complex_roots(cp: CharPoly, max_attempts: int = 4) -> list[tuple[complex, int]]:
+    """All distinct roots of cp with certified residuals and exact
+    multiplicities, sorted by (real, imag).
+
+    cp is split into square-free factors (_square_free_factors); the
+    roots of each factor are simple, found by simultaneous
+    (Durand-Kerner) iteration at increasing working precision, and take
+    the factor's multiplicity. Raises RootConvergenceError if no attempt
+    both converges and certifies.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    roots = [
+        (z, mult)
+        for factor, mult in _square_free_factors(cp)
+        for z in _simple_roots(factor, max_attempts)
+    ]
+    return sorted(roots, key=lambda zm: (zm[0].real, zm[0].imag))
+
+
+def _simple_roots(cp: CharPoly, max_attempts: int) -> list[complex]:
+    """Roots of a square-free cp, each certified by its residual."""
     desc = [mpmath.mpf(c) for c in reversed(cp.coeffs)]
     dps, extraprec, maxsteps = 30, 40, 200
-    roots = None
     for _ in range(max_attempts):
         try:
             with mpmath.workdps(dps):
@@ -227,42 +298,19 @@ def complex_roots(
             candidates = [complex(r) for r in found]
         except NoConvergence:
             candidates = None
-        if candidates is not None and all(
-            _residual_ok(cp, r, tol) for r in candidates
-        ):
-            roots = candidates
-            break
+        if candidates is not None and all(_residual_ok(cp, r) for r in candidates):
+            return candidates
         dps *= 2
         extraprec *= 2
         maxsteps *= 2
-    if roots is None:
-        raise RootConvergenceError(
-            f"root refinement failed for degree {cp.degree} polynomial"
-        )
-    return _cluster_roots(roots, tol)
+    raise RootConvergenceError(
+        f"root refinement failed for degree {cp.degree} polynomial"
+    )
 
 
-def _residual_ok(cp: CharPoly, r: complex, tol: float) -> bool:
+def _residual_ok(cp: CharPoly, r: complex) -> bool:
     scale = sum(abs(c) * max(1.0, abs(r)) ** k for k, c in enumerate(cp.coeffs))
     return abs(cp(r)) <= 1e-8 * scale + 1e-300
-
-
-def _cluster_roots(roots: list[complex], tol: float) -> list[tuple[complex, int]]:
-    remaining = sorted(roots, key=lambda z: (z.real, z.imag))
-    clusters: list[tuple[complex, int]] = []
-    while remaining:
-        seed = remaining.pop(0)
-        members = [seed]
-        rest = []
-        for z in remaining:
-            if abs(z - seed) <= tol:
-                members.append(z)
-            else:
-                rest.append(z)
-        remaining = rest
-        mean = sum(members) / len(members)
-        clusters.append((mean, len(members)))
-    return clusters
 
 
 def _reciprocal_gcd_degree(cp: CharPoly) -> tuple[int, list[complex]]:
@@ -273,32 +321,12 @@ def _reciprocal_gcd_degree(cp: CharPoly) -> tuple[int, list[complex]]:
     (exact) witness; the returned roots let the caller confirm one
     actually sits on the circle.
     """
-    a = [Fraction(c) for c in cp.coeffs]
-    b = [Fraction(c) for c in reversed(cp.coeffs)]
-
-    def pdivmod(num, den):
-        num = list(num)
-        q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-        inv = 1 / den[-1]
-        for k in range(len(num) - 1, len(den) - 2, -1):
-            c = num[k] * inv
-            q[k - (len(den) - 1)] = c
-            if c:
-                for j, dcoef in enumerate(den):
-                    num[k - (len(den) - 1) + j] -= c * dcoef
-        return _poly_trim(q), _poly_trim(num)
-
-    a, b = _poly_trim(a), _poly_trim(b)
-    while b != [Fraction(0)]:
-        _, r = pdivmod(a, b)
-        a, b = b, r
-    g = a
+    g = _q_gcd(
+        [Fraction(c) for c in cp.coeffs], [Fraction(c) for c in reversed(cp.coeffs)]
+    )
     if len(g) - 1 < 1:
         return 0, []
-    # normalize monic, then find the gcd's roots numerically
-    lead = g[-1]
-    gf = [float(c / lead) for c in g]
-    groots = np.roots(list(reversed(gf)))
+    groots = np.roots([float(c) for c in reversed(g)])
     return len(g) - 1, [complex(z) for z in groots]
 
 
@@ -316,7 +344,7 @@ def classify(T: IntMatrix, tol: float = DEFAULT_TOL) -> SpectrumReport:
     if int_det(T) == 0:
         return SpectrumReport(cp, (), (), Classification.SINGULAR, None, tol)
     m = cyclotomic_order(cp)
-    eig = tuple(complex_roots(cp, tol))
+    eig = tuple(complex_roots(cp))
     moduli = tuple(abs(z) for z, _ in eig)
     if m is not None:
         return SpectrumReport(cp, eig, moduli, Classification.ROOT_OF_UNITY, m, tol)

@@ -27,6 +27,12 @@ class TestClassifyCommand:
         doc = json.loads(out)
         assert code == 0 and doc["classification"] == "root_of_unity" and doc["m"] == 4
 
+    def test_repeated_eigenvalue(self, capsys):
+        code, out, _ = run(capsys, "classify", "--matrix", "[[1,1,0],[0,1,1],[0,0,1]]")
+        doc = json.loads(out)
+        assert code == 0 and doc["classification"] == "root_of_unity" and doc["m"] == 1
+        assert doc["eigenvalues"] == [[1.0, 0.0, 3]]
+
     def test_singular_exit_3(self, capsys):
         code, out, _ = run(capsys, "classify", "--matrix", "[[1,1],[1,1]]")
         assert code == 3

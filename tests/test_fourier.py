@@ -245,6 +245,19 @@ class TestFirstLargeSweep:
             rec = orbit_analysis(c, cfg, c1=1 / 8)
             assert rec.first_large_ell == firsts[idx - 1]
 
+    @pytest.mark.parametrize("c1", [0.0, -0.1, 0.7, float("nan")])
+    def test_threshold_outside_half_interval_refused(self, c1):
+        # every orbit function shares the c1 in (0, 1/2] check
+        cfg = WalkConfig(FIB, 101)
+        with pytest.raises(ValueError, match="c1"):
+            first_large_sweep(cfg, c1=c1)
+        with pytest.raises(ValueError, match="c1"):
+            orbit_constant_report(cfg, c1=c1, sample=10)
+        with pytest.raises(ValueError, match="c1"):
+            orbit_analysis(ModVector(101, [1, 0]), cfg, c1=c1)
+        with pytest.raises(ValueError, match="c1"):
+            contraction_gap(2, c1)
+
     def test_constant_report(self):
         rep = orbit_constant_report(WalkConfig(FIB, 101), c1=1 / 8)
         assert rep["characters"] == 10200

@@ -4,10 +4,11 @@ from itertools import product
 import numpy as np
 import pytest
 
-from affinewalk import indexing
-from affinewalk.errors import BudgetError, PreconditionError
+from affinewalk import indexing, spectral
+from affinewalk.errors import BudgetError, PreconditionError, RootConvergenceError
 from affinewalk.exactdist import WalkConfig, evolve, pushforward, tv_from_uniform, tv_vector
-from affinewalk.modmath import IntMatrix, mat_pow_mod
+from affinewalk.fourier import fourier_n
+from affinewalk.modmath import IntMatrix, ModVector, mat_pow_mod
 from affinewalk.montecarlo import (
     ProjectionReport,
     TrajectoryBatch,
@@ -65,6 +66,27 @@ class TestSimulate:
     def test_requires_admissible(self):
         with pytest.raises(PreconditionError):
             simulate(WalkConfig(IntMatrix([[2, 0], [0, 2]]), 6), 1, 1, seed=0)
+
+    def test_character_means_match_product_formula_at_minstd(self):
+        # E q^{c.X_n} = P_hat_n(c); by Hoeffding, the real and imaginary
+        # parts of the mean of N draws each miss it by more than
+        # sqrt(2 ln(4/delta) / N) with probability at most delta
+        p, n, samples, delta = 2**31 - 1, 22, 20_000, 1e-6
+        cfg = WalkConfig(FIB, p)
+        X = simulate(cfg, n, samples, seed=2024).final_states
+        radius = math.sqrt(2 * math.log(4 / delta) / samples)
+        largest = 0.0
+        for c in product((-1, 0, 1), repeat=2):
+            if c == (0, 0):
+                continue
+            phases = (X @ np.array(c, dtype=np.int64)) % p
+            mean = np.exp(2j * np.pi * phases / p).mean()
+            want = fourier_n(ModVector(p, [x % p for x in c]), n, cfg)
+            assert abs(mean.real - want.real) <= radius
+            assert abs(mean.imag - want.imag) <= radius
+            largest = max(largest, abs(want))
+        # the check has power: some mean sits far from 0 (the uniform value)
+        assert largest >= 10 * radius
 
 
 class TestEmpiricalTV:
@@ -259,6 +281,29 @@ class TestScalingSweep:
         (rep,) = reports
         assert [p for p, _ in rep.cells] == [11]
         assert len(rep.failures) == 1 and rep.failures[0][0] == 2
+
+    def test_classification_failure_recorded_sweep_continues(self, monkeypatch):
+        real = spectral.classify
+
+        def classify(T, *args, **kwargs):
+            if T == ROT:
+                raise RootConvergenceError("residuals not certified")
+            return real(T, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "classify", classify)
+        rot, upper = scaling_sweep([ROT, UPPER], [11, 31], 0.25, method="auto")
+        assert rot.cells == [] and rot.fit_kind is None
+        msg = "RootConvergenceError: residuals not certified"
+        assert rot.failures == [(11, msg), (31, msg)]
+        assert [p for p, _ in upper.cells] == [11, 31]
+        assert upper.method == "projected"
+
+    def test_repeated_eigenvalues_sweep(self):
+        # unipotent: root of unity of order 1, a triple eigenvalue
+        unipotent = IntMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+        reports = scaling_sweep([unipotent, UPPER], [11, 31], 0.25, method="auto")
+        assert [r.method for r in reports] == ["projected", "projected"]
+        assert all(len(r.cells) == 2 and not r.failures for r in reports)
 
     def test_csv_round_trip(self):
         reports = scaling_sweep([FIB], [5, 7], 0.25, method="ub")

@@ -3,8 +3,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from affinewalk.modmath import IntMatrix
+from affinewalk.modmath import IntMatrix, int_det
 from affinewalk.spectral import (
     CharPoly,
     Classification,
@@ -202,3 +204,65 @@ def test_root_of_unity_tag_backed_by_exact_division():
         assert rep.classification == Classification.ROOT_OF_UNITY
         m = rep.root_of_unity_order
         assert _poly_divides(cyclotomic_poly(m), rep.charpoly.coeffs)
+
+
+def direct_sum(A, B):
+    a, b = A.dim, B.dim
+    rows = [list(r) + [0] * b for r in A.entries]
+    rows += [[0] * a + list(r) for r in B.entries]
+    return IntMatrix(rows)
+
+
+class TestRepeatedEigenvalues:
+    def test_unipotent_is_root_of_unity_order_1(self):
+        rep = classify(IntMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
+        assert rep.classification == Classification.ROOT_OF_UNITY
+        assert rep.root_of_unity_order == 1
+        assert rep.eigenvalues == ((1.0, 3),)
+
+    def test_cat_map_doubled(self):
+        # charpoly (x^2 - 3x + 1)^2
+        rep = classify(direct_sum(FIB, FIB))
+        assert rep.classification == Classification.ALL_OFF_UNIT_CIRCLE
+        assert [m for _, m in rep.eigenvalues] == [2, 2]
+        vals = [z.real for z, _ in rep.eigenvalues]
+        assert vals == pytest.approx([(3 - math.sqrt(5)) / 2, (3 + math.sqrt(5)) / 2])
+
+    def test_mixed_multiplicities(self):
+        # (x - 1)^2 (x + 2)^3 (x^2 + 1)
+        cp = CharPoly((8, -4, -2, -3, -6, 2, 4, 1))
+        got = [(round(z.real, 9) + 1j * round(z.imag, 9), m) for z, m in complex_roots(cp)]
+        assert got == [(-2, 3), (-1j, 1), (1j, 1), (1, 2)]
+
+
+@st.composite
+def invertible_2x2(draw):
+    entries = draw(st.lists(st.integers(-4, 4), min_size=4, max_size=4))
+    A = IntMatrix([entries[:2], entries[2:]])
+    assume(int_det(A) != 0)
+    return A
+
+
+@settings(max_examples=40, deadline=None)
+@given(invertible_2x2())
+def test_direct_sum_doubles_multiplicities(A):
+    one, two = classify(A), classify(direct_sum(A, A))
+    assert two.classification == one.classification
+    assert two.root_of_unity_order == one.root_of_unity_order
+    assert [m for _, m in two.eigenvalues] == [2 * m for _, m in one.eigenvalues]
+    for (z, _), (w, _) in zip(one.eigenvalues, two.eigenvalues):
+        assert abs(z - w) <= 1e-9 * max(1.0, abs(z))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_unipotent_classifies_like_identity(d, data):
+    # I + N with N strictly upper triangular
+    rows = [
+        [int(i == j) + (data.draw(st.integers(-3, 3)) if j > i else 0) for j in range(d)]
+        for i in range(d)
+    ]
+    rep = classify(IntMatrix(rows))
+    assert rep.classification == Classification.ROOT_OF_UNITY
+    assert rep.root_of_unity_order == 1
+    assert rep.eigenvalues == ((1.0, d),)

@@ -4,8 +4,10 @@ generators run the same float operations in the same order, so their
 results must match bit for bit.
 
 The references share no code with the engines they check: the dense
-step is a bincount scatter onto T x + b, and the index and factor
-tables go through the (p^d, d) coordinate table."""
+step is a bincount scatter onto T x + b, the index and factor tables go
+through the (p^d, d) coordinate table, and the int64 kernels of the
+beyond-dense path (simulate, states_csv, first_large_sweep) are
+row-wise loops that reduce mod p after every step."""
 
 import math
 from itertools import islice
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from affinewalk import exactdist, indexing, montecarlo
+from affinewalk import exactdist, fourier, indexing, montecarlo
 from affinewalk.errors import BudgetError, NotMixedError
 from affinewalk.exactdist import DenseDistribution, WalkConfig, evolve, step_exact
 from affinewalk.fourier import (
@@ -337,3 +339,146 @@ def test_sweep_does_not_record_bugs_as_failures(monkeypatch):
     monkeypatch.setattr(montecarlo, "projected_mixing_time", broken)
     with pytest.raises(RuntimeError, match="bug"):
         scaling_sweep([IntMatrix([[0, -1], [1, 0]])], [101], 0.25)
+
+
+# -- the int64 kernels of the beyond-dense path -------------------------
+
+
+def ref_simulate(cfg, n, samples, seed):
+    """Row-wise walk, reduced mod p after every step: X <- X T^t + b."""
+    p, d = cfg.p, cfg.d
+    steps = np.empty((samples, n), dtype=np.uint8)
+    for ci, lo in enumerate(range(0, samples, montecarlo.RNG_CHUNK)):
+        rows = min(montecarlo.RNG_CHUNK, samples - lo)
+        steps[lo : lo + rows] = montecarlo._step_stream(seed, ci, rows, n, d)
+    increments = np.vstack([np.zeros(d, dtype=np.int64), np.eye(d, dtype=np.int64)])
+    tmod_t = ref_tmod(cfg).T
+    X = np.zeros((samples, d), dtype=np.int64)
+    for t in range(n):
+        X = (X @ tmod_t + increments[steps[:, t]]) % p
+    return X
+
+
+def ref_states_csv(batch, header_comment=""):
+    lines = []
+    if header_comment:
+        lines.append(f"# {header_comment}")
+    lines.append(",".join(f"x{i}" for i in range(batch.cfg.d)))
+    for row in batch.final_states:
+        lines.append(",".join(str(int(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def ref_first_large_sweep(cfg, c1, cs=None, ell_max=None):
+    """Every row stepped at every ell, C <- C T mod p, until none is below
+    the threshold."""
+    p, d = cfg.p, cfg.d
+    ell_max = math.ceil(10 * math.log2(p)) if ell_max is None else ell_max
+    if cs is None:
+        cs = indexing.all_coords(p, d)[1:]
+    C = np.array(cs, dtype=np.int64) % p
+    tmod = ref_tmod(cfg)
+    out = np.full(C.shape[0], -1, dtype=np.int64)
+    alive = np.ones(C.shape[0], dtype=bool)
+    for ell in range(ell_max + 1):
+        mags = np.minimum(C, p - C).max(axis=1)
+        hit = alive & (mags >= c1 * p)
+        out[hit] = ell
+        alive &= ~hit
+        if not alive.any():
+            break
+        C = C @ tmod % p
+    return out
+
+
+# d = 1..4, negative entries, composite moduli, and moduli at the int64
+# edge; [[3,-1],[1,0]] has T mod p entry p - 1, so at p = 2^31 simulate
+# must reduce before every step, and [[2,1],[1,1]] at 2^31 - 1 about
+# every 20 steps
+INT64_WALKS = [
+    WalkConfig(IntMatrix([[5]]), 12),
+    WalkConfig(IntMatrix([[-7]]), 3_037_000_500),  # the d = 1 edge
+    WalkConfig(IntMatrix([[2, 1], [1, 1]]), 101),
+    WalkConfig(IntMatrix([[2, 1], [1, 1]]), 2**31 - 1),
+    WalkConfig(IntMatrix([[3, -1], [1, 0]]), 2**31),
+    WalkConfig(IntMatrix([[-5, 7], [3, 4]]), 1001),
+    WalkConfig(FAST3, 12),
+    WalkConfig(FAST3, 1_753_413_057),  # the d = 3 edge
+    WalkConfig(D4, 6),
+    WalkConfig(IntMatrix([[0, 0, 0, -1], [1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]), 1_500_000_001),
+]
+
+
+@pytest.mark.parametrize("cfg", INT64_WALKS, ids=lambda c: f"d{c.d}-p{c.p}")
+class TestInt64KernelsMatchReferences:
+    def test_simulate(self, cfg):
+        for n, samples in ((0, 5), (3, 0), (1, 7), (45, 300)):
+            got = montecarlo.simulate(cfg, n, samples, seed=11).final_states
+            assert got.shape == (samples, cfg.d)
+            assert np.array_equal(got, ref_simulate(cfg, n, samples, 11))
+
+    def test_states_csv(self, cfg):
+        for samples in (0, 1, 300):
+            batch = montecarlo.simulate(cfg, 30, samples, seed=5)
+            for header in ("", "affinewalk test"):
+                got = batch.states_csv(header_comment=header).encode()
+                assert got == ref_states_csv(batch, header).encode()
+
+    def test_first_large_sweep(self, cfg):
+        rng = np.random.default_rng(cfg.p % 1000)
+        cs = rng.integers(-cfg.p, cfg.p, size=(500, cfg.d), dtype=np.int64)
+        for c1, ell_max in ((0.125, None), (0.49, 3), (0.5, 0), (0.3, -1)):
+            got = fourier.first_large_sweep(cfg, c1=c1, cs=cs, ell_max=ell_max)
+            assert np.array_equal(got, ref_first_large_sweep(cfg, c1, cs, ell_max))
+        empty = np.empty((0, cfg.d), dtype=np.int64)
+        assert fourier.first_large_sweep(cfg, cs=empty).shape == (0,)
+
+
+def test_simulate_across_chunk_boundaries():
+    # 2 * 4096 + 37 rows: three Philox substreams, the last one partial
+    cfg = WalkConfig(IntMatrix([[3, -1], [1, 0]]), 2**31)
+    samples = 2 * montecarlo.RNG_CHUNK + 37
+    batch = montecarlo.simulate(cfg, 25, samples, seed=3)
+    assert np.array_equal(batch.final_states, ref_simulate(cfg, 25, samples, 3))
+    text = batch.states_csv(header_comment="chunks")
+    assert text.encode() == ref_states_csv(batch, "chunks").encode()
+
+
+def test_first_large_sweep_every_character_at_small_p():
+    for cfg in (WalkConfig(FAST3, 7), WalkConfig(IntMatrix([[3, -1], [1, 0]]), 12)):
+        for c1 in (0.125, 0.4):
+            for ell_max in (None, 1):
+                got = fourier.first_large_sweep(cfg, c1=c1, ell_max=ell_max)
+                want = ref_first_large_sweep(cfg, c1, ell_max=ell_max)
+                assert np.array_equal(got, want)
+        # ell_max = 1 leaves rows below the threshold
+        assert (fourier.first_large_sweep(cfg, c1=0.4, ell_max=1) == -1).any()
+
+
+@st.composite
+def int64_walks(draw):
+    d = draw(st.integers(1, 4))
+    top = math.isqrt((2**63 - 2) // d) + 1  # largest p with d (p-1)^2 + 1 < 2^63
+    p = draw(st.one_of(st.integers(2, 60), st.integers(top - 1000, top)))
+    entries = draw(st.lists(st.integers(-2 * p, 2 * p), min_size=d * d, max_size=d * d))
+    T = IntMatrix([entries[i * d : (i + 1) * d] for i in range(d)])
+    assume(is_admissible(T, p))
+    return WalkConfig(T, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    int64_walks(),
+    st.integers(0, 40),
+    st.integers(0, 40),
+    st.floats(0.01, 0.5),
+    st.integers(-1, 12),
+    st.integers(0, 2**32),
+)
+def test_random_walks_match_int64_references(cfg, n, samples, c1, ell_max, seed):
+    batch = montecarlo.simulate(cfg, n, samples, seed)
+    assert np.array_equal(batch.final_states, ref_simulate(cfg, n, samples, seed))
+    assert batch.states_csv("h").encode() == ref_states_csv(batch, "h").encode()
+    cs = np.random.default_rng(seed).integers(0, cfg.p, size=(samples, cfg.d))
+    got = fourier.first_large_sweep(cfg, c1=c1, cs=cs, ell_max=ell_max)
+    assert np.array_equal(got, ref_first_large_sweep(cfg, c1, cs, ell_max))
