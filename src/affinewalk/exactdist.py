@@ -3,17 +3,20 @@ over all p^d states, total variation distance, and a direct character
 transform (an FFT) used as the oracle for the product-formula module.
 
 Dense float64 vectors in mixed-radix index order (see indexing). A step
-places P(x)/(d+1) on T x with one gather through a cached inverse
-permutation, then adds the placed grid rolled by one along each axis,
-which is the shift by e_r; no (p^d, d) coordinate table is formed. Mass
-drift is asserted, never renormalized away.
+places P(x)/(d+1) on T x with one gather through an inverse permutation,
+then adds the placed grid shifted by one along each axis (the shift by
+e_r) with slice adds into one fresh output; no (p^d, d) coordinate table
+and no rolled copy is formed. A dense walk holds 32 bytes per state at
+its peak (the state, the permutation, the placed grid and the output),
+and the permutation is dropped when the walk ends. Mass drift is
+asserted, never renormalized away.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, islice, repeat
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -101,10 +104,11 @@ def uniform(p: int, d: int) -> DenseDistribution:
     return DenseDistribution(p, d, np.full(n, 1.0 / n))
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _gather_index(T: IntMatrix, p: int) -> np.ndarray:
     """Index map T x -> x over all states: the inverse of x -> T x mod p,
-    so a step reads its sources in index order."""
+    so a step reads its sources in index order. Only the latest table is
+    kept, and dense_states drops it when its walk ends."""
     base = indexing.linear_perm(T.mod(p).entries, p)
     inv = np.empty_like(base)
     inv[base] = np.arange(base.shape[0])
@@ -113,9 +117,18 @@ def _gather_index(T: IntMatrix, p: int) -> np.ndarray:
 
 def step_exact(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
     """One step: place P(x)/(d+1) on T x by one gather through the cached
-    inverse permutation, then add that grid rolled by one along each
-    coordinate r (x + e_r), r = 0..d-1 in order. Each state receives
-    exactly d+1 terms, so mass is conserved up to float addition."""
+    inverse permutation, then add that grid shifted by one along each
+    coordinate r (x + e_r receives x), r = 0..d-1 in order.
+
+    The shifts are slice adds into one fresh output, with no rolled copy.
+    Coordinate 0 is the last numpy axis, so its shift is one add over the
+    flat vectors, which is right wherever x_0 > 0, followed by the
+    wrap-around slab x_0 = 0, rewritten from x_0 = p-1. Each further
+    coordinate r adds in place on numpy axis d-1-r: the interior slab
+    [1:] takes [:-1] and the wrap-around slab [:1] takes [-1:]. That is
+    the addition order of the placed grid plus d rolled copies. Each state
+    receives exactly d+1 terms, so mass is conserved up to float
+    addition."""
     cfg.require_admissible()
     if (P.p, P.d) != (cfg.p, cfg.d):
         raise ValueError("distribution does not match config")
@@ -123,9 +136,13 @@ def step_exact(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
     placed = P.masses[_gather_index(cfg.T, p)]
     placed /= d + 1
     grid = placed.reshape((p,) * d)
-    out = grid.copy()
-    for r in range(d):
-        out += np.roll(grid, 1, axis=d - 1 - r)
+    out = np.empty_like(grid)
+    np.add(placed[1:], placed[:-1], out=out.reshape(-1)[1:])
+    np.add(grid[..., 0], grid[..., -1], out=out[..., 0])
+    for r in range(1, d):
+        g, o = np.moveaxis(grid, d - 1 - r, 0), np.moveaxis(out, d - 1 - r, 0)
+        o[1:] += g[:-1]
+        o[:1] += g[-1:]
     return DenseDistribution(p, d, out.reshape(-1))
 
 
@@ -134,18 +151,26 @@ def dense_states(
 ) -> Iterator[DenseDistribution]:
     """P_0, P_1, P_2, ... from the point mass at zero, one step_exact per
     item, with the mass defect checked after every step. The state cap is
-    checked on the call, before any item is drawn."""
+    checked on the call; P_0 is allocated on the first draw, and the
+    gather table is dropped when the walk ends (exhausted, closed or
+    garbage-collected)."""
     if cfg.num_states > state_cap:
         raise BudgetError(
             f"p^d = {cfg.num_states} exceeds the dense-state cap {state_cap}"
         )
+    return _dense_walk(cfg)
 
-    def step(P: DenseDistribution, _) -> DenseDistribution:
-        P = step_exact(P, cfg)
-        P.check_mass()
-        return P
 
-    return accumulate(repeat(None), step, initial=delta_at_zero(cfg.p, cfg.d))
+def _dense_walk(cfg: WalkConfig) -> Iterator[DenseDistribution]:
+    P = delta_at_zero(cfg.p, cfg.d)
+    try:
+        while True:
+            yield P
+            # a module-global lookup, so a patched step_exact is the one used
+            P = step_exact(P, cfg)
+            P.check_mass()
+    finally:
+        _gather_index.cache_clear()
 
 
 def evolve(
@@ -178,13 +203,15 @@ def dft(P: DenseDistribution) -> np.ndarray:
 
 
 def pushforward(P: DenseDistribution, v: ModVector) -> np.ndarray:
-    """Distribution of v . x mod p under P (length-p vector). Any linear
-    functional is a coarsening, so its TV to uniform lower-bounds the
-    full TV (data-processing)."""
+    """Distribution of v . x mod p under P (length-p vector). A linear
+    functional is a coarsening, and when gcd(v, p) = 1 it maps the
+    uniform law to the uniform law, so its TV to uniform lower-bounds the
+    full TV (data-processing); for a v sharing a factor with a composite
+    p it does not. v . x mod p is formed on the (p,)*d grid by
+    broadcasting, with no (p^d, d) coordinate table."""
     if v.p != P.p or v.d != P.d:
         raise ValueError("functional does not match state space")
-    coords = indexing.all_coords(P.p, P.d)
-    vals = coords @ np.array(v.entries, dtype=np.int64) % P.p
+    vals = indexing.linear_perm([v.entries], P.p)
     return np.bincount(vals, weights=P.masses, minlength=P.p)
 
 
@@ -192,7 +219,9 @@ def tv_vector(dist_p: np.ndarray) -> float:
     """TV between a probability vector of length n and uniform on n
     points (a length-p law on Z/pZ, or a dense distribution's masses)."""
     n = dist_p.shape[0]
-    return 0.5 * float(np.abs(dist_p - 1.0 / n).sum())
+    dev = dist_p - 1.0 / n
+    np.abs(dev, out=dev)
+    return 0.5 * float(dev.sum())
 
 
 def save_distribution_csv(P: DenseDistribution, path: str, n: int, meta: str = "") -> None:

@@ -139,6 +139,14 @@ def fourier_n(c: CharacterIndex, n: int, cfg: WalkConfig) -> complex:
     return head * cmath.exp(reps * log_cycle) * tail
 
 
+def _require_char_cap(cfg: WalkConfig, char_cap: int, advice: str) -> None:
+    """BudgetError when a table over every character would pass the cap."""
+    if cfg.num_states > char_cap:
+        raise BudgetError(
+            f"p^d = {cfg.num_states} exceeds the character cap {char_cap}; {advice}"
+        )
+
+
 def char_transforms(
     cfg: WalkConfig, char_cap: int = DEFAULT_CHAR_CAP
 ) -> Iterator[np.ndarray]:
@@ -146,11 +154,7 @@ def char_transforms(
     recurrence P_hat_{n+1}(c) = f(c) P_hat_n(T^t c). The character cap is
     checked on the call, before any item is drawn; admissibility is the
     caller's to check."""
-    if cfg.num_states > char_cap:
-        raise BudgetError(
-            f"p^d = {cfg.num_states} exceeds the character cap {char_cap}; "
-            "use char_lower_bound on sampled candidates instead"
-        )
+    _require_char_cap(cfg, char_cap, "use char_lower_bound on sampled candidates instead")
     f = step_factor_table(cfg.p, cfg.d)
     perm = transpose_perm(cfg)
     F0 = np.ones(cfg.num_states, dtype=complex)
@@ -178,6 +182,14 @@ def _ub_from_transform(F: np.ndarray) -> float:
     for i in range(0, mags.shape[0], _REDUCE_CHUNK):
         total += float(mags[i : i + _REDUCE_CHUNK].sum())
     return 0.5 * math.sqrt(total)
+
+
+def _lb_from_transform(F: np.ndarray) -> float:
+    """max |F(c)| / 2 over c != 0, the best single-character lower bound;
+    its N-sized temporary dies on return."""
+    mods = np.abs(F)
+    mods[0] = 0.0
+    return 0.5 * float(mods.max())
 
 
 def ub_bound(
@@ -291,12 +303,19 @@ def first_large_sweep(
     at most (p-1)^2, so the step is exact when d (p-1)^2 + 1 <= 2^63 - 1,
     the limit simulate shares; larger moduli are refused with
     BudgetError. A character is dropped once it reaches the threshold,
-    so each ell steps only the characters still below it."""
+    so each ell steps only the characters still below it. With cs=None,
+    p^d beyond the default character cap is refused with BudgetError
+    before anything is allocated."""
     _check_c1(c1)
     cfg.require_int64("first_large_sweep")
     p, d = cfg.p, cfg.d
     ell_max = default_ell_max(p) if ell_max is None else ell_max
     if cs is None:
+        _require_char_cap(
+            cfg,
+            DEFAULT_CHAR_CAP,
+            "pass sampled characters as cs= (sample= in orbit_constant_report)",
+        )
         cs = indexing.all_coords(p, d)[1:]
     C = np.array(cs, dtype=np.int64) % p
     if C.ndim != 2 or C.shape[1] != d:
@@ -453,29 +472,34 @@ def bound_series(
     state_cap: int = exactdist.DEFAULT_STATE_CAP,
     char_cap: int = DEFAULT_CHAR_CAP,
 ) -> BoundSeries:
-    """Walk n upward once, collecting ub, lb (max |P_hat_n| over all
-    nonzero characters), and optionally exact TV at each requested n."""
+    """ub, lb (max |P_hat_n| over all nonzero characters) and optionally
+    exact TV at each requested n, in increasing n.
+
+    One engine runs at a time: the character walk goes up to max n and
+    keeps only the ub and lb scalars, and its tables are dropped before
+    the dense walk runs and keeps only tv_exact. The peak is the
+    character walk's 56 bytes per state. Both caps are checked before
+    either walk steps."""
     cfg.require_admissible()
-    wanted = set(int(n) for n in n_values)
-    if any(n < 0 for n in wanted):
+    ns = sorted(set(int(n) for n in n_values))
+    if ns and ns[0] < 0:
         raise ValueError("n values must be >= 0")
-    chars = char_transforms(cfg, char_cap)
     if include_exact is None:
         include_exact = cfg.num_states <= state_cap
-    states = exactdist.dense_states(cfg, state_cap) if include_exact else repeat(None)
-    series = BoundSeries(tv_exact=[] if include_exact else None)
-    for n in range(max(wanted, default=-1) + 1):
-        # one statement per draw, so the previous F is freed before the
-        # dense step runs (as many arrays live at once as in a plain loop)
-        F = next(chars)
-        P = next(states)
-        if n not in wanted:
-            continue
-        series.n.append(n)
-        series.ub.append(_ub_from_transform(F))
-        mods = np.abs(F)
-        mods[0] = 0.0
-        series.lb.append(0.5 * float(mods.max()))
-        if P is not None:
-            series.tv_exact.append(exactdist.tv_from_uniform(P))
+    chars = char_transforms(cfg, char_cap)
+    states = exactdist.dense_states(cfg, state_cap) if include_exact else None
+    bounds = [(_ub_from_transform(F), _lb_from_transform(F)) for F in _picked(chars, ns)]
+    del chars  # frees f, perm and the last F before the dense walk
+    series = BoundSeries(
+        n=ns, ub=[ub for ub, _ in bounds], lb=[lb for _, lb in bounds]
+    )
+    if states is not None:
+        series.tv_exact = [exactdist.tv_from_uniform(P) for P in _picked(states, ns)]
     return series
+
+
+def _picked(items: Iterator, ns: Sequence[int]) -> Iterator:
+    """The items at the increasing indices ns, drawing no item past the
+    last of them."""
+    wanted = set(ns)
+    return (x for n, x in zip(range(max(ns, default=-1) + 1), items) if n in wanted)

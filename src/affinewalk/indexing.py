@@ -47,17 +47,25 @@ def along(v: np.ndarray, d: int, r: int) -> np.ndarray:
 
 
 def linear_perm(rows, p: int) -> np.ndarray:
-    """Index map x -> M x mod p over all p^d states, M given by its rows
-    of residues mod p.
+    """Index map x -> M x mod p over all p^d states, M given by its k
+    rows of d residues mod p; the image is indexed in (Z/pZ)^k, so one
+    row v gives v . x mod p.
 
     Built by broadcasting length-p columns over the (p,)*d grid, so no
-    (p^d, d) coordinate table is formed."""
-    d = len(rows)
+    (p^d, d) coordinate table is formed, and reduced in place, so at most
+    two grids (16 bytes per state) are alive at once."""
+    d = len(rows[0])
     k = np.arange(p, dtype=np.int64)
-    out = np.zeros((p,) * d, dtype=np.int64)
+    out = None
     for j, row in enumerate(rows):
         y = sum(along(m * k % p, d, r) for r, m in enumerate(row))
-        out += y % p * p**j
+        np.remainder(y, p, out=y)
+        if out is None:
+            out = y
+        else:
+            y *= p**j
+            out += y
+        del y
     return out.reshape(-1)
 
 

@@ -180,6 +180,19 @@ class TestPushforward:
         proj = pushforward(P, ModVector(5, [2, 3]))
         assert proj.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_matches_coordinate_table_without_building_it(self, monkeypatch):
+        cfg = WalkConfig(IntMatrix([[0, 0, 1], [1, 0, -1], [0, 1, 3]]), 12)
+        P = evolve(cfg, 4)
+        v = ModVector(12, [3, 0, 7])
+        coords = indexing.all_coords(12, 3)
+        want = np.bincount(coords @ np.array(v.entries) % 12, weights=P.masses, minlength=12)
+
+        def boom(*args):
+            raise RuntimeError("built the (p^d, d) coordinate table")
+
+        monkeypatch.setattr(indexing, "all_coords", boom)
+        assert np.array_equal(pushforward(P, v), want)
+
 
 class TestSerialization:
     def test_csv_round_trip(self, tmp_path):

@@ -1,0 +1,64 @@
+"""Memory budgets of the exact engines, in bytes per state.
+
+tracemalloc sees every numpy buffer, so each traced peak is held to a
+per-state budget plus a constant slack for Python objects and numpy's
+ufunc buffers. The budgets: the character walk holds f (16 B), the
+transpose permutation (8 B) and the old and new transforms (32 B); the
+dense walk holds the state, the gather permutation, the placed grid and
+the output (8 B each). bound_series runs one engine at a time, so its
+peak is the character walk's. After each call returns, traced memory is
+back to its level before the call: no index table outlives its walk.
+
+The slack is a constant, not a share of p^d. Its largest part is the
+buffers numpy's ufunc machinery may allocate for an add over a strided
+2-D view: up to 3 x 8192 float64 (192 KiB) per add. At d = 2 every add
+of the dense step runs on 1-D views and takes none; at d >= 3 the
+middle-axis slabs are 2-D, and at p = 47 only the wrap-around one takes
+buffers, 3 x 47^2 float64 (52 KiB).
+"""
+
+import tracemalloc
+
+import pytest
+
+from affinewalk import exactdist
+from affinewalk.exactdist import WalkConfig
+from affinewalk.fourier import bound_series, mixing_time
+from affinewalk.modmath import IntMatrix
+
+SLACK = 128 * 1024
+WALKS = [
+    WalkConfig(IntMatrix([[2, 1], [1, 1]]), 317),  # 100489 states
+    WalkConfig(IntMatrix([[0, 0, 1], [1, 0, -1], [0, 1, 3]]), 47),  # 103823 states
+]
+NS = range(12)
+# call -> (peak budget in bytes per state, the call)
+CALLS = {
+    "bound_series_exact": (56, lambda cfg: bound_series(cfg, NS, include_exact=True)),
+    "bound_series_no_exact": (56, lambda cfg: bound_series(cfg, NS, include_exact=False)),
+    "mixing_time_exact": (32, lambda cfg: mixing_time(cfg, 0.25, method="exact")),
+    "mixing_time_ub": (56, lambda cfg: mixing_time(cfg, 0.25, method="ub")),
+}
+
+
+@pytest.fixture
+def traced():
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    yield
+    if started:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", CALLS)
+@pytest.mark.parametrize("cfg", WALKS, ids=["d2-p317", "d3-p47"])
+def test_peak_and_residue(traced, cfg, name):
+    per_state, call = CALLS[name]
+    exactdist._gather_index.cache_clear()  # start cold, as a fresh process does
+    before = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    call(cfg)
+    after, peak = tracemalloc.get_traced_memory()
+    assert peak - before <= per_state * cfg.num_states + SLACK
+    assert after - before <= SLACK

@@ -4,7 +4,7 @@ package error and an exit code, never in a traceback or a wrong answer."""
 import numpy as np
 import pytest
 
-from affinewalk import cli, fourier, montecarlo, spectral
+from affinewalk import cli, fourier, indexing, montecarlo, spectral
 from affinewalk.errors import BudgetError, RootConvergenceError
 from affinewalk.exactdist import WalkConfig
 from affinewalk.modmath import IntMatrix, ModVector
@@ -84,3 +84,33 @@ class TestFirstLargeSweepInt64Limit:
             for c in cs
         ]
         assert got.tolist() == [-1 if w is None else w for w in want]
+
+
+class TestFirstLargeSweepCharCap:
+    T = IntMatrix([[2, 1], [1, 1]])
+
+    @pytest.fixture
+    def no_coordinate_table(self, monkeypatch):
+        def boom(*args):
+            raise RuntimeError("built the (p^d, d) coordinate table")
+
+        monkeypatch.setattr(indexing, "all_coords", boom)
+
+    def test_every_character_at_minstd_is_refused(self, no_coordinate_table):
+        # numpy's "array is too big" ended this call before
+        with pytest.raises(BudgetError, match="sample="):
+            fourier.orbit_constant_report(WalkConfig(self.T, 2**31 - 1))
+
+    def test_refused_just_over_the_cap(self, no_coordinate_table):
+        assert 1001**2 > fourier.DEFAULT_CHAR_CAP
+        with pytest.raises(BudgetError, match="character cap"):
+            fourier.first_large_sweep(WalkConfig(self.T, 1001))
+
+    def test_built_at_the_cap(self, no_coordinate_table):
+        assert 1000**2 == fourier.DEFAULT_CHAR_CAP
+        with pytest.raises(RuntimeError, match="coordinate table"):
+            fourier.first_large_sweep(WalkConfig(self.T, 1000))
+
+    def test_sampled_characters_are_not_capped(self, no_coordinate_table):
+        report = fourier.orbit_constant_report(WalkConfig(self.T, 2**31 - 1), sample=50)
+        assert report["characters"] == 50

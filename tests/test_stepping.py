@@ -29,7 +29,7 @@ from affinewalk.fourier import (
     step_factor_table,
     transpose_perm,
 )
-from affinewalk.modmath import IntMatrix, is_admissible
+from affinewalk.modmath import IntMatrix, ModVector, is_admissible
 from affinewalk.montecarlo import (
     projected_mixing_time,
     projected_walk_dist,
@@ -239,6 +239,36 @@ def test_random_walks_match_coordinate_references(cfg):
         assert np.array_equal(P.masses, Q.masses)
 
 
+
+@settings(max_examples=40, deadline=None)
+@given(admissible_walks(), st.integers(0, 12))
+def test_random_walks_product_formula_matches_dft(cfg, n):
+    # both sides are float sums of at most 5000 terms of modulus <= 1;
+    # over 400 random walks they differed by at most 2.6e-15
+    got = fourier_n_all(n, cfg)
+    assert np.abs(got - exactdist.dft(evolve(cfg, n))).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(admissible_walks(), st.lists(st.integers(0, 16), min_size=1, max_size=5))
+def test_random_walks_bounds_sandwich_exact_tv(cfg, ns):
+    series = bound_series(cfg, ns, include_exact=True)
+    for lb, tv, ub in zip(series.lb, series.tv_exact, series.ub, strict=True):
+        assert lb <= tv + 1e-12
+        assert tv <= ub + 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(admissible_walks(), st.integers(0, 12), st.data())
+def test_random_walks_pushforward_tv_at_most_full_tv(cfg, n, data):
+    v = data.draw(st.lists(st.integers(0, cfg.p - 1), min_size=cfg.d, max_size=cfg.d))
+    # v . x is uniform under the uniform law only when gcd(v, p) = 1; for
+    # a composite p and a v sharing a factor with it the bound fails
+    assume(math.gcd(cfg.p, *v) == 1)
+    P = evolve(cfg, n)
+    tv = exactdist.tv_vector(exactdist.pushforward(P, ModVector(cfg.p, v)))
+    assert tv <= exactdist.tv_from_uniform(P) + 1e-12
+
 def test_dense_and_character_paths_build_no_coordinate_table(monkeypatch):
     def boom(*args):
         raise RuntimeError("built the (p^d, d) coordinate table")
@@ -331,6 +361,19 @@ def test_mass_drift_is_asserted(monkeypatch):
     with pytest.raises(AssertionError, match="mass drifted"):
         evolve(WALKS[0], 1)
 
+
+
+def test_bound_series_steps_only_to_the_largest_n(monkeypatch):
+    steps = []
+
+    def counted(P, cfg):
+        steps.append(1)
+        return step_exact(P, cfg)
+
+    monkeypatch.setattr(exactdist, "step_exact", counted)
+    series = bound_series(WALKS[0], [5, 2], include_exact=True)
+    assert series.n == [2, 5]
+    assert len(steps) == 5
 
 def test_sweep_does_not_record_bugs_as_failures(monkeypatch):
     def broken(*args, **kwargs):
