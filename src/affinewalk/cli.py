@@ -205,6 +205,8 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
     walk = WalkConfig(cfg.T, cfg.p)
     if cfg.n_max is None:
         raise ConfigError("bounds needs --n-max")
+    if cfg.n_min > cfg.n_max:
+        raise ConfigError(f"empty range: --n-min {cfg.n_min} exceeds --n-max {cfg.n_max}")
     n_values = list(range(cfg.n_min, cfg.n_max + 1))
     include_exact = cfg.exact
     partial = False
@@ -234,6 +236,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
 def cmd_mixtime(cfg: ExperimentConfig) -> int:
     if cfg.epsilon is None:
         raise ConfigError("mixtime needs --epsilon")
+    fourier.check_n_cap(cfg.n_cap)  # also where epsilon >= 1 skips the search
     walk = WalkConfig(cfg.T, cfg.p)
     method = cfg.method or "exact"
     if cfg.epsilon >= 1.0:
@@ -408,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=["auto", "exact", "ub", "projected"])
     sp.add_argument("--n-cap", type=int, dest="n_cap")
     sp.add_argument("--fit-json", dest="fit_json", help="write fit summaries here")
-    sp.add_argument("--seed", type=int)
     sp.set_defaults(func=cmd_sweep)
 
     return parser

@@ -6,6 +6,11 @@ P_hat_n(c) = prod_{j<n} f((T^t)^j c). From that product come the
 square-sum upper bound on total variation, single-character lower
 bounds, orbit statistics (how fast a coordinate of (T^t)^l c gets
 pushed out to size ~ p), and mixing-time searches.
+
+Both bounds need only the squared moduli, which compose the same way:
+|P_hat_n(c)|^2 = prod_{j<n} |f((T^t)^j c)|^2. The bound engines step
+that real product (char_powers) rather than the complex transform
+(char_transforms), which stays for fourier_n_all and the dft oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ CharacterIndex = ModVector
 DEFAULT_CHAR_CAP = 1_000_000
 DEFAULT_C1 = 0.125
 DEFAULT_MIX_CAP = 100_000
-_REDUCE_CHUNK = 1 << 16  # fixed: the chunk order sets the float sum's bits
 
 
 def default_ell_max(p: int) -> int:
@@ -147,6 +151,14 @@ def _require_char_cap(cfg: WalkConfig, char_cap: int, advice: str) -> None:
         )
 
 
+def _char_walk(table: np.ndarray, cfg: WalkConfig) -> Iterator[np.ndarray]:
+    """W_0 = 1, W_1, ... over every character, by the one-step recurrence
+    W_{n+1}(c) = table(c) W_n(T^t c), in the dtype of the table."""
+    perm = transpose_perm(cfg)
+    W0 = np.ones(cfg.num_states, dtype=table.dtype)
+    return accumulate(repeat(None), lambda W, _: table * W[perm], initial=W0)
+
+
 def char_transforms(
     cfg: WalkConfig, char_cap: int = DEFAULT_CHAR_CAP
 ) -> Iterator[np.ndarray]:
@@ -155,10 +167,18 @@ def char_transforms(
     checked on the call, before any item is drawn; admissibility is the
     caller's to check."""
     _require_char_cap(cfg, char_cap, "use char_lower_bound on sampled candidates instead")
-    f = step_factor_table(cfg.p, cfg.d)
-    perm = transpose_perm(cfg)
-    F0 = np.ones(cfg.num_states, dtype=complex)
-    return accumulate(repeat(None), lambda F, _: f * F[perm], initial=F0)
+    return _char_walk(step_factor_table(cfg.p, cfg.d), cfg)
+
+
+def char_powers(cfg: WalkConfig, char_cap: int = DEFAULT_CHAR_CAP) -> Iterator[np.ndarray]:
+    """G_n = |P_hat_n|^2 over every character, for n = 0, 1, ..., by
+    G_{n+1}(c) = |f(c)|^2 G_n(T^t c): a float64 walk, half the bytes of
+    char_transforms and no modulus per step. Moduli below about 1e-154
+    square to below the normal float range and lose digits there. Caps
+    and admissibility as for char_transforms."""
+    _require_char_cap(cfg, char_cap, "use char_lower_bound on sampled candidates instead")
+    g = np.abs(step_factor_table(cfg.p, cfg.d)) ** 2
+    return _char_walk(g, cfg)
 
 
 def fourier_n_all(
@@ -171,25 +191,15 @@ def fourier_n_all(
     return next(islice(char_transforms(cfg, char_cap), n, None))
 
 
-def _ub_from_transform(F: np.ndarray) -> float:
-    """(1/2) sqrt(sum_{c != 0} |F(c)|^2), summed serially over fixed-size
-    chunks in index order: the chunk layout is part of the result's bits,
-    so it must not change (one np.sum over the whole vector rounds
-    differently)."""
-    mags = np.abs(F) ** 2
-    mags[0] = 0.0
-    total = 0.0
-    for i in range(0, mags.shape[0], _REDUCE_CHUNK):
-        total += float(mags[i : i + _REDUCE_CHUNK].sum())
-    return 0.5 * math.sqrt(total)
+def _ub_from_powers(G: np.ndarray) -> float:
+    """(1/2) sqrt(sum_{c != 0} G(c)) for G = |P_hat_n|^2."""
+    return 0.5 * math.sqrt(float(G[1:].sum()))
 
 
-def _lb_from_transform(F: np.ndarray) -> float:
-    """max |F(c)| / 2 over c != 0, the best single-character lower bound;
-    its N-sized temporary dies on return."""
-    mods = np.abs(F)
-    mods[0] = 0.0
-    return 0.5 * float(mods.max())
+def _lb_from_powers(G: np.ndarray) -> float:
+    """max_{c != 0} |P_hat_n(c)| / 2 for G = |P_hat_n|^2, the best
+    single-character lower bound."""
+    return 0.5 * math.sqrt(float(G[1:].max()))
 
 
 def ub_bound(
@@ -198,8 +208,12 @@ def ub_bound(
     char_cap: int = DEFAULT_CHAR_CAP,
 ) -> float:
     """Square-root character bound on TV: (1/2) sqrt(sum_{c!=0} |P_hat_n(c)|^2).
-    All characters have degree 1, so the trace form is just squared moduli."""
-    return _ub_from_transform(fourier_n_all(n, cfg, char_cap=char_cap))
+    All characters have degree 1, so the trace form is just squared
+    moduli, read from the real walk of char_powers."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    cfg.require_admissible()
+    return _ub_from_powers(next(islice(char_powers(cfg, char_cap), n, None)))
 
 
 def char_lower_bound(
@@ -386,6 +400,12 @@ def orbit_constant_report(
     return report
 
 
+def check_n_cap(n_cap: int) -> None:
+    """A step cap counts steps, so it cannot be negative."""
+    if n_cap < 0:
+        raise ValueError("n_cap must be >= 0")
+
+
 def first_below(values: Iterable[float], eps: float, n_cap: int, method: str) -> int:
     """Least n with values[n] <= eps, drawing values lazily for
     n = 0, 1, ..., n_cap; raises NotMixedError with the value at n_cap
@@ -409,16 +429,17 @@ def mixing_time(
     """Least n with TV(P_n, U) <= eps (method='exact') or with the
     character upper bound <= eps (method='ub'); raises NotMixedError at
     the cap. n=0 counts: TV(P_0, U) = 1 - 1/p^d, so eps at or above that
-    returns 0 for either method."""
+    returns 0 for either method. A negative n_cap raises ValueError."""
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
+    check_n_cap(n_cap)
     cfg.require_admissible()
     if eps >= 1.0 - 1.0 / cfg.num_states:
         return 0
     if method == "exact":
         values = map(exactdist.tv_from_uniform, exactdist.dense_states(cfg, state_cap))
     elif method == "ub":
-        values = map(_ub_from_transform, char_transforms(cfg, char_cap))
+        values = map(_ub_from_powers, char_powers(cfg, char_cap))
     else:
         raise ValueError(f"unknown method {method!r} (want 'exact' or 'ub')")
     return first_below(values, eps, n_cap, method)
@@ -475,21 +496,21 @@ def bound_series(
     """ub, lb (max |P_hat_n| over all nonzero characters) and optionally
     exact TV at each requested n, in increasing n.
 
-    One engine runs at a time: the character walk goes up to max n and
-    keeps only the ub and lb scalars, and its tables are dropped before
-    the dense walk runs and keeps only tv_exact. The peak is the
-    character walk's 56 bytes per state. Both caps are checked before
-    either walk steps."""
+    One engine runs at a time: the squared-modulus walk of char_powers
+    goes up to max n and keeps only the ub and lb scalars, and its
+    tables are dropped before the dense walk runs and keeps only
+    tv_exact. Each walk peaks at 32 bytes per state. Both caps are
+    checked before either walk steps."""
     cfg.require_admissible()
     ns = sorted(set(int(n) for n in n_values))
     if ns and ns[0] < 0:
         raise ValueError("n values must be >= 0")
     if include_exact is None:
         include_exact = cfg.num_states <= state_cap
-    chars = char_transforms(cfg, char_cap)
+    powers = char_powers(cfg, char_cap)
     states = exactdist.dense_states(cfg, state_cap) if include_exact else None
-    bounds = [(_ub_from_transform(F), _lb_from_transform(F)) for F in _picked(chars, ns)]
-    del chars  # frees f, perm and the last F before the dense walk
+    bounds = [(_ub_from_powers(G), _lb_from_powers(G)) for G in _picked(powers, ns)]
+    del powers  # frees g, perm and the last G before the dense walk
     series = BoundSeries(
         n=ns, ub=[ub for ub, _ in bounds], lb=[lb for _, lb in bounds]
     )

@@ -315,7 +315,7 @@ def projected_mixing_time(
     the root-of-unity order of T, searching blocks = 0, ...,
     floor(n_cap / m); raises NotMixedError, with its cap counted in
     steps, when none qualifies. n_cap counts steps as it does for
-    fourier.mixing_time.
+    fourier.mixing_time, and a negative one raises ValueError.
 
     The projected TV lower-bounds the full TV, so this n lower-bounds
     the true mixing time - the quantity whose growth in p is the
@@ -329,14 +329,14 @@ def projected_mixing_time(
     """
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
+    fourier.check_n_cap(n_cap)
     m = root_order(T)
     report = projection_functional(T, p, m)
-    blocks = n_cap // m
+    hi = n_cap // m
     tv = _block_tv(report.increment_probs())
-    hi = max(blocks, 0)  # a negative cap still checks block 0
     at_cap = tv(hi)
     if at_cap > eps:
-        raise NotMixedError(blocks * m, "projected", at_cap)
+        raise NotMixedError(hi * m, "projected", at_cap)
     lo = 0
     while lo < hi:  # tv(hi) <= eps, and tv(k) > eps for every k < lo
         mid = (lo + hi) // 2
@@ -410,7 +410,9 @@ def scaling_sweep(
     fails that way records the failure at every p. method: 'exact' | 'ub'
     | 'projected', or 'auto' to pick 'ub' for spectra off the unit circle
     and 'projected' for root-of-unity spectra. n_cap counts steps for
-    every method and is passed to each search as it is."""
+    every method and is passed to each search as it is; a negative
+    n_cap is refused before any cell runs."""
+    fourier.check_n_cap(n_cap)
     reports = []
     for T in Ts:
         try:

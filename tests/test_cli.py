@@ -62,14 +62,13 @@ class TestBoundsCommand:
         for i in range(16):
             assert series.lb[i] - 1e-12 <= series.tv_exact[i] <= series.ub[i] + 1e-12
 
-    def test_empty_range_header_only(self, capsys):
-        code, out, _ = run(
+    def test_empty_range_exit_2(self, capsys):
+        code, out, err = run(
             capsys, "bounds", "--matrix", "[[2,1],[1,1]]", "--p", "5",
-            "--n-min", "3", "--n-max", "2",
+            "--n-min", "5", "--n-max", "2",
         )
-        assert code == 0
-        rows = [ln for ln in out.splitlines() if ln and not ln.startswith("#")]
-        assert rows == ["n,ub,lb,tv_exact"]
+        assert code == 2 and out == ""
+        assert "config error: empty range" in err
 
     def test_composite_admissible_p(self, capsys):
         # det = 1, so p = 9 is fine for the ub/exact paths
@@ -278,7 +277,8 @@ def exit_code(argv):
 
 
 class TestRemovedOptions:
-    """--threads was ignored and --m had one legal value; both are gone."""
+    """--threads was ignored, --m had one legal value and sweep's --seed
+    was read by nothing; all are gone."""
 
     ROT = ["--matrix", "[[0,-1],[1,0]]", "--p", "101"]
 
@@ -288,6 +288,7 @@ class TestRemovedOptions:
         ["mixtime", *ROT, "--epsilon", "0.25", "--method", "projected", "--m", "4"],
         # prefix matching is off, so --m is not read as --matrix here
         ["project", *ROT, "--m", "4"],
+        ["sweep", *ROT, "--epsilon", "0.25", "--seed", "7"],
     ])
     def test_exit_2(self, argv, capsys):
         assert exit_code(argv) == 2

@@ -2,12 +2,13 @@
 
 tracemalloc sees every numpy buffer, so each traced peak is held to a
 per-state budget plus a constant slack for Python objects and numpy's
-ufunc buffers. The budgets: the character walk holds f (16 B), the
-transpose permutation (8 B) and the old and new transforms (32 B); the
-dense walk holds the state, the gather permutation, the placed grid and
-the output (8 B each). bound_series runs one engine at a time, so its
-peak is the character walk's. After each call returns, traced memory is
-back to its level before the call: no index table outlives its walk.
+ufunc buffers. The budgets: the squared-modulus walk behind ub and lb
+holds |f|^2, the transpose permutation and the old and new |P_hat|^2
+(8 B each); the dense walk holds the state, the gather permutation, the
+placed grid and the output (8 B each). bound_series runs one engine at
+a time, so its peak is the larger of the two. After each call returns,
+traced memory is back to its level before the call: no index table
+outlives its walk.
 
 The slack is a constant, not a share of p^d. Its largest part is the
 buffers numpy's ufunc machinery may allocate for an add over a strided
@@ -23,7 +24,7 @@ import pytest
 
 from affinewalk import exactdist
 from affinewalk.exactdist import WalkConfig
-from affinewalk.fourier import bound_series, mixing_time
+from affinewalk.fourier import bound_series, mixing_time, ub_bound
 from affinewalk.modmath import IntMatrix
 
 SLACK = 128 * 1024
@@ -34,10 +35,11 @@ WALKS = [
 NS = range(12)
 # call -> (peak budget in bytes per state, the call)
 CALLS = {
-    "bound_series_exact": (56, lambda cfg: bound_series(cfg, NS, include_exact=True)),
-    "bound_series_no_exact": (56, lambda cfg: bound_series(cfg, NS, include_exact=False)),
+    "bound_series_exact": (32, lambda cfg: bound_series(cfg, NS, include_exact=True)),
+    "bound_series_no_exact": (32, lambda cfg: bound_series(cfg, NS, include_exact=False)),
     "mixing_time_exact": (32, lambda cfg: mixing_time(cfg, 0.25, method="exact")),
-    "mixing_time_ub": (56, lambda cfg: mixing_time(cfg, 0.25, method="ub")),
+    "mixing_time_ub": (32, lambda cfg: mixing_time(cfg, 0.25, method="ub")),
+    "ub_bound": (32, lambda cfg: ub_bound(max(NS), cfg)),
 }
 
 

@@ -19,6 +19,44 @@ def test_root_convergence_error_exits_3(monkeypatch, capsys):
     assert "residuals not certified" in capsys.readouterr().err
 
 
+class TestNegativeStepCap:
+    """n_cap counts steps, so a negative one is a bad input (exit 2), not
+    a search that ran out of steps (exit 4)."""
+
+    FAST = WalkConfig(IntMatrix([[2, 1], [1, 1]]), 11)
+    ROT = IntMatrix([[0, -1], [1, 0]])
+
+    @pytest.mark.parametrize("method", ["exact", "ub"])
+    def test_mixing_time(self, method):
+        with pytest.raises(ValueError, match="n_cap"):
+            fourier.mixing_time(self.FAST, 0.25, method=method, n_cap=-1)
+
+    def test_projected_mixing_time(self):
+        with pytest.raises(ValueError, match="n_cap"):
+            montecarlo.projected_mixing_time(self.ROT, 101, 0.25, n_cap=-1)
+
+    def test_scaling_sweep_refuses_before_any_cell(self, monkeypatch):
+        def boom(*args):
+            raise RuntimeError("classified a matrix")
+
+        monkeypatch.setattr(spectral, "classify", boom)
+        with pytest.raises(ValueError, match="n_cap"):
+            montecarlo.scaling_sweep([self.ROT], [101], 0.25, n_cap=-1)
+
+    @pytest.mark.parametrize("argv", [
+        ["mixtime", "--matrix", "[[2,1],[1,1]]", "--p", "11", "--epsilon", "0.25",
+         "--method", "ub"],
+        ["mixtime", "--matrix", "[[0,-1],[1,0]]", "--p", "101", "--epsilon", "0.25",
+         "--method", "projected"],
+        ["mixtime", "--matrix", "[[2,1],[1,1]]", "--p", "11", "--epsilon", "1.0"],
+        ["sweep", "--matrix", "[[2,1],[1,1]]", "--p", "11", "--epsilon", "0.25"],
+    ], ids=["mixtime-ub", "mixtime-projected", "mixtime-eps-1", "sweep"])
+    def test_cli_exit_2(self, argv, capsys):
+        assert cli.main(argv + ["--n-cap", "-1"]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and "n_cap must be >= 0" in err
+
+
 def replay(cfg, n, samples, seed):
     """Final states recomputed with Python integers from the same steps."""
     T = cfg.T.mod(cfg.p).entries

@@ -46,7 +46,6 @@ PROJECTED = [
     (IntMatrix([[0, -1], [1, 0]]), 13, 4),
     (IntMatrix([[0, -1, 0], [1, 0, 0], [0, 0, 2]]), 13, 4),
 ]
-CHUNK = 1 << 16
 FAST3 = IntMatrix([[0, 0, 1], [1, 0, -1], [0, 1, 3]])
 # companion matrix of x^4 - x - 1, det -1
 D4 = IntMatrix([[0, 0, 0, 1], [1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]])
@@ -130,13 +129,25 @@ def ref_transforms(cfg, n):
     return out
 
 
-def ref_ub(F):
-    mags = np.abs(F) ** 2
-    mags[0] = 0.0
-    total = 0.0
-    for i in range(0, mags.shape[0], CHUNK):
-        total += float(mags[i : i + CHUNK].sum())
-    return 0.5 * math.sqrt(total)
+def ref_powers(cfg, n):
+    """|P_hat_0|^2, ..., |P_hat_n|^2 by G = g * G[perm], g = |f|^2 taken
+    from the complex factor table."""
+    g = np.abs(ref_factor_table(cfg.p, cfg.d)) ** 2
+    perm = ref_transpose_perm(cfg)
+    G = np.ones(cfg.num_states)
+    out = [G]
+    for _ in range(n):
+        G = g * G[perm]
+        out.append(G)
+    return out
+
+
+def ref_ub(G):
+    return 0.5 * math.sqrt(float(G[1:].sum()))
+
+
+def ref_lb(G):
+    return 0.5 * math.sqrt(float(G[1:].max()))
 
 
 def ref_projected(report, p, blocks):
@@ -168,16 +179,11 @@ class TestMatchesReferenceLoops:
 
     def test_bound_series(self, cfg):
         ns = [0, 2, 3, 7]
-        states, chars = ref_states(cfg, 7), ref_transforms(cfg, 7)
+        states, powers = ref_states(cfg, 7), ref_powers(cfg, 7)
         series = bound_series(cfg, ns, include_exact=True)
         assert series.n == ns
-        assert series.ub == [ref_ub(chars[n]) for n in ns]
-        lbs = []
-        for n in ns:
-            mods = np.abs(chars[n])
-            mods[0] = 0.0
-            lbs.append(0.5 * float(mods.max()))
-        assert series.lb == lbs
+        assert series.ub == [ref_ub(powers[n]) for n in ns]
+        assert series.lb == [ref_lb(powers[n]) for n in ns]
         assert series.tv_exact == [ref_tv(states[n]) for n in ns]
 
     def test_mixing_time_exact(self, cfg):
@@ -185,17 +191,18 @@ class TestMatchesReferenceLoops:
         assert mixing_time(cfg, 0.1, method="exact") == ref_first_below(tvs, 0.1)
 
     def test_mixing_time_ub(self, cfg):
-        ubs = [ref_ub(F) for F in ref_transforms(cfg, 60)]
+        ubs = [ref_ub(G) for G in ref_powers(cfg, 60)]
         assert mixing_time(cfg, 0.1, method="ub") == ref_first_below(ubs, 0.1)
+        for n in (0, 4, 9):
+            assert fourier.ub_bound(n, cfg) == ubs[n]
 
 
-def test_ub_keeps_fixed_chunk_order():
-    # p^d = 66049 spans two chunks; one sum over the whole vector rounds
-    # differently at about half of these n
-    cfg = WalkConfig(IntMatrix([[2, 1], [1, 1]]), 257)
-    ns = list(range(25))
-    series = bound_series(cfg, ns, include_exact=False)
-    assert series.ub == [ref_ub(F) for F in ref_transforms(cfg, 24)]
+def test_bound_series_matches_reference_powers_at_p257():
+    cfg = WalkConfig(IntMatrix([[2, 1], [1, 1]]), 257)  # 66049 characters
+    series = bound_series(cfg, range(25), include_exact=False)
+    powers = ref_powers(cfg, 24)
+    assert series.ub == [ref_ub(G) for G in powers]
+    assert series.lb == [ref_lb(G) for G in powers]
 
 
 @pytest.mark.parametrize("cfg", MODULI_WALKS, ids=lambda c: f"d{c.d}-p{c.p}")
@@ -256,6 +263,21 @@ def test_random_walks_bounds_sandwich_exact_tv(cfg, ns):
     for lb, tv, ub in zip(series.lb, series.tv_exact, series.ub, strict=True):
         assert lb <= tv + 1e-12
         assert tv <= ub + 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(admissible_walks(), st.integers(0, 29))
+def test_random_walks_bounds_match_complex_transform(cfg, n):
+    # the squared-modulus walk rounds differently from |P_hat_n| taken
+    # from the complex walk: at most 4.1e-15 relative over 400 random
+    # walks. Below about 1e-154 a modulus squares out of the normal float
+    # range, so there the comparison is absolute.
+    mods = np.abs(fourier_n_all(n, cfg)[1:])
+    series = bound_series(cfg, [n], include_exact=False)
+    ub = 0.5 * math.sqrt(float((mods**2).sum()))
+    lb = 0.5 * float(mods.max())
+    assert series.ub[0] == pytest.approx(ub, rel=1e-12, abs=1e-150)
+    assert series.lb[0] == pytest.approx(lb, rel=1e-12, abs=1e-150)
 
 
 @settings(max_examples=40, deadline=None)
