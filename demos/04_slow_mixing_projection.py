@@ -19,7 +19,7 @@ from affinewalk.montecarlo import (
 T = IntMatrix([[1, 1], [0, 2]])  # eigenvalues 1 and 2 -> order m = 1
 p = 101
 
-report = projection_functional(T, p, m=1)
+report = projection_functional(T, p)
 print(f"T = {T.tag()}, p = {p}")
 print(f"fixed direction v = {report.v.entries} (i.e. pi(x) = x1 - x2 mod p)")
 print(f"block increments (residue: probability): {dict(report.increment_support)}")

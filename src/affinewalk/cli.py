@@ -24,8 +24,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, fields
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Optional, Sequence, get_args, get_type_hints
 
 from . import __version__, exactdist, fourier, montecarlo, spectral
 from .errors import BudgetError, PreconditionError, RootConvergenceError
@@ -86,10 +86,22 @@ class ExperimentConfig:
         return {"tool": f"affinewalk {__version__}", "config": self.raw}
 
 
-# fields copied from the merged options as they are; the rest are parsed
-_PLAIN_FIELDS = tuple(
-    f.name for f in fields(ExperimentConfig) if f.name not in ("matrices", "ps", "c", "raw")
-)
+# fields copied from the merged options once their type checks, each
+# with the type it declares (X for Optional[X]); the rest are parsed
+_PLAIN_TYPES = {
+    name: next((a for a in get_args(hint) if a is not type(None)), hint)
+    for name, hint in get_type_hints(ExperimentConfig).items()
+    if name not in ("matrices", "ps", "c", "raw")
+}
+
+
+def _check_type(name: str, value) -> None:
+    """A config value must have its field's type; an int passes for a
+    float, and a bool passes only for a bool."""
+    want = _PLAIN_TYPES[name]
+    accepted = (int, float) if want is float else want
+    if isinstance(value, bool) != (want is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"config key {name!r} must be {want.__name__}, got {value!r}")
 
 
 def _parse_matrix(value) -> IntMatrix:
@@ -149,18 +161,20 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     if not matrices:
         raise ConfigError("matrix list is empty")
 
-    ps_raw = merged.get("p", [])
-    if isinstance(ps_raw, int):
-        ps_raw = [ps_raw]
-    elif isinstance(ps_raw, str):
-        ps_raw = [int(x) for x in ps_raw.split(",") if x.strip()]
-    ps = [int(x) for x in ps_raw]
+    ps = merged.get("p", [])
+    if isinstance(ps, int):
+        ps = [ps]
+    elif isinstance(ps, str):
+        ps = [int(x) for x in ps.split(",") if x.strip()]
+    if not isinstance(ps, list) or any(type(x) is not int for x in ps):
+        raise ConfigError(f"config key 'p' must be an int or a list of ints, got {ps!r}")
     if any(p < 2 for p in ps):
         raise ConfigError("all moduli must be >= 2")
 
     cfg = ExperimentConfig(matrices=matrices, ps=ps)
-    for name in _PLAIN_FIELDS:
+    for name in _PLAIN_TYPES:
         if merged.get(name) is not None:
+            _check_type(name, merged[name])
             setattr(cfg, name, merged[name])
     if merged.get("c") is not None:
         cfg.c = _parse_vector(merged["c"])
@@ -240,6 +254,7 @@ def cmd_mixtime(cfg: ExperimentConfig) -> int:
     walk = WalkConfig(cfg.T, cfg.p)
     method = cfg.method or "exact"
     if cfg.epsilon >= 1.0:
+        walk.require_admissible()
         n = 0  # TV never exceeds 1, so any n qualifies
     elif method == "projected":
         n = montecarlo.projected_mixing_time(cfg.T, cfg.p, cfg.epsilon, n_cap=cfg.n_cap)
@@ -276,7 +291,7 @@ def cmd_orbit(cfg: ExperimentConfig) -> int:
 
 
 def cmd_project(cfg: ExperimentConfig) -> int:
-    report = montecarlo.projection_functional(cfg.T, cfg.p, montecarlo.root_order(cfg.T))
+    report = montecarlo.projection_functional(cfg.T, cfg.p)
     doc = json.loads(report.to_json())
     if cfg.blocks is not None:
         walk = WalkConfig(cfg.T, cfg.p)
@@ -356,6 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument("--p", type=int, action="append", dest="p", help="modulus (repeatable)")
         sp.add_argument("-o", "--output", help="output file (default stdout)")
+
+    def caps(sp):
         sp.add_argument("--state-cap", type=int, dest="state_cap")
         sp.add_argument("--char-cap", type=int, dest="char_cap")
 
@@ -366,6 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bounds", help="upper/lower/exact TV series as CSV", allow_abbrev=False)
     common(sp)
+    caps(sp)
     sp.add_argument("--n-min", type=int, dest="n_min")
     sp.add_argument("--n-max", type=int, dest="n_max")
     sp.add_argument(
@@ -378,6 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("mixtime", help="least n with distance <= epsilon", allow_abbrev=False)
     common(sp)
+    caps(sp)
     sp.add_argument("--epsilon", type=float)
     sp.add_argument("--method", choices=["exact", "ub", "projected"])
     sp.add_argument("--n-cap", type=int, dest="n_cap")
@@ -407,6 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="mixing-time scaling over moduli", allow_abbrev=False)
     common(sp)
+    caps(sp)
     sp.add_argument("--epsilon", type=float)
     sp.add_argument("--method", choices=["auto", "exact", "ub", "projected"])
     sp.add_argument("--n-cap", type=int, dest="n_cap")

@@ -42,6 +42,14 @@ def default_ell_max(p: int) -> int:
     return math.ceil(10 * math.log2(p))
 
 
+def _ell_budget(p: int, ell_max: Optional[int]) -> int:
+    """ell_max, or the default for p when None; an orbit budget counts
+    steps, so a negative one raises ValueError."""
+    if ell_max is not None and ell_max < 0:
+        raise ValueError("ell_max must be >= 0")
+    return default_ell_max(p) if ell_max is None else ell_max
+
+
 def step_factor(c: CharacterIndex) -> complex:
     """One-step Fourier multiplier (1 + sum_r q^{c_r}) / (d+1)."""
     p, d = c.p, c.d
@@ -287,7 +295,7 @@ def orbit_analysis(
         raise ValueError("orbit analysis needs a nonzero character")
     _check_c1(c1)
     p = cfg.p
-    ell_max = default_ell_max(p) if ell_max is None else ell_max
+    ell_max = _ell_budget(p, ell_max)
     orbit, cycle_start, cycle_length = _orbit(c, cfg, ell_max + 1)
     mags = [center(v).max_abs() for v in orbit]
     first_large = next((ell for ell, m in enumerate(mags) if m >= c1 * p), None)
@@ -323,7 +331,7 @@ def first_large_sweep(
     _check_c1(c1)
     cfg.require_int64("first_large_sweep")
     p, d = cfg.p, cfg.d
-    ell_max = default_ell_max(p) if ell_max is None else ell_max
+    ell_max = _ell_budget(p, ell_max)
     if cs is None:
         _require_char_cap(
             cfg,

@@ -4,14 +4,13 @@ When a root-of-unity factor of order m forces T^m to fix a direction
 mod p, the walk observed through that direction is a random walk on
 Z/pZ with increments supported on at most (d+1)^m residues. Its
 distance from uniform is the slow-mixing witness. The law after k
-m-step blocks is the k-fold convolution of the block increment law:
-`projected_walk_dist` evolves it exactly, one length-p convolution per
-block, and `projected_mixing_time` reads it from the spectrum as
-ifft(phi^k), phi the DFT of the increment law. Convolving with a
-probability measure cannot move a law away from uniform (uniform is
-invariant under it), so the distance is non-increasing in k and the
-least mixed block count is found by bisection, in O(p log p * log cap)
-time instead of O(n_mix * u * p / m).
+m-step blocks is the k-fold convolution of the block increment law,
+read from the spectrum as ifft(phi^k), phi the DFT of the increment
+law: `projected_walk_dist` returns it at one k, and
+`projected_mixing_time` searches k. Convolving with a probability
+measure cannot move a law away from uniform (uniform is invariant under
+it), so the distance is non-increasing in k and the least mixed block
+count is found by bisection, in O(p log p * log cap) time.
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -205,9 +203,10 @@ def mat_pow_exact(T: IntMatrix, k: int) -> IntMatrix:
     return result
 
 
-def projection_functional(T: IntMatrix, p: int, m: int) -> ProjectionReport:
+def projection_functional(T: IntMatrix, p: int) -> ProjectionReport:
     """Build the slow-mixing projection for a matrix whose spectrum has a
-    primitive m-th root of unity.
+    primitive root of unity, its order m detected from the characteristic
+    polynomial (PreconditionError when there is none).
 
     v is the first basis vector of the nullspace of (T^m)^t - I mod p
     (deterministic RREF order). The increment distribution of
@@ -215,13 +214,11 @@ def projection_functional(T: IntMatrix, p: int, m: int) -> ProjectionReport:
     integer convolution over Z/pZ - identical to enumerating all
     (d+1)^m equally likely step tuples, without the exponential loop.
     """
+    m = spectral.cyclotomic_order(spectral.char_poly(T))
+    if m is None:
+        raise PreconditionError("matrix has no root-of-unity eigenvalue")
     if not is_prime(p):
         raise PreconditionError(f"the projection construction needs a prime p, got {p}")
-    order = spectral.cyclotomic_order(spectral.char_poly(T))
-    if order != m:
-        raise PreconditionError(
-            f"matrix has root-of-unity order {order}, not the requested m={m}"
-        )
     cfg = WalkConfig(T, p)
     cfg.require_admissible()
     d = T.dim
@@ -261,51 +258,25 @@ def projection_functional(T: IntMatrix, p: int, m: int) -> ProjectionReport:
     )
 
 
-def root_order(T: IntMatrix) -> int:
-    """Order m of the primitive root of unity in T's spectrum, the block
-    length of the projected walk; PreconditionError when there is none."""
-    m = spectral.cyclotomic_order(spectral.char_poly(T))
-    if m is None:
-        raise PreconditionError("matrix has no root-of-unity eigenvalue")
-    return m
-
-
-def _projected_dists(report: ProjectionReport, p: int) -> Iterator[np.ndarray]:
-    """Law of pi(X_{b m}) for b = 0, 1, 2, ...: the point mass at 0, then
-    one convolution with the block increment distribution per item.
-
-    Row j of dist[idx] is np.roll(dist, r_j) for the j-th support residue
-    r_j. The weighted rows are summed in support order, so every item has
-    the bits of the sum of pr * np.roll(dist, r) taken in that order.
-    Memory is O(u p) for a support of u residues."""
-    residues = np.array([r for r, _ in report.increment_support], dtype=np.int64)
-    probs = np.array([pr for _, pr in report.increment_support])[:, None]
-    idx = (np.arange(p) - residues[:, None]) % p
-    dist = np.zeros(p)
-    dist[0] = 1.0
-    while True:
-        yield dist
-        dist = np.add.reduce(probs * dist[idx], axis=0)
-
-
-def _block_tv(increment_probs: np.ndarray) -> Callable[[int], float]:
-    """k -> TV(law after k blocks, uniform), with the law read from the
-    spectrum as ifft(phi^k), phi the DFT of the block increment law."""
-    phi = np.fft.fft(increment_probs)
-    return lambda k: exactdist.tv_vector(np.fft.ifft(phi**k).real)
+def _block_law(report: ProjectionReport) -> Callable[[int], np.ndarray]:
+    """k -> law of the projected walk after k blocks, started at the point
+    mass at 0, read from the spectrum as ifft(phi^k).real, phi the DFT
+    of the block increment law."""
+    phi = np.fft.fft(report.increment_probs())
+    return lambda k: np.fft.ifft(phi**k).real
 
 
 def projected_walk_dist(
     report: ProjectionReport, cfg: WalkConfig, blocks: int
 ) -> np.ndarray:
-    """Exact distribution of pi(X_{blocks*m}): `blocks` convolutions of
-    the increment distribution on Z/pZ, starting from the point mass at
-    0. Cost O(blocks * u * p)."""
+    """Distribution of pi(X_{blocks*m}): `blocks` convolutions of the
+    increment distribution on Z/pZ, starting from the point mass at 0,
+    read from the spectrum (entries agree with stepping to round-off)."""
     if blocks < 0:
         raise ValueError("blocks must be >= 0")
     if report.v.p != cfg.p:
         raise ValueError("projection and config use different moduli")
-    return next(islice(_projected_dists(report, cfg.p), blocks, None))
+    return _block_law(report)(blocks)
 
 
 def projected_mixing_time(
@@ -321,26 +292,25 @@ def projected_mixing_time(
     the true mixing time - the quantity whose growth in p is the
     slow-mixing signature.
 
-    The law after k blocks is ifft(phi^k), phi the DFT of the block
-    increment law, so any k is reached without stepping through the
-    ones before it. Its TV to uniform is non-increasing in k (uniform is
-    invariant under convolution with a probability measure), so the
-    search checks the cap and then bisects: O(p log p * log(n_cap / m)).
+    The law after k blocks is read from the spectrum (`_block_law`), and
+    its TV to uniform is non-increasing in k (uniform is invariant under
+    convolution with a probability measure), so the search checks the
+    cap and then bisects: O(p log p * log(n_cap / m)).
     """
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
     fourier.check_n_cap(n_cap)
-    m = root_order(T)
-    report = projection_functional(T, p, m)
+    report = projection_functional(T, p)
+    m = report.m
     hi = n_cap // m
-    tv = _block_tv(report.increment_probs())
-    at_cap = tv(hi)
+    law = _block_law(report)
+    at_cap = exactdist.tv_vector(law(hi))
     if at_cap > eps:
         raise NotMixedError(hi * m, "projected", at_cap)
     lo = 0
-    while lo < hi:  # tv(hi) <= eps, and tv(k) > eps for every k < lo
+    while lo < hi:  # TV at hi is <= eps, and > eps at every k < lo
         mid = (lo + hi) // 2
-        if tv(mid) <= eps:
+        if exactdist.tv_vector(law(mid)) <= eps:
             hi = mid
         else:
             lo = mid + 1

@@ -88,7 +88,7 @@ def test_criterion_3_fast_mixing_trend():
 def test_criterion_4_slow_mixing():
     t0 = time.perf_counter()
     p = 101
-    report = montecarlo.projection_functional(UPPER, p, 1)
+    report = montecarlo.projection_functional(UPPER, p)
     dist = montecarlo.projected_walk_dist(report, WalkConfig(UPPER, p), p)
     tv_proj = exactdist.tv_vector(dist)
     assert tv_proj >= 0.5, tv_proj

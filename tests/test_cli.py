@@ -110,6 +110,14 @@ class TestMixtimeCommand:
         )
         assert code == 0 and json.loads(out)["n_mix"] == 0
 
+    @pytest.mark.parametrize("eps", ["0.5", "1.0"])
+    def test_inadmissible_exit_3_at_every_epsilon(self, eps, capsys):
+        code, out, err = run(
+            capsys, "mixtime", "--matrix", "[[2,0],[0,2]]", "--p", "4", "--epsilon", eps,
+        )
+        assert code == 3 and out == ""
+        assert "not admissible" in err
+
     def test_cap_exit_4(self, capsys):
         code, _, err = run(
             capsys, "mixtime", "--matrix", "[[1,1],[0,2]]", "--p", "101",
@@ -132,6 +140,14 @@ class TestOrbitCommand:
     def test_missing_c_exit_2(self, capsys):
         code, _, err = run(capsys, "orbit", "--matrix", "[[2,1],[1,1]]", "--p", "101")
         assert code == 2
+
+    def test_negative_ell_max_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "orbit", "--matrix", "[[2,1],[1,1]]", "--p", "101",
+            "--c", "[1,0]", "--ell-max", "-3",
+        )
+        assert code == 2 and out == ""
+        assert "ell_max must be >= 0" in err
 
 
 class TestProjectCommand:
@@ -156,6 +172,10 @@ class TestProjectCommand:
     def test_composite_p_exit_3(self, capsys):
         code, _, err = run(capsys, "project", "--matrix", "[[1,1],[0,2]]", "--p", "9")
         assert code == 3
+
+    def test_missing_root_is_reported_before_composite_p(self, capsys):
+        code, _, err = run(capsys, "project", "--matrix", "[[2,1],[1,1]]", "--p", "9")
+        assert code == 3 and "no root-of-unity eigenvalue" in err
 
 
 class TestSimulateCommand:
@@ -227,6 +247,30 @@ class TestConfigFile:
         code, _, err = run(capsys, "mixtime", "--config", str(tmp_path / "nope.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("key,value", [
+        ("epsilon", "0.25"),
+        ("epsilon", True),
+        ("n_cap", 1.5),
+        ("n_cap", True),
+        ("n_max", "10"),
+        ("p", 101.9),
+        ("p", [101, True]),
+    ])
+    def test_wrong_type_exit_2_names_the_key(self, key, value, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(
+            {"matrix": [[2, 1], [1, 1]], "p": 101, "epsilon": 0.25, key: value}
+        ))
+        code, out, err = run(capsys, "mixtime", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert f"config error: config key '{key}'" in err
+
+    def test_int_accepted_for_float(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"matrix": [[2, 1], [1, 1]], "p": 5, "epsilon": 1}))
+        code, out, _ = run(capsys, "mixtime", "--config", str(cfg))
+        assert code == 0 and json.loads(out)["n_mix"] == 0
+
 
 class TestMultiMatrixSweep:
     def test_two_matrices_via_flags(self, capsys, tmp_path):
@@ -277,8 +321,9 @@ def exit_code(argv):
 
 
 class TestRemovedOptions:
-    """--threads was ignored, --m had one legal value and sweep's --seed
-    was read by nothing; all are gone."""
+    """--threads was ignored, --m had one legal value, sweep's --seed
+    was read by nothing, and --state-cap / --char-cap are read only by
+    bounds, mixtime and sweep; all are gone elsewhere."""
 
     ROT = ["--matrix", "[[0,-1],[1,0]]", "--p", "101"]
 
@@ -289,6 +334,10 @@ class TestRemovedOptions:
         # prefix matching is off, so --m is not read as --matrix here
         ["project", *ROT, "--m", "4"],
         ["sweep", *ROT, "--epsilon", "0.25", "--seed", "7"],
+        ["classify", *ROT, "--state-cap", "100"],
+        ["orbit", *ROT, "--c", "[1,0]", "--char-cap", "100"],
+        ["project", *ROT, "--state-cap", "100"],
+        ["simulate", *ROT, "--n", "3", "--samples", "5", "--char-cap", "100"],
     ])
     def test_exit_2(self, argv, capsys):
         assert exit_code(argv) == 2

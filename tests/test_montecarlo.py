@@ -112,7 +112,7 @@ class TestEmpiricalTV:
 
 class TestProjectionFunctional:
     def test_eigendirection_example(self):
-        rep = projection_functional(UPPER, 101, 1)
+        rep = projection_functional(UPPER, 101)
         assert rep.v.entries == (1, 100)  # the (1, -1) direction
         assert rep.u == 3
         assert dict(rep.increment_support) == pytest.approx(
@@ -123,7 +123,8 @@ class TestProjectionFunctional:
     def test_rotation_matches_enumeration(self):
         # oracle: enumerate all (d+1)^m = 81 step tuples directly
         p, m = 13, 4
-        rep = projection_functional(ROT, p, m)
+        rep = projection_functional(ROT, p)
+        assert rep.m == m
         assert rep.v.entries == (1, 0)
         ws = [
             mat_pow_mod(ROT, m - 1 - j, p).transpose().apply(rep.v.entries)
@@ -142,28 +143,27 @@ class TestProjectionFunctional:
         assert rep.u == len(oracle) <= 81
 
     def test_identity_matrix(self):
-        rep = projection_functional(IntMatrix.identity(3), 7, 1)
+        rep = projection_functional(IntMatrix.identity(3), 7)
         assert rep.v.entries == (1, 0, 0)
         assert dict(rep.increment_support) == pytest.approx({0: 3 / 4, 1: 1 / 4})
 
     def test_support_bound(self):
         for T, p, m in [(UPPER, 11, 1), (ROT, 13, 4), (ROT, 5, 4)]:
-            rep = projection_functional(T, p, m)
+            rep = projection_functional(T, p)
+            assert rep.m == m
             assert rep.u <= (T.dim + 1) ** m
             assert sum(pr for _, pr in rep.increment_support) == pytest.approx(1.0)
 
     def test_rejects_composite_p(self):
         with pytest.raises(PreconditionError):
-            projection_functional(UPPER, 9, 1)
+            projection_functional(UPPER, 9)
 
-    def test_rejects_wrong_order(self):
-        with pytest.raises(PreconditionError):
-            projection_functional(UPPER, 101, 2)
-        with pytest.raises(PreconditionError):
-            projection_functional(FIB, 101, 1)  # no root of unity at all
+    def test_rejects_no_root_of_unity(self):
+        with pytest.raises(PreconditionError, match="no root-of-unity eigenvalue"):
+            projection_functional(FIB, 101)
 
     def test_json_round_trip(self):
-        rep = projection_functional(UPPER, 101, 1)
+        rep = projection_functional(UPPER, 101)
         back = ProjectionReport.from_json(rep.to_json())
         assert back == rep
 
@@ -171,7 +171,7 @@ class TestProjectionFunctional:
         # along one long trajectory, every m-step increment of pi(X) must
         # land in the computed support with matching frequencies
         m = 1
-        rep = projection_functional(UPPER, 11, m)
+        rep = projection_functional(UPPER, 11)
         cfg = WalkConfig(UPPER, 11)
         blocks = 100_000
         batch_states = _trajectory_states(cfg, blocks * m, seed=21)
@@ -203,14 +203,14 @@ def _trajectory_states(cfg, n, seed):
 
 class TestProjectedWalk:
     def test_zero_blocks_is_delta(self):
-        rep = projection_functional(UPPER, 101, 1)
+        rep = projection_functional(UPPER, 101)
         dist = projected_walk_dist(rep, WalkConfig(UPPER, 101), 0)
         assert dist[0] == 1.0 and dist.sum() == 1.0
 
     def test_golden_slow_mixing_at_p(self):
         # frozen: after p = 101 steps the projected walk is still far
         # from uniform (TV ~ 0.636)
-        rep = projection_functional(UPPER, 101, 1)
+        rep = projection_functional(UPPER, 101)
         dist = projected_walk_dist(rep, WalkConfig(UPPER, 101), 101)
         tv = tv_vector(dist)
         assert tv == pytest.approx(0.6358602806842039, abs=1e-9)
@@ -218,7 +218,7 @@ class TestProjectedWalk:
         assert dist.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_pushforward_of_dense_evolution(self):
-        rep = projection_functional(UPPER, 7, 1)
+        rep = projection_functional(UPPER, 7)
         cfg = WalkConfig(UPPER, 7)
         for blocks in range(0, 12):
             dense = pushforward(evolve(cfg, blocks), rep.v)
@@ -226,7 +226,7 @@ class TestProjectedWalk:
             assert np.abs(dense - walk).max() < 1e-10
 
     def test_matches_pushforward_m4(self):
-        rep = projection_functional(ROT, 5, 4)
+        rep = projection_functional(ROT, 5)
         cfg = WalkConfig(ROT, 5)
         for blocks in (0, 1, 2, 3):
             dense = pushforward(evolve(cfg, 4 * blocks), rep.v)
@@ -234,7 +234,7 @@ class TestProjectedWalk:
             assert np.abs(dense - walk).max() < 1e-10
 
     def test_projected_tv_below_full_tv(self):
-        rep = projection_functional(UPPER, 7, 1)
+        rep = projection_functional(UPPER, 7)
         cfg = WalkConfig(UPPER, 7)
         for blocks in range(0, 15):
             full = tv_from_uniform(evolve(cfg, blocks))
@@ -330,7 +330,7 @@ def test_block_increments_m4_rotation():
     # order-4 spectrum: pi(X) moves only at multiples of m = 4, with the
     # computed block-increment law
     m, p = 4, 13
-    rep = projection_functional(ROT, p, m)
+    rep = projection_functional(ROT, p)
     cfg = WalkConfig(ROT, p)
     blocks = 25_000
     states = _trajectory_states(cfg, blocks * m, seed=33)

@@ -19,12 +19,12 @@ from hypothesis import strategies as st
 
 from affinewalk import cli, exactdist, montecarlo
 from affinewalk.errors import NotMixedError
+from affinewalk.exactdist import WalkConfig
 from affinewalk.modmath import IntMatrix, ModVector, is_prime
 from affinewalk.montecarlo import (
     ProjectionReport,
     projected_mixing_time,
     projection_functional,
-    root_order,
     scaling_sweep,
 )
 from test_stepping import ref_first_below, ref_projected
@@ -45,8 +45,8 @@ ROT = IntMatrix([[0, -1], [1, 0]])
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("T", MATRICES, ids=lambda T: T.tag())
 def test_spectral_search_matches_stepped_search(T, p):
-    m = root_order(T)
-    report = projection_functional(T, p, m)
+    report = projection_functional(T, p)
+    m = report.m
     blocks = projected_mixing_time(T, p, min(EPSILONS)) // m
     tvs = [exactdist.tv_vector(d) for d in ref_projected(report, p, blocks)]
     for eps in EPSILONS:
@@ -57,7 +57,7 @@ def test_spectral_search_matches_stepped_search(T, p):
 
 
 def test_cap_reports_stepped_tv_at_cap():
-    report = projection_functional(ROT, 101, 4)
+    report = projection_functional(ROT, 101)
     tvs = [exactdist.tv_vector(d) for d in ref_projected(report, 101, 3)]
     with pytest.raises(NotMixedError) as err:
         projected_mixing_time(ROT, 101, 0.25, n_cap=3 * 4)
@@ -94,9 +94,12 @@ def increment_laws(draw):
 @given(increment_laws())
 def test_spectral_tv_is_monotone_and_matches_stepped_law(report):
     p = report.v.p
-    tv = montecarlo._block_tv(report.increment_probs())
-    spectral = [tv(k) for k in range(41)]
-    stepped = [exactdist.tv_vector(d) for d in ref_projected(report, p, 40)]
+    cfg = WalkConfig(IntMatrix([[1]]), p)
+    laws = [montecarlo.projected_walk_dist(report, cfg, k) for k in range(41)]
+    stepped_laws = ref_projected(report, p, 40)
+    assert max(np.max(np.abs(a - b)) for a, b in zip(laws, stepped_laws)) <= 1e-12
+    spectral = [exactdist.tv_vector(d) for d in laws]
+    stepped = [exactdist.tv_vector(d) for d in stepped_laws]
     assert np.max(np.abs(np.subtract(spectral, stepped))) <= 1e-12
     assert all(b <= a + 1e-12 for a, b in zip(spectral, spectral[1:]))
 

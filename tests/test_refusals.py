@@ -57,6 +57,23 @@ class TestNegativeStepCap:
         assert out == "" and "n_cap must be >= 0" in err
 
 
+class TestNegativeOrbitBudget:
+    """ell_max counts orbit steps, so every orbit function refuses a
+    negative one (exit 2 through the CLI) instead of exploring nothing."""
+
+    CFG = WalkConfig(IntMatrix([[2, 1], [1, 1]]), 101)
+
+    @pytest.mark.parametrize("call", [
+        lambda cfg, e: fourier.orbit_analysis(ModVector(cfg.p, [1, 0]), cfg, ell_max=e),
+        lambda cfg, e: fourier.first_large_sweep(cfg, cs=np.array([[1, 0]]), ell_max=e),
+        lambda cfg, e: fourier.orbit_constant_report(cfg, sample=10, ell_max=e),
+    ], ids=["orbit_analysis", "first_large_sweep", "orbit_constant_report"])
+    def test_refused_below_zero_only(self, call):
+        with pytest.raises(ValueError, match="ell_max must be >= 0"):
+            call(self.CFG, -1)
+        call(self.CFG, 0)
+
+
 def replay(cfg, n, samples, seed):
     """Final states recomputed with Python integers from the same steps."""
     T = cfg.T.mod(cfg.p).entries

@@ -1,7 +1,8 @@
 """The stepping generators and the shared first-below search, checked
 against plain step-by-step reference loops with exact equality: the
 generators run the same float operations in the same order, so their
-results must match bit for bit.
+results must match bit for bit. The projected law is the exception: it
+is read from the spectrum, so it matches its stepped reference to 1e-12.
 
 The references share no code with the engines they check: the dense
 step is a bincount scatter onto T x + b, the index and factor tables go
@@ -306,11 +307,14 @@ def test_dense_and_character_paths_build_no_coordinate_table(monkeypatch):
 
 @pytest.mark.parametrize("T,p,m", PROJECTED, ids=["d2", "d3"])
 def test_projected_matches_reference_loop(T, p, m):
-    report = projection_functional(T, p, m)
+    report = projection_functional(T, p)
+    assert report.m == m
     cfg = WalkConfig(T, p)
     dists = ref_projected(report, p, 400)
     for blocks in (0, 1, 5, 40):
-        assert np.array_equal(projected_walk_dist(report, cfg, blocks), dists[blocks])
+        # the law is read from the spectrum: equal to round-off, not bit for bit
+        got = projected_walk_dist(report, cfg, blocks)
+        assert np.max(np.abs(got - dists[blocks])) <= 1e-12
     tvs = [exactdist.tv_vector(d) for d in dists]
     assert projected_mixing_time(T, p, 0.25) == m * ref_first_below(tvs, 0.25)
 
@@ -340,7 +344,7 @@ def test_ub_search_cap():
 
 def test_projected_search_cap_counts_steps():
     rot = IntMatrix([[0, -1], [1, 0]])
-    assert projection_functional(rot, 101, 4).m == 4
+    assert projection_functional(rot, 101).m == 4
     with pytest.raises(NotMixedError) as err:
         projected_mixing_time(rot, 101, 0.25, n_cap=3 * 4)
     assert err.value.n_cap == 3 * 4
@@ -492,9 +496,11 @@ class TestInt64KernelsMatchReferences:
     def test_first_large_sweep(self, cfg):
         rng = np.random.default_rng(cfg.p % 1000)
         cs = rng.integers(-cfg.p, cfg.p, size=(500, cfg.d), dtype=np.int64)
-        for c1, ell_max in ((0.125, None), (0.49, 3), (0.5, 0), (0.3, -1)):
+        for c1, ell_max in ((0.125, None), (0.49, 3), (0.5, 0)):
             got = fourier.first_large_sweep(cfg, c1=c1, cs=cs, ell_max=ell_max)
             assert np.array_equal(got, ref_first_large_sweep(cfg, c1, cs, ell_max))
+        with pytest.raises(ValueError, match="ell_max"):
+            fourier.first_large_sweep(cfg, c1=0.3, cs=cs, ell_max=-1)
         empty = np.empty((0, cfg.d), dtype=np.int64)
         assert fourier.first_large_sweep(cfg, cs=empty).shape == (0,)
 
@@ -545,5 +551,9 @@ def test_random_walks_match_int64_references(cfg, n, samples, c1, ell_max, seed)
     assert np.array_equal(batch.final_states, ref_simulate(cfg, n, samples, seed))
     assert batch.states_csv("h").encode() == ref_states_csv(batch, "h").encode()
     cs = np.random.default_rng(seed).integers(0, cfg.p, size=(samples, cfg.d))
+    if ell_max < 0:
+        with pytest.raises(ValueError, match="ell_max"):
+            fourier.first_large_sweep(cfg, c1=c1, cs=cs, ell_max=ell_max)
+        return
     got = fourier.first_large_sweep(cfg, c1=c1, cs=cs, ell_max=ell_max)
     assert np.array_equal(got, ref_first_large_sweep(cfg, c1, cs, ell_max))
