@@ -93,6 +93,8 @@ _PLAIN_TYPES = {
     for name, hint in get_type_hints(ExperimentConfig).items()
     if name not in ("matrices", "ps", "c", "raw")
 }
+# the keys a config file may set: every option of some subcommand
+_FILE_KEYS = {"matrix", "p", "c", *_PLAIN_TYPES}
 
 
 def _check_type(name: str, value) -> None:
@@ -138,6 +140,9 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
+        unknown = sorted(set(file_cfg) - _FILE_KEYS)
+        if unknown:
+            raise ConfigError(f"config key {unknown[0]!r} names no option")
 
     merged = dict(file_cfg)
     for key, val in vars(args).items():
@@ -193,23 +198,19 @@ def _emit(text: str, path: Optional[str]) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
-def _with_meta_json(doc_text: str, cfg: ExperimentConfig) -> str:
-    doc = json.loads(doc_text)
-    doc["meta"] = cfg.meta_dict()
-    return json.dumps(doc, indent=2) + "\n"
+def _emit_json(doc: dict, cfg: ExperimentConfig, path: Optional[str]) -> None:
+    """Write doc with the run's meta as its last key, indented by 2."""
+    _emit(json.dumps({**doc, "meta": cfg.meta_dict()}, indent=2) + "\n", path)
 
 
 def cmd_classify(cfg: ExperimentConfig) -> int:
     report = spectral.classify(cfg.T, tol=cfg.tol)
-    doc = json.loads(report.to_json())
+    doc = report.to_dict()
     if cfg.ps:
         doc["admissible"] = {str(p): is_admissible(cfg.T, p) for p in cfg.ps}
-    doc["meta"] = cfg.meta_dict()
-    _emit(json.dumps(doc, indent=2) + "\n", cfg.output)
+    _emit_json(doc, cfg, cfg.output)
     if report.classification == spectral.Classification.SINGULAR:
         return EXIT_PRECONDITION
     return EXIT_OK
@@ -267,16 +268,7 @@ def cmd_mixtime(cfg: ExperimentConfig) -> int:
             state_cap=cfg.state_cap,
             char_cap=cfg.char_cap,
         )
-    doc = json.dumps(
-        {
-            "n_mix": n,
-            "epsilon": cfg.epsilon,
-            "method": method,
-            "meta": cfg.meta_dict(),
-        },
-        indent=2,
-    )
-    _emit(doc + "\n", cfg.output)
+    _emit_json({"n_mix": n, "epsilon": cfg.epsilon, "method": method}, cfg, cfg.output)
     return EXIT_OK
 
 
@@ -286,20 +278,19 @@ def cmd_orbit(cfg: ExperimentConfig) -> int:
     walk = WalkConfig(cfg.T, cfg.p)
     c = ModVector(cfg.p, cfg.c)
     record = fourier.orbit_analysis(c, walk, c1=cfg.c1, ell_max=cfg.ell_max)
-    _emit(_with_meta_json(record.to_json(), cfg), cfg.output)
+    _emit_json(record.to_dict(), cfg, cfg.output)
     return EXIT_OK
 
 
 def cmd_project(cfg: ExperimentConfig) -> int:
     report = montecarlo.projection_functional(cfg.T, cfg.p)
-    doc = json.loads(report.to_json())
+    doc = report.to_dict()
     if cfg.blocks is not None:
         walk = WalkConfig(cfg.T, cfg.p)
         dist = montecarlo.projected_walk_dist(report, walk, cfg.blocks)
         doc["blocks"] = cfg.blocks
         doc["projected_tv"] = exactdist.tv_vector(dist)
-    doc["meta"] = cfg.meta_dict()
-    _emit(json.dumps(doc, indent=2) + "\n", cfg.output)
+    _emit_json(doc, cfg, cfg.output)
     return EXIT_OK
 
 
@@ -312,17 +303,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         _emit(batch.states_csv(header_comment=cfg.meta()), cfg.output)
         return EXIT_OK
     tv = montecarlo.empirical_tv(batch)
-    doc = json.dumps(
-        {
-            "n": cfg.n,
-            "samples": cfg.samples,
-            "seed": cfg.seed,
-            "empirical_tv": tv,
-            "meta": cfg.meta_dict(),
-        },
-        indent=2,
-    )
-    _emit(doc + "\n", cfg.output)
+    doc = {"n": cfg.n, "samples": cfg.samples, "seed": cfg.seed, "empirical_tv": tv}
+    _emit_json(doc, cfg, cfg.output)
     return EXIT_OK
 
 
@@ -343,13 +325,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
         )
     _emit(montecarlo.sweep_csv(reports, header_comment=cfg.meta()), cfg.output)
     if cfg.fit_json:
-        fits = {
-            "fits": [rep.fit_summary() for rep in reports],
-            "meta": cfg.meta_dict(),
-        }
-        with open(cfg.fit_json, "w") as fh:
-            json.dump(fits, fh, indent=2)
-            fh.write("\n")
+        _emit_json({"fits": [rep.fit_summary() for rep in reports]}, cfg, cfg.fit_json)
     return EXIT_OK
 
 

@@ -1,6 +1,7 @@
 """Ground-truth engine: exact dense evolution of the walk distribution
-over all p^d states, total variation distance, and a direct character
-transform (an FFT) used as the oracle for the product-formula module.
+over all p^d states, total variation distance to uniform, and a direct
+character transform (an FFT) used as the oracle for the product-formula
+module.
 
 Dense float64 vectors in mixed-radix index order (see indexing). A step
 places P(x)/(d+1) on T x with one gather through an inverse permutation,
@@ -182,13 +183,6 @@ def evolve(
     return next(islice(dense_states(cfg, state_cap), n, None))
 
 
-def tv_distance(P: DenseDistribution, Q: DenseDistribution) -> float:
-    """(1/2) sum |P - Q|; equals the max event-probability gap."""
-    if (P.p, P.d) != (Q.p, Q.d):
-        raise ValueError("distributions live on different state spaces")
-    return 0.5 * float(np.abs(P.masses - Q.masses).sum())
-
-
 def tv_from_uniform(P: DenseDistribution) -> float:
     return tv_vector(P.masses)
 
@@ -222,24 +216,3 @@ def tv_vector(dist_p: np.ndarray) -> float:
     dev = dist_p - 1.0 / n
     np.abs(dev, out=dev)
     return 0.5 * float(dev.sum())
-
-
-def save_distribution_csv(P: DenseDistribution, path: str, n: int, meta: str = "") -> None:
-    """Header row (p, d, n) then one mass per line in index order."""
-    with open(path, "w") as fh:
-        if meta:
-            fh.write(f"# {meta}\n")
-        fh.write("p,d,n\n")
-        fh.write(f"{P.p},{P.d},{n}\n")
-        for x in P.masses:
-            fh.write(f"{float(x)!r}\n")
-
-
-def load_distribution_csv(path: str) -> tuple[DenseDistribution, int]:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if lines[0] != "p,d,n":
-        raise ValueError("bad distribution file header")
-    p, d, n = (int(x) for x in lines[1].split(","))
-    masses = np.array([float(x) for x in lines[2:]])
-    return DenseDistribution(p, d, masses), n

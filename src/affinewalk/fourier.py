@@ -16,7 +16,6 @@ that real product (char_powers) rather than the complex transform
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate, islice, repeat
@@ -250,34 +249,17 @@ class OrbitRecord:
     threshold: float  # the C1 in |coordinate| >= C1 * p
     max_centered_magnitudes: tuple[int, ...]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "p": self.c.p,
-                "c": list(self.c.entries),
-                "orbit": [list(v.entries) for v in self.orbit],
-                "cycle_start": self.cycle_start,
-                "cycle_length": self.cycle_length,
-                "first_large_ell": self.first_large_ell,
-                "threshold": self.threshold,
-                "max_centered_magnitudes": list(self.max_centered_magnitudes),
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "OrbitRecord":
-        doc = json.loads(text)
-        p = doc["p"]
-        return cls(
-            c=ModVector(p, doc["c"]),
-            orbit=tuple(ModVector(p, v) for v in doc["orbit"]),
-            cycle_start=doc["cycle_start"],
-            cycle_length=doc["cycle_length"],
-            first_large_ell=doc["first_large_ell"],
-            threshold=doc["threshold"],
-            max_centered_magnitudes=tuple(doc["max_centered_magnitudes"]),
-        )
+    def to_dict(self) -> dict:
+        return {
+            "p": self.c.p,
+            "c": list(self.c.entries),
+            "orbit": [list(v.entries) for v in self.orbit],
+            "cycle_start": self.cycle_start,
+            "cycle_length": self.cycle_length,
+            "first_large_ell": self.first_large_ell,
+            "threshold": self.threshold,
+            "max_centered_magnitudes": list(self.max_centered_magnitudes),
+        }
 
 
 def orbit_analysis(
@@ -475,23 +457,6 @@ class BoundSeries:
                 row += f",{float(self.tv_exact[i])!r}"
             lines.append(row)
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "BoundSeries":
-        rows = [
-            ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")
-        ]
-        header = rows[0].split(",")
-        has_exact = "tv_exact" in header
-        out = cls(tv_exact=[] if has_exact else None)
-        for ln in rows[1:]:
-            parts = ln.split(",")
-            out.n.append(int(parts[0]))
-            out.ub.append(float(parts[1]))
-            out.lb.append(float(parts[2]))
-            if has_exact:
-                out.tv_exact.append(float(parts[3]))
-        return out
 
 
 def bound_series(

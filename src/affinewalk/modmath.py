@@ -193,6 +193,17 @@ def mat_pow_mod(T: IntMatrix, k: int, p: int) -> IntMatrix:
     return result
 
 
+def mat_pow_exact(T: IntMatrix, k: int) -> IntMatrix:
+    """T^k over the integers, no modulus, by k products: for small k such
+    as a root-of-unity order."""
+    if k < 0:
+        raise ValueError("exponent must be >= 0")
+    result = IntMatrix.identity(T.dim)
+    for _ in range(k):
+        result = result @ T
+    return result
+
+
 def mat_vec_mod(A: IntMatrix, v: ModVector, p: int | None = None) -> ModVector:
     p = v.p if p is None else p
     return ModVector(p, A.apply(v.entries))
@@ -260,10 +271,6 @@ def nullspace_mod_prime(A: IntMatrix, p: int) -> list[ModVector]:
         inv = pow(v[first], p - 2, p)
         basis.append(ModVector(p, [(x * inv) % p for x in v]))
     return basis
-
-
-def rank_mod_prime(A: IntMatrix, p: int) -> int:
-    return A.dim - len(nullspace_mod_prime(A, p))
 
 
 def nullity_rational(A: IntMatrix) -> int:

@@ -15,7 +15,6 @@ count is found by bisection, in O(p log p * log cap) time.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -35,6 +34,7 @@ from .modmath import (
     IntMatrix,
     ModVector,
     is_prime,
+    mat_pow_exact,
     mat_pow_mod,
     nullity_rational,
     nullspace_mod_prime,
@@ -70,15 +70,6 @@ class TrajectoryBatch:
             blk = self.final_states[lo : lo + RNG_CHUNK]
             parts.append((row * len(blk)) % tuple(blk.ravel().tolist()))
         return "".join(parts)
-
-
-def states_from_csv(text: str) -> np.ndarray:
-    rows = [
-        [int(x) for x in ln.split(",")]
-        for ln in text.splitlines()
-        if ln.strip() and not ln.startswith("#") and not ln.startswith("x0")
-    ]
-    return np.array(rows, dtype=np.int64)
 
 
 def _step_stream(seed: int, chunk_index: int, rows: int, n: int, d: int) -> np.ndarray:
@@ -164,43 +155,21 @@ class ProjectionReport:
     u: int
     degenerate_prime: bool
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "m": self.m,
-                "p": self.v.p,
-                "v": list(self.v.entries),
-                "increments": [[r, pr] for r, pr in self.increment_support],
-                "u": self.u,
-                "degenerate_prime": self.degenerate_prime,
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProjectionReport":
-        doc = json.loads(text)
-        return cls(
-            m=doc["m"],
-            v=ModVector(doc["p"], doc["v"]),
-            increment_support=tuple((int(r), float(pr)) for r, pr in doc["increments"]),
-            u=doc["u"],
-            degenerate_prime=doc["degenerate_prime"],
-        )
+    def to_dict(self) -> dict:
+        return {
+            "m": self.m,
+            "p": self.v.p,
+            "v": list(self.v.entries),
+            "increments": [[r, pr] for r, pr in self.increment_support],
+            "u": self.u,
+            "degenerate_prime": self.degenerate_prime,
+        }
 
     def increment_probs(self) -> np.ndarray:
         out = np.zeros(self.v.p)
         for r, pr in self.increment_support:
             out[r] = pr
         return out
-
-
-def mat_pow_exact(T: IntMatrix, k: int) -> IntMatrix:
-    """Exact integer power (no modulus); k is small here (the root order)."""
-    result = IntMatrix.identity(T.dim)
-    for _ in range(k):
-        result = result @ T
-    return result
 
 
 def projection_functional(T: IntMatrix, p: int) -> ProjectionReport:
@@ -380,8 +349,10 @@ def scaling_sweep(
     fails that way records the failure at every p. method: 'exact' | 'ub'
     | 'projected', or 'auto' to pick 'ub' for spectra off the unit circle
     and 'projected' for root-of-unity spectra. n_cap counts steps for
-    every method and is passed to each search as it is; a negative
-    n_cap is refused before any cell runs."""
+    every method and is passed to each search as it is; an eps outside
+    (0, 1) or a negative n_cap is refused before any cell runs."""
+    if not (0 < eps < 1):
+        raise ValueError("eps must lie in (0, 1)")
     fourier.check_n_cap(n_cap)
     reports = []
     for T in Ts:
@@ -438,16 +409,3 @@ def sweep_csv(reports: Sequence[ScalingReport], header_comment: str = "") -> str
         for p, n in rep.cells:
             lines.append(f"\"{rep.matrix_tag}\",{p},{n},{rep.method}")
     return "\n".join(lines) + "\n"
-
-
-def sweep_from_csv(text: str) -> list[tuple[str, int, int, str]]:
-    rows = []
-    for ln in text.splitlines():
-        if not ln.strip() or ln.startswith("#") or ln.startswith("matrix_tag"):
-            continue
-        tag, rest = ln.rsplit("\",", 1) if "\"" in ln else (None, None)
-        if tag is None:
-            continue
-        p, n, method = rest.split(",")
-        rows.append((tag.lstrip("\""), int(p), int(n), method))
-    return rows

@@ -10,7 +10,6 @@ off-circle / near-circle distinction.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -69,7 +68,7 @@ class SpectrumReport:
     root_of_unity_order: Optional[int]
     tolerance: float
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         doc = {
             "charpoly": list(self.charpoly.coeffs),
             "eigenvalues": [[z.real, z.imag, m] for z, m in self.eigenvalues],
@@ -78,20 +77,7 @@ class SpectrumReport:
         }
         if self.root_of_unity_order is not None:
             doc["m"] = self.root_of_unity_order
-        return json.dumps(doc, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpectrumReport":
-        doc = json.loads(text)
-        eig = tuple((complex(re, im), int(m)) for re, im, m in doc["eigenvalues"])
-        return cls(
-            charpoly=CharPoly(doc["charpoly"]),
-            eigenvalues=eig,
-            moduli=tuple(abs(z) for z, _ in eig),
-            classification=Classification(doc["classification"]),
-            root_of_unity_order=doc.get("m"),
-            tolerance=float(doc["tolerance"]),
-        )
+        return doc
 
 
 @dataclass(frozen=True)
@@ -132,36 +118,8 @@ def _poly_trim(c: list) -> list:
     return c
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder over Z when den is monic."""
-    if den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    num = list(num)
-    dn = len(den) - 1
-    if len(num) - 1 < dn:
-        return [0], _poly_trim(num)
-    quot = [0] * (len(num) - dn)
-    for k in range(len(num) - 1, dn - 1, -1):
-        c = num[k]
-        quot[k - dn] = c
-        if c:
-            for j in range(dn + 1):
-                num[k - dn + j] -= c * den[j]
-    return _poly_trim(quot), _poly_trim(num)
-
-
 def _poly_divides(den: Sequence[int], num: Sequence[int]) -> bool:
-    _, rem = _poly_divmod_monic(list(num), list(den))
-    return rem == [0]
+    return _q_divmod(num, den)[1] == [0]
 
 
 @lru_cache(maxsize=None)
@@ -174,9 +132,9 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     quot = num
     for q in range(1, n):
         if n % q == 0:
-            quot, rem = _poly_divmod_monic(quot, list(cyclotomic_poly(q)))
+            quot, rem = _q_divmod(quot, cyclotomic_poly(q))
             assert rem == [0]
-    return tuple(quot)
+    return tuple(int(c) for c in quot)
 
 
 def _euler_phi(n: int) -> int:
@@ -206,10 +164,11 @@ def cyclotomic_order(cp: CharPoly) -> Optional[int]:
 
 
 def _q_divmod(num: Sequence[Fraction], den: Sequence[Fraction]) -> tuple[list, list]:
-    """Quotient and remainder of polynomials over Q (den nonzero)."""
+    """Quotient and remainder of polynomials over Q (den nonzero); int
+    coefficients are read as rationals."""
     num = list(num)
     q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    inv = 1 / den[-1]
+    inv = Fraction(1) / den[-1]
     for k in range(len(num) - 1, len(den) - 2, -1):
         c = num[k] * inv
         q[k - (len(den) - 1)] = c

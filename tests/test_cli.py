@@ -2,9 +2,8 @@ import json
 
 import pytest
 
+import readers
 from affinewalk.cli import main
-from affinewalk.fourier import BoundSeries
-from affinewalk.montecarlo import sweep_from_csv
 
 
 def run(capsys, *argv):
@@ -57,7 +56,7 @@ class TestBoundsCommand:
         assert code == 0
         text = out_file.read_text()
         assert text.startswith("# affinewalk ")
-        series = BoundSeries.from_csv(text)
+        series = readers.bound_series(text)
         assert series.n == list(range(16))
         for i in range(16):
             assert series.lb[i] - 1e-12 <= series.tv_exact[i] <= series.ub[i] + 1e-12
@@ -76,7 +75,7 @@ class TestBoundsCommand:
             capsys, "bounds", "--matrix", "[[2,1],[1,1]]", "--p", "9", "--n-max", "3"
         )
         assert code == 0
-        series = BoundSeries.from_csv(out)
+        series = readers.bound_series(out)
         assert len(series.n) == 4 and series.tv_exact is not None
 
     def test_partial_output_when_exact_impossible(self, capsys):
@@ -210,7 +209,7 @@ class TestSweepCommand:
             "-o", str(csv_path), "--fit-json", str(fit_path),
         )
         assert code == 0
-        rows = sweep_from_csv(csv_path.read_text())
+        rows = readers.sweep_rows(csv_path.read_text())
         assert [(p, m) for _, p, _, m in [(r[0], r[1], r[2], r[3]) for r in rows]] == [
             (5, "ub"), (11, "ub"),
         ]
@@ -265,6 +264,24 @@ class TestConfigFile:
         assert code == 2 and out == ""
         assert f"config error: config key '{key}'" in err
 
+    def test_unknown_key_exit_2_names_the_key(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "matrix": [[2, 1], [1, 1]], "p": 101, "epsilon": 0.25, "method": "ub",
+            "n_cpa": 3,
+        }))
+        code, out, err = run(capsys, "mixtime", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "config error: config key 'n_cpa' names no option" in err
+
+    def test_key_of_another_subcommand_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "matrix": [[2, 1], [1, 1]], "p": 5, "epsilon": 0.25, "blocks": 8,
+        }))
+        code, out, _ = run(capsys, "mixtime", "--config", str(cfg))
+        assert code == 0 and json.loads(out)["n_mix"] == 3
+
     def test_int_accepted_for_float(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"matrix": [[2, 1], [1, 1]], "p": 5, "epsilon": 1}))
@@ -280,7 +297,7 @@ class TestMultiMatrixSweep:
             "--p", "5", "--p", "11", "--epsilon", "0.25", "-o", str(path),
         )
         assert code == 0
-        rows = sweep_from_csv(path.read_text())
+        rows = readers.sweep_rows(path.read_text())
         tags = {tag for tag, _, _, _ in rows}
         assert tags == {"[[2,1],[1,1]]", "[[1,1],[0,2]]"}
         methods = {m for tag, _, _, m in rows}
@@ -290,27 +307,38 @@ class TestMultiMatrixSweep:
 class TestRoundTrip:
     def test_classify_json_reparses_into_report(self, capsys):
         from affinewalk.modmath import IntMatrix
-        from affinewalk.spectral import SpectrumReport, classify
+        from affinewalk.spectral import classify
 
-        code, out, _ = run(capsys, "classify", "--matrix", "[[0,-1],[1,0]]")
+        code, out, _ = run(capsys, "classify", "--matrix", "[[0,-1],[1,0]]", "--p", "5")
         assert code == 0
-        back = SpectrumReport.from_json(out)  # extra keys are ignored
+        back = readers.spectrum_report(readers.json_fields(out))
         assert back == classify(IntMatrix([[0, -1], [1, 0]]))
 
     def test_orbit_json_reparses(self, capsys):
         from affinewalk.exactdist import WalkConfig
-        from affinewalk.fourier import OrbitRecord, orbit_analysis
+        from affinewalk.fourier import orbit_analysis
         from affinewalk.modmath import IntMatrix, ModVector
 
         code, out, _ = run(
             capsys, "orbit", "--matrix", "[[2,1],[1,1]]", "--p", "101", "--c", "[1,0]"
         )
         assert code == 0
-        back = OrbitRecord.from_json(out)
+        back = readers.orbit_record(readers.json_fields(out))
         direct = orbit_analysis(
             ModVector(101, [1, 0]), WalkConfig(IntMatrix([[2, 1], [1, 1]]), 101)
         )
         assert back == direct
+
+    def test_project_json_reparses(self, capsys):
+        from affinewalk.modmath import IntMatrix
+        from affinewalk.montecarlo import projection_functional
+
+        code, out, _ = run(
+            capsys, "project", "--matrix", "[[1,1],[0,2]]", "--p", "101", "--blocks", "5"
+        )
+        assert code == 0
+        back = readers.projection_report(readers.json_fields(out))
+        assert back == projection_functional(IntMatrix([[1, 1], [0, 2]]), 101)
 
 
 def exit_code(argv):

@@ -12,11 +12,8 @@ from affinewalk.exactdist import (
     delta_at_zero,
     dft,
     evolve,
-    load_distribution_csv,
     pushforward,
-    save_distribution_csv,
     step_exact,
-    tv_distance,
     tv_from_uniform,
     tv_vector,
     uniform,
@@ -105,10 +102,6 @@ class TestEvolve:
 
 
 class TestTV:
-    def test_self_distance_zero(self):
-        P = evolve(CFG5, 4)
-        assert tv_distance(P, P) == 0.0
-
     def test_p2_golden(self):
         # exact rational value from the enumerated 2-step distribution:
         # one state at 2/9, seven at 1/9, seventeen at 0
@@ -119,10 +112,6 @@ class TestTV:
         )
         assert expected == Fraction(17, 25)
         assert tv_from_uniform(evolve(CFG5, 2)) == pytest.approx(float(expected))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            tv_distance(delta_at_zero(5, 2), delta_at_zero(7, 2))
 
     def test_monotone_in_n(self):
         for p in (5, 7):
@@ -173,7 +162,7 @@ class TestPushforward:
         v = ModVector(7, [1, 6])
         for n in range(0, 12):
             P = evolve(cfg, n)
-            assert tv_vector(pushforward(P, v)) <= tv_distance(P, uniform(7, 2)) + 1e-12
+            assert tv_vector(pushforward(P, v)) <= tv_from_uniform(P) + 1e-12
 
     def test_mass_preserved(self):
         P = evolve(CFG5, 5)
@@ -192,13 +181,3 @@ class TestPushforward:
 
         monkeypatch.setattr(indexing, "all_coords", boom)
         assert np.array_equal(pushforward(P, v), want)
-
-
-class TestSerialization:
-    def test_csv_round_trip(self, tmp_path):
-        P = evolve(CFG5, 4)
-        path = tmp_path / "dist.csv"
-        save_distribution_csv(P, str(path), n=4, meta="affinewalk test")
-        back, n = load_distribution_csv(str(path))
-        assert n == 4 and back.p == 5 and back.d == 2
-        assert np.array_equal(back.masses, P.masses)  # repr round-trips floats

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affinewalk import indexing
 from affinewalk.errors import PreconditionError
 from affinewalk.modmath import (
     CenteredVector,
@@ -14,10 +16,10 @@ from affinewalk.modmath import (
     int_det,
     is_admissible,
     is_prime,
+    mat_pow_exact,
     mat_pow_mod,
     mat_vec_mod,
     nullspace_mod_prime,
-    rank_mod_prime,
 )
 
 FIB = IntMatrix([[2, 1], [1, 1]])
@@ -96,6 +98,17 @@ class TestMatPowMod:
             rhs = (mat_pow_mod(FIB, a, 11) @ mat_pow_mod(FIB, b, 11)).mod(11)
             assert lhs.entries == rhs.entries
 
+    def test_exact_power_reduces_to_modular_power(self):
+        rot = IntMatrix([[0, -1], [1, 0]])
+        big = IntMatrix([[7, -3, 0], [4, 11, 2], [-5, 1, 3]])
+        for T in (FIB, rot, big):
+            for k in range(9):
+                for p in (2, 7, 12, 101):
+                    assert mat_pow_exact(T, k).mod(p) == mat_pow_mod(T, k, p)
+        assert mat_pow_exact(big, 3) == big @ big @ big
+        with pytest.raises(ValueError):
+            mat_pow_exact(FIB, -1)
+
 
 class TestCenter:
     @pytest.mark.parametrize(
@@ -153,7 +166,9 @@ class TestNullspace:
             d = rng.randint(1, 4)
             A = IntMatrix([[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)])
             basis = nullspace_mod_prime(A, p)
-            assert len(basis) + rank_mod_prime(A, p) == d
+            # the kernel over Z/pZ has p^nullity vectors
+            images = indexing.all_coords(p, d) @ np.array(A.entries).T % p
+            assert p ** len(basis) == int((images == 0).all(axis=1).sum())
             for v in basis:
                 img = A.apply(v.entries)
                 assert all(x % p == 0 for x in img)

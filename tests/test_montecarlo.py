@@ -1,16 +1,17 @@
+import json
 import math
 from itertools import product
 
 import numpy as np
 import pytest
 
+import readers
 from affinewalk import indexing, spectral
 from affinewalk.errors import BudgetError, PreconditionError, RootConvergenceError
 from affinewalk.exactdist import WalkConfig, evolve, pushforward, tv_from_uniform, tv_vector
 from affinewalk.fourier import fourier_n
 from affinewalk.modmath import IntMatrix, ModVector, mat_pow_mod
 from affinewalk.montecarlo import (
-    ProjectionReport,
     TrajectoryBatch,
     empirical_tv,
     projected_mixing_time,
@@ -19,7 +20,6 @@ from affinewalk.montecarlo import (
     scaling_sweep,
     simulate,
     sweep_csv,
-    sweep_from_csv,
 )
 
 FIB = IntMatrix([[2, 1], [1, 1]])
@@ -164,7 +164,7 @@ class TestProjectionFunctional:
 
     def test_json_round_trip(self):
         rep = projection_functional(UPPER, 101)
-        back = ProjectionReport.from_json(rep.to_json())
+        back = readers.projection_report(json.loads(json.dumps(rep.to_dict())))
         assert back == rep
 
     def test_block_increment_matches_trajectories(self):
@@ -308,7 +308,7 @@ class TestScalingSweep:
     def test_csv_round_trip(self):
         reports = scaling_sweep([FIB], [5, 7], 0.25, method="ub")
         text = sweep_csv(reports, header_comment="affinewalk test")
-        rows = sweep_from_csv(text)
+        rows = readers.sweep_rows(text)
         assert rows == [("[[2,1],[1,1]]", p, n, "ub") for p, n in reports[0].cells]
 
     def test_determinism(self):
@@ -318,11 +318,9 @@ class TestScalingSweep:
 
 
 def test_states_csv_round_trip():
-    from affinewalk.montecarlo import states_from_csv
-
     batch = simulate(CFG5, 7, 40, seed=5)
     text = batch.states_csv(header_comment="affinewalk test")
-    back = states_from_csv(text)
+    back = readers.states(text)
     assert np.array_equal(back, batch.final_states)
 
 

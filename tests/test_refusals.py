@@ -57,6 +57,29 @@ class TestNegativeStepCap:
         assert out == "" and "n_cap must be >= 0" in err
 
 
+class TestSweepEpsilon:
+    """A sweep refuses an epsilon outside (0, 1) once, before any cell
+    runs, as mixtime does (exit 2), instead of one failure per cell."""
+
+    ROT = IntMatrix([[0, -1], [1, 0]])
+
+    @pytest.mark.parametrize("eps", [0.0, -0.5, 1.0])
+    def test_scaling_sweep_refuses_before_any_cell(self, eps, monkeypatch):
+        def boom(*args):
+            raise RuntimeError("classified a matrix")
+
+        monkeypatch.setattr(spectral, "classify", boom)
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\)"):
+            montecarlo.scaling_sweep([self.ROT], [101], eps)
+
+    @pytest.mark.parametrize("eps", ["0", "-0.5", "1.0"])
+    def test_cli_exit_2(self, eps, capsys):
+        argv = ["sweep", "--matrix", "[[2,1],[1,1]]", "--p", "11", "--epsilon", eps]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and "config error: eps must lie in (0, 1)" in err
+
+
 class TestNegativeOrbitBudget:
     """ell_max counts orbit steps, so every orbit function refuses a
     negative one (exit 2 through the CLI) instead of exploring nothing."""
