@@ -8,13 +8,16 @@ carry the same information in a "meta" field. Outputs contain nothing
 run-dependent (no timestamps), so identical configs give identical
 bytes.
 
-Exit codes: 0 ok, 2 bad config, 3 mathematical precondition violated
-(singular matrix, inadmissible or composite p where primality is
-needed) or eigenvalue refinement that failed to converge, 4 resource
-budget exceeded (including "not mixed by n_max", and moduli too large
-for exact int64 simulation). --n-cap counts steps for every mixing
-method; the projected search stops after floor(n_cap / m) m-step blocks,
-m the root-of-unity order, which `mixtime` and `project` detect.
+Exit codes: 0 ok, 2 bad config (an --epsilon outside (0, 1) included),
+3 mathematical precondition violated (singular matrix, inadmissible or
+composite p where primality is needed) or eigenvalue refinement that
+failed to converge, 4 resource budget exceeded (including "not mixed by
+n_max", and moduli too large for exact int64 simulation). `mixtime` and
+every `sweep` cell search through `montecarlo.mixing_search`, so one
+rule set covers --epsilon, --n-cap and --method. --n-cap counts steps
+for every method; the projected search stops after floor(n_cap / m)
+m-step blocks, m the root-of-unity order, which `mixtime` and `project`
+detect.
 
 Randomized subcommands default to seed 12345 unless one is given.
 """
@@ -251,23 +254,10 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
 def cmd_mixtime(cfg: ExperimentConfig) -> int:
     if cfg.epsilon is None:
         raise ConfigError("mixtime needs --epsilon")
-    fourier.check_n_cap(cfg.n_cap)  # also where epsilon >= 1 skips the search
-    walk = WalkConfig(cfg.T, cfg.p)
     method = cfg.method or "exact"
-    if cfg.epsilon >= 1.0:
-        walk.require_admissible()
-        n = 0  # TV never exceeds 1, so any n qualifies
-    elif method == "projected":
-        n = montecarlo.projected_mixing_time(cfg.T, cfg.p, cfg.epsilon, n_cap=cfg.n_cap)
-    else:
-        n = fourier.mixing_time(
-            walk,
-            cfg.epsilon,
-            method=method,
-            n_cap=cfg.n_cap,
-            state_cap=cfg.state_cap,
-            char_cap=cfg.char_cap,
-        )
+    n = montecarlo.mixing_search(
+        WalkConfig(cfg.T, cfg.p), cfg.epsilon, method, cfg.n_cap, cfg.state_cap, cfg.char_cap
+    )
     _emit_json({"n_mix": n, "epsilon": cfg.epsilon, "method": method}, cfg, cfg.output)
     return EXIT_OK
 
@@ -312,17 +302,16 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     if cfg.epsilon is None:
         raise ConfigError("sweep needs --epsilon")
     if not cfg.ps:
-        reports = []
-    else:
-        reports = montecarlo.scaling_sweep(
-            cfg.matrices,
-            cfg.ps,
-            cfg.epsilon,
-            method=cfg.method or "auto",
-            n_cap=cfg.n_cap,
-            char_cap=cfg.char_cap,
-            state_cap=cfg.state_cap,
-        )
+        raise ConfigError("a modulus p is required")
+    reports = montecarlo.scaling_sweep(
+        cfg.matrices,
+        cfg.ps,
+        cfg.epsilon,
+        method=cfg.method or "auto",
+        n_cap=cfg.n_cap,
+        char_cap=cfg.char_cap,
+        state_cap=cfg.state_cap,
+    )
     _emit(montecarlo.sweep_csv(reports, header_comment=cfg.meta()), cfg.output)
     if cfg.fit_json:
         _emit_json({"fits": [rep.fit_summary() for rep in reports]}, cfg, cfg.fit_json)
@@ -374,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     caps(sp)
     sp.add_argument("--epsilon", type=float)
-    sp.add_argument("--method", choices=["exact", "ub", "projected"])
+    sp.add_argument("--method", choices=montecarlo.METHODS)
     sp.add_argument("--n-cap", type=int, dest="n_cap")
     sp.set_defaults(func=cmd_mixtime)
 
@@ -404,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     caps(sp)
     sp.add_argument("--epsilon", type=float)
-    sp.add_argument("--method", choices=["auto", "exact", "ub", "projected"])
+    sp.add_argument("--method", choices=("auto", *montecarlo.METHODS))
     sp.add_argument("--n-cap", type=int, dest="n_cap")
     sp.add_argument("--fit-json", dest="fit_json", help="write fit summaries here")
     sp.set_defaults(func=cmd_sweep)

@@ -390,8 +390,10 @@ def orbit_constant_report(
     return report
 
 
-def check_n_cap(n_cap: int) -> None:
-    """A step cap counts steps, so it cannot be negative."""
+def check_search(eps: float, n_cap: int) -> None:
+    """Every mixing-time search needs 0 < eps < 1 and a step cap >= 0."""
+    if not (0 < eps < 1):
+        raise ValueError("eps must lie in (0, 1)")
     if n_cap < 0:
         raise ValueError("n_cap must be >= 0")
 
@@ -419,10 +421,8 @@ def mixing_time(
     """Least n with TV(P_n, U) <= eps (method='exact') or with the
     character upper bound <= eps (method='ub'); raises NotMixedError at
     the cap. n=0 counts: TV(P_0, U) = 1 - 1/p^d, so eps at or above that
-    returns 0 for either method. A negative n_cap raises ValueError."""
-    if not (0 < eps < 1):
-        raise ValueError("eps must lie in (0, 1)")
-    check_n_cap(n_cap)
+    returns 0 for either method. Bad inputs (`check_search`) raise ValueError."""
+    check_search(eps, n_cap)
     cfg.require_admissible()
     if eps >= 1.0 - 1.0 / cfg.num_states:
         return 0

@@ -1,4 +1,5 @@
-"""Trajectory simulation and the slow-mixing apparatus.
+"""Trajectory simulation, the slow-mixing apparatus, and the one entry
+point of every mixing-time search.
 
 When a root-of-unity factor of order m forces T^m to fix a direction
 mod p, the walk observed through that direction is a random walk on
@@ -11,10 +12,15 @@ law: `projected_walk_dist` returns it at one k, and
 measure cannot move a law away from uniform (uniform is invariant under
 it), so the distance is non-increasing in k and the least mixed block
 count is found by bisection, in O(p log p * log cap) time.
+
+`mixing_search`, which `mixtime` and `scaling_sweep` both call, sends
+each of METHODS to its engine: a scan of the dense or character walk
+('exact', 'ub') or this bisection ('projected').
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -46,6 +52,9 @@ from .modmath import (
 RNG_CHUNK = 4096
 DEFAULT_SEED = 12345
 _INT64_MAX = 2**63 - 1
+
+# the mixing-time methods `mixing_search` accepts
+METHODS = ("exact", "ub", "projected")
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,8 +149,7 @@ def empirical_tv(batch: TrajectoryBatch, count_cap: int = 10_000_000) -> float:
         raise ValueError("empty batch")
     idx = indexing.encode(batch.final_states, batch.cfg.p)
     counts = np.bincount(idx, minlength=n_states)
-    freqs = counts / batch.samples
-    return 0.5 * float(np.abs(freqs - 1.0 / n_states).sum())
+    return exactdist.tv_vector(counts / batch.samples)
 
 
 @dataclass(frozen=True)
@@ -254,8 +262,9 @@ def projected_mixing_time(
     """Least n = blocks*m with TV(projection of P_n, uniform) <= eps, m
     the root-of-unity order of T, searching blocks = 0, ...,
     floor(n_cap / m); raises NotMixedError, with its cap counted in
-    steps, when none qualifies. n_cap counts steps as it does for
-    fourier.mixing_time, and a negative one raises ValueError.
+    steps and the TV at that cap, when none qualifies. eps and n_cap
+    follow `fourier.check_search`, n_cap counting steps as it does for
+    every method.
 
     The projected TV lower-bounds the full TV, so this n lower-bounds
     the true mixing time - the quantity whose growth in p is the
@@ -263,27 +272,40 @@ def projected_mixing_time(
 
     The law after k blocks is read from the spectrum (`_block_law`), and
     its TV to uniform is non-increasing in k (uniform is invariant under
-    convolution with a probability measure), so the search checks the
-    cap and then bisects: O(p log p * log(n_cap / m)).
+    convolution with a probability measure), so the block count is
+    bisected: O(p log p * log(n_cap / m)).
     """
-    if not (0 < eps < 1):
-        raise ValueError("eps must lie in (0, 1)")
-    fourier.check_n_cap(n_cap)
+    fourier.check_search(eps, n_cap)
     report = projection_functional(T, p)
     m = report.m
     hi = n_cap // m
     law = _block_law(report)
-    at_cap = exactdist.tv_vector(law(hi))
-    if at_cap > eps:
-        raise NotMixedError(hi * m, "projected", at_cap)
-    lo = 0
-    while lo < hi:  # TV at hi is <= eps, and > eps at every k < lo
-        mid = (lo + hi) // 2
-        if exactdist.tv_vector(law(mid)) <= eps:
-            hi = mid
-        else:
-            lo = mid + 1
-    return m * hi
+    blocks = bisect.bisect_left(
+        range(hi + 1), True, key=lambda k: exactdist.tv_vector(law(k)) <= eps
+    )
+    if blocks > hi:
+        raise NotMixedError(hi * m, "projected", exactdist.tv_vector(law(hi)))
+    return m * blocks
+
+
+def _check_method(method: str, allowed: Sequence[str]) -> None:
+    if method not in allowed:
+        raise ValueError(f"unknown method {method!r} (want one of {', '.join(allowed)})")
+
+
+def mixing_search(
+    cfg: WalkConfig, eps: float, method: str, n_cap: int, state_cap: int, char_cap: int
+) -> int:
+    """Least n at which the distance `method` measures is <= eps:
+    `fourier.mixing_time` for 'exact' and 'ub', `projected_mixing_time`
+    of (cfg.T, cfg.p) for 'projected'. Any other method raises
+    ValueError, as do inputs that break `fourier.check_search`."""
+    _check_method(method, METHODS)
+    if method == "projected":
+        return projected_mixing_time(cfg.T, cfg.p, eps, n_cap)
+    return fourier.mixing_time(
+        cfg, eps, method=method, n_cap=n_cap, state_cap=state_cap, char_cap=char_cap
+    )
 
 
 @dataclass
@@ -343,17 +365,16 @@ def scaling_sweep(
     char_cap: int = fourier.DEFAULT_CHAR_CAP,
     state_cap: int = exactdist.DEFAULT_STATE_CAP,
 ) -> list[ScalingReport]:
-    """Mixing time for each (T, p) cell; a cell that fails with a package
-    error or a ValueError is recorded and the sweep continues (any other
-    exception is a bug and propagates). A matrix whose classification
-    fails that way records the failure at every p. method: 'exact' | 'ub'
-    | 'projected', or 'auto' to pick 'ub' for spectra off the unit circle
-    and 'projected' for root-of-unity spectra. n_cap counts steps for
-    every method and is passed to each search as it is; an eps outside
-    (0, 1) or a negative n_cap is refused before any cell runs."""
-    if not (0 < eps < 1):
-        raise ValueError("eps must lie in (0, 1)")
-    fourier.check_n_cap(n_cap)
+    """Mixing time (`mixing_search`) for each (T, p) cell; a cell that
+    fails with a package error or a ValueError is recorded and the sweep
+    continues (any other exception is a bug and propagates). A matrix
+    whose classification fails that way records the failure at every p.
+    method: one of METHODS, or 'auto' to pick 'ub' for spectra off the
+    unit circle and 'projected' for root-of-unity spectra. An unknown
+    method, an eps outside (0, 1) or a negative n_cap is refused before
+    any cell runs."""
+    fourier.check_search(eps, n_cap)
+    _check_method(method, ("auto", *METHODS))
     reports = []
     for T in Ts:
         try:
@@ -364,33 +385,20 @@ def scaling_sweep(
                 ScalingReport(T.tag(), method, failures=[(p, msg) for p in ps])
             )
             continue
+        root_of_unity = spec.classification == spectral.Classification.ROOT_OF_UNITY
+        cell_method = method
         if method == "auto":
-            cell_method = (
-                "projected"
-                if spec.classification == spectral.Classification.ROOT_OF_UNITY
-                else "ub"
-            )
-        else:
-            cell_method = method
+            cell_method = "projected" if root_of_unity else "ub"
         rep = ScalingReport(matrix_tag=T.tag(), method=cell_method)
         for p in ps:
             try:
-                if cell_method == "projected":
-                    n_mix = projected_mixing_time(T, p, eps, n_cap=n_cap)
-                else:
-                    n_mix = fourier.mixing_time(
-                        WalkConfig(T, p),
-                        eps,
-                        method=cell_method,
-                        n_cap=n_cap,
-                        char_cap=char_cap,
-                        state_cap=state_cap,
-                    )
+                walk = WalkConfig(T, p)
+                n_mix = mixing_search(walk, eps, cell_method, n_cap, state_cap, char_cap)
                 rep.cells.append((p, n_mix))
             except (AffineWalkError, ValueError) as exc:  # recorded, sweep continues
                 rep.failures.append((p, f"{type(exc).__name__}: {exc}"))
         if len(rep.cells) >= 2:
-            if spec.classification == spectral.Classification.ROOT_OF_UNITY:
+            if root_of_unity:
                 rep.fit_kind = "power_law_exponent"
                 rep.fit_value, rep.residuals = _fit_power_law(rep.cells)
             else:

@@ -25,6 +25,7 @@ from .errors import RootConvergenceError
 from .modmath import IntMatrix, int_det
 
 DEFAULT_TOL = 1e-9
+ROOT_ATTEMPTS = 4  # working precisions root refinement tries, each double the last
 
 
 @dataclass(frozen=True)
@@ -228,29 +229,29 @@ def _square_free_factors(cp: CharPoly) -> list[tuple[CharPoly, int]]:
     return out
 
 
-def complex_roots(cp: CharPoly, max_attempts: int = 4) -> list[tuple[complex, int]]:
+def complex_roots(cp: CharPoly) -> list[tuple[complex, int]]:
     """All distinct roots of cp with certified residuals and exact
     multiplicities, sorted by (real, imag).
 
     cp is split into square-free factors (_square_free_factors); the
     roots of each factor are simple, found by simultaneous
     (Durand-Kerner) iteration at increasing working precision, and take
-    the factor's multiplicity. Raises RootConvergenceError if no attempt
-    both converges and certifies.
+    the factor's multiplicity. Raises RootConvergenceError if none of
+    the ROOT_ATTEMPTS precisions both converges and certifies.
     """
     roots = [
         (z, mult)
         for factor, mult in _square_free_factors(cp)
-        for z in _simple_roots(factor, max_attempts)
+        for z in _simple_roots(factor)
     ]
     return sorted(roots, key=lambda zm: (zm[0].real, zm[0].imag))
 
 
-def _simple_roots(cp: CharPoly, max_attempts: int) -> list[complex]:
+def _simple_roots(cp: CharPoly) -> list[complex]:
     """Roots of a square-free cp, each certified by its residual."""
     desc = [mpmath.mpf(c) for c in reversed(cp.coeffs)]
     dps, extraprec, maxsteps = 30, 40, 200
-    for _ in range(max_attempts):
+    for _ in range(ROOT_ATTEMPTS):
         try:
             with mpmath.workdps(dps):
                 found = mpmath.polyroots(desc, maxsteps=maxsteps, extraprec=extraprec)

@@ -4,6 +4,7 @@ import pytest
 
 import readers
 from affinewalk.cli import main
+from affinewalk.montecarlo import METHODS
 
 
 def run(capsys, *argv):
@@ -103,13 +104,27 @@ class TestMixtimeCommand:
         assert code == 0 and json.loads(out)["n_mix"] == 3
 
     def test_epsilon_ge_one_gives_zero(self, capsys):
-        code, out, _ = run(
+        """TV never exceeds 1, so epsilon 1 would give n_mix 0 without a
+        search; it is refused like every epsilon outside (0, 1)."""
+        code, out, err = run(
             capsys, "mixtime", "--matrix", "[[2,1],[1,1]]", "--p", "5",
             "--epsilon", "1.0",
         )
-        assert code == 0 and json.loads(out)["n_mix"] == 0
+        assert code == 2 and out == ""
+        assert "config error: eps must lie in (0, 1)" in err
 
-    @pytest.mark.parametrize("eps", ["0.5", "1.0"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_epsilon_one_exit_2_for_every_method(self, method, capsys):
+        # [[2,1],[1,1]] has no root of unity, yet the epsilon is refused first
+        code, out, err = run(
+            capsys, "mixtime", "--matrix", "[[2,1],[1,1]]", "--p", "5",
+            "--epsilon", "1.0", "--method", method,
+        )
+        assert code == 2 and out == ""
+        assert "eps must lie in (0, 1)" in err
+
+    # 0.99 lies above TV(P_0, U) = 1 - 1/4^2, where the search answers 0
+    @pytest.mark.parametrize("eps", ["0.5", "0.99"])
     def test_inadmissible_exit_3_at_every_epsilon(self, eps, capsys):
         code, out, err = run(
             capsys, "mixtime", "--matrix", "[[2,0],[0,2]]", "--p", "4", "--epsilon", eps,
@@ -123,6 +138,18 @@ class TestMixtimeCommand:
             "--epsilon", "0.01", "--method", "exact", "--n-cap", "5",
         )
         assert code == 4 and "not mixed" in err
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_n_mix_equals_sweep_cell(self, method, capsys):
+        args = ("--matrix", "[[1,1],[0,2]]", "--p", "11", "--epsilon", "0.25",
+                "--method", method)
+        code, out, _ = run(capsys, "mixtime", *args)
+        assert code == 0
+        code, csv, _ = run(capsys, "sweep", *args)
+        assert code == 0
+        assert readers.sweep_rows(csv) == [
+            ("[[1,1],[0,2]]", 11, json.loads(out)["n_mix"], method)
+        ]
 
 
 class TestOrbitCommand:
@@ -226,6 +253,13 @@ class TestSweepCommand:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_missing_p_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--matrix", "[[2,1],[1,1]]", "--epsilon", "0.25",
+        )
+        assert code == 2 and out == ""
+        assert "config error: a modulus p is required" in err
+
 
 class TestConfigFile:
     def test_config_file_with_flag_override(self, capsys, tmp_path):
@@ -283,10 +317,11 @@ class TestConfigFile:
         assert code == 0 and json.loads(out)["n_mix"] == 3
 
     def test_int_accepted_for_float(self, capsys, tmp_path):
+        # an int epsilon is never inside (0, 1), so tol carries the case
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"matrix": [[2, 1], [1, 1]], "p": 5, "epsilon": 1}))
-        code, out, _ = run(capsys, "mixtime", "--config", str(cfg))
-        assert code == 0 and json.loads(out)["n_mix"] == 0
+        cfg.write_text(json.dumps({"matrix": [[2, 1], [1, 1]], "tol": 1}))
+        code, out, _ = run(capsys, "classify", "--config", str(cfg))
+        assert code == 0 and json.loads(out)["tolerance"] == 1
 
 
 class TestMultiMatrixSweep:

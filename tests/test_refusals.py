@@ -48,9 +48,8 @@ class TestNegativeStepCap:
          "--method", "ub"],
         ["mixtime", "--matrix", "[[0,-1],[1,0]]", "--p", "101", "--epsilon", "0.25",
          "--method", "projected"],
-        ["mixtime", "--matrix", "[[2,1],[1,1]]", "--p", "11", "--epsilon", "1.0"],
         ["sweep", "--matrix", "[[2,1],[1,1]]", "--p", "11", "--epsilon", "0.25"],
-    ], ids=["mixtime-ub", "mixtime-projected", "mixtime-eps-1", "sweep"])
+    ], ids=["mixtime-ub", "mixtime-projected", "sweep"])
     def test_cli_exit_2(self, argv, capsys):
         assert cli.main(argv + ["--n-cap", "-1"]) == cli.EXIT_CONFIG
         out, err = capsys.readouterr()
@@ -78,6 +77,25 @@ class TestSweepEpsilon:
         assert cli.main(argv) == cli.EXIT_CONFIG
         out, err = capsys.readouterr()
         assert out == "" and "config error: eps must lie in (0, 1)" in err
+
+
+class TestUnknownMethod:
+    """A method outside METHODS is refused with a message naming them
+    all: by mixing_search, and by a sweep once, before any cell runs."""
+
+    ROT = IntMatrix([[0, -1], [1, 0]])
+
+    def test_mixing_search(self):
+        with pytest.raises(ValueError, match="'fastest' .*exact, ub, projected"):
+            montecarlo.mixing_search(WalkConfig(self.ROT, 11), 0.25, "fastest", 10, 10, 10)
+
+    def test_scaling_sweep_refuses_before_any_cell(self, monkeypatch):
+        def boom(*args):
+            raise RuntimeError("classified a matrix")
+
+        monkeypatch.setattr(spectral, "classify", boom)
+        with pytest.raises(ValueError, match="'fastest' .*auto, exact, ub, projected"):
+            montecarlo.scaling_sweep([self.ROT], [11, 13], 0.25, method="fastest")
 
 
 class TestNegativeOrbitBudget:
