@@ -11,6 +11,12 @@ Both bounds need only the squared moduli, which compose the same way:
 |P_hat_n(c)|^2 = prod_{j<n} |f((T^t)^j c)|^2. The bound engines step
 that real product (char_powers) rather than the complex transform
 (char_transforms), which stays for fourier_n_all and the dft oracle.
+
+P_n is a real law, so P_hat_n(-c) is the conjugate of P_hat_n(c), and
+c -> T^t c commutes with negation: G_n = |P_hat_n|^2 is even. The real
+walk therefore steps only the characters whose top coordinate c_{d-1}
+lies in [0, p//2] - a prefix of the index order, about half of them -
+and reads G_n at any other character from its negative.
 """
 
 from __future__ import annotations
@@ -158,11 +164,49 @@ def _require_char_cap(cfg: WalkConfig, char_cap: int, advice: str) -> None:
         )
 
 
-def _char_walk(table: np.ndarray, cfg: WalkConfig) -> Iterator[np.ndarray]:
-    """W_0 = 1, W_1, ... over every character, by the one-step recurrence
-    W_{n+1}(c) = table(c) W_n(T^t c), in the dtype of the table."""
-    perm = transpose_perm(cfg)
-    W0 = np.ones(cfg.num_states, dtype=table.dtype)
+def _half_tables(cfg: WalkConfig) -> tuple[np.ndarray, np.ndarray]:
+    """g = |f|^2 and the folded map over the characters with top coordinate
+    c_{d-1} in [0, p//2], the first (p//2 + 1) p^(d-1) indices.
+
+    The folded map sends c to T^t c, or to -T^t c when that image's top
+    coordinate is above p//2, so every image stays in the slab. g is
+    step_factor_table's |f|^2 on the slab, bit for bit. Both are
+    broadcast over the slab's grid as indexing.linear_perm broadcasts over
+    the full one, so no table over every character is formed."""
+    p, d = cfg.p, cfg.d
+    k = np.arange(p, dtype=np.int64)
+    spans = [k] * (d - 1) + [k[: p // 2 + 1]]  # the values of coordinate r
+    w = np.exp(2j * np.pi / p * k)
+    acc = np.ones((p // 2 + 1,) + (p,) * (d - 1), dtype=complex)
+    for r, span in enumerate(spans):
+        acc += indexing.along(w[span], d, r)
+    acc /= d + 1
+    g = np.abs(acc).reshape(-1)
+    del acc
+    g **= 2
+
+    def image(row):  # one coordinate of T^t c over the slab's grid
+        y = sum(indexing.along(m * s % p, d, r) for r, (m, s) in enumerate(zip(row, spans)))
+        return np.remainder(y, p, out=y)
+
+    rows = cfg.T.transpose().mod(p).entries
+    perm = image(rows[d - 1])
+    flip = perm > p // 2  # these images are replaced by their negatives
+    np.subtract(p, perm, out=perm, where=flip)
+    for row in reversed(rows[: d - 1]):  # Horner: index = sum_j y_j p^j
+        y = image(row)
+        np.negative(y, out=y, where=flip)
+        np.remainder(y, p, out=y)
+        perm *= p
+        perm += y
+        del y
+    return g, perm.reshape(-1)
+
+
+def _char_walk(table: np.ndarray, perm: np.ndarray) -> Iterator[np.ndarray]:
+    """W_0 = 1, W_1, ... by the one-step recurrence
+    W_{n+1}(c) = table(c) W_n(perm(c)), in the dtype of the table."""
+    W0 = np.ones(table.shape[0], dtype=table.dtype)
     return accumulate(repeat(None), lambda W, _: table * W[perm], initial=W0)
 
 
@@ -174,18 +218,23 @@ def char_transforms(
     checked on the call, before any item is drawn; admissibility is the
     caller's to check."""
     _require_char_cap(cfg, char_cap, "use char_lower_bound on sampled candidates instead")
-    return _char_walk(step_factor_table(cfg.p, cfg.d), cfg)
+    return _char_walk(step_factor_table(cfg.p, cfg.d), transpose_perm(cfg))
 
 
 def char_powers(cfg: WalkConfig, char_cap: int = DEFAULT_CHAR_CAP) -> Iterator[np.ndarray]:
-    """G_n = |P_hat_n|^2 over every character, for n = 0, 1, ..., by
-    G_{n+1}(c) = |f(c)|^2 G_n(T^t c): a float64 walk, half the bytes of
-    char_transforms and no modulus per step. Moduli below about 1e-154
-    square to below the normal float range and lose digits there. Caps
-    and admissibility as for char_transforms."""
+    """G_n = |P_hat_n|^2 for n = 0, 1, ..., over the characters with top
+    coordinate c_{d-1} in [0, p//2] (the first (p//2 + 1) p^(d-1)
+    indices); G_n is even, so G_n(c) for any other c is G_n(-c).
+
+    The walk is G_{n+1}(c) = |f(c)|^2 G_n(T^t c), with T^t c folded onto
+    -T^t c when its top coordinate is above p//2 (`_half_tables`): a
+    float64 walk over about half the characters, a quarter of the bytes
+    of char_transforms and no modulus per step. Moduli below about 1e-154
+    square to below the normal float range and lose digits there. The
+    character cap counts every character, p^d; caps and admissibility as
+    for char_transforms."""
     _require_char_cap(cfg, char_cap, "use char_lower_bound on sampled candidates instead")
-    g = np.abs(step_factor_table(cfg.p, cfg.d)) ** 2
-    return _char_walk(g, cfg)
+    return _char_walk(*_half_tables(cfg))
 
 
 def fourier_n_all(
@@ -198,13 +247,21 @@ def fourier_n_all(
     return next(islice(char_transforms(cfg, char_cap), n, None))
 
 
-def _ub_from_powers(G: np.ndarray) -> float:
-    """(1/2) sqrt(sum_{c != 0} G(c)) for G = |P_hat_n|^2."""
-    return 0.5 * math.sqrt(float(G[1:].sum()))
+def _ub_from_powers(G: np.ndarray, p: int) -> float:
+    """(1/2) sqrt(sum_{c != 0} G(c)) for G = |P_hat_n|^2 as char_powers
+    gives it. Each slab c_{d-1} = k of p^(d-1) characters counts for
+    itself and its negative, slab p - k: slab 0 is closed under negation
+    (once, without c = 0), slabs 1 .. ceil(p/2) - 1 pair with slabs
+    outside the table (twice), and the slab p/2 of an even p pairs with
+    itself (once)."""
+    m = G.shape[0] // (p // 2 + 1)
+    e = m * ((p + 1) // 2)  # end of the slabs counted twice
+    return 0.5 * math.sqrt(float(G[1:m].sum() + 2.0 * G[m:e].sum() + G[e:].sum()))
 
 
 def _lb_from_powers(G: np.ndarray) -> float:
-    """max_{c != 0} |P_hat_n(c)| / 2 for G = |P_hat_n|^2, the best
+    """max_{c != 0} |P_hat_n(c)| / 2 for G = |P_hat_n|^2 as char_powers
+    gives it (every nonzero character or its negative), the best
     single-character lower bound."""
     return 0.5 * math.sqrt(float(G[1:].max()))
 
@@ -216,11 +273,15 @@ def ub_bound(
 ) -> float:
     """Square-root character bound on TV: (1/2) sqrt(sum_{c!=0} |P_hat_n(c)|^2).
     All characters have degree 1, so the trace form is just squared
-    moduli, read from the real walk of char_powers."""
+    moduli, read from the real walk of char_powers. That walk holds only
+    the characters with c_{d-1} <= p//2 and counts each of the others
+    through its negative, where |P_hat_n(-c)| = |P_hat_n(c)|. A negative
+    char_cap raises ValueError."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    check_caps(char_cap=char_cap)
     cfg.require_admissible()
-    return _ub_from_powers(next(islice(char_powers(cfg, char_cap), n, None)))
+    return _ub_from_powers(next(islice(char_powers(cfg, char_cap), n, None)), cfg.p)
 
 
 def char_lower_bound(
@@ -390,12 +451,19 @@ def orbit_constant_report(
     return report
 
 
+def check_caps(**caps: int) -> None:
+    """A budget counts steps, states or characters, so each named cap must
+    be >= 0 (ValueError); a cap of 0 is a budget that refuses any work."""
+    for name, cap in caps.items():
+        if cap < 0:
+            raise ValueError(f"{name} must be >= 0")
+
+
 def check_search(eps: float, n_cap: int) -> None:
     """Every mixing-time search needs 0 < eps < 1 and a step cap >= 0."""
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
-    if n_cap < 0:
-        raise ValueError("n_cap must be >= 0")
+    check_caps(n_cap=n_cap)
 
 
 def first_below(values: Iterable[float], eps: float, n_cap: int, method: str) -> int:
@@ -421,15 +489,17 @@ def mixing_time(
     """Least n with TV(P_n, U) <= eps (method='exact') or with the
     character upper bound <= eps (method='ub'); raises NotMixedError at
     the cap. n=0 counts: TV(P_0, U) = 1 - 1/p^d, so eps at or above that
-    returns 0 for either method. Bad inputs (`check_search`) raise ValueError."""
+    returns 0 for either method. Bad inputs (`check_search`, a negative
+    state_cap or char_cap) raise ValueError."""
     check_search(eps, n_cap)
+    check_caps(state_cap=state_cap, char_cap=char_cap)
     cfg.require_admissible()
     if eps >= 1.0 - 1.0 / cfg.num_states:
         return 0
     if method == "exact":
         values = map(exactdist.tv_from_uniform, exactdist.dense_states(cfg, state_cap))
     elif method == "ub":
-        values = map(_ub_from_powers, char_powers(cfg, char_cap))
+        values = (_ub_from_powers(G, cfg.p) for G in char_powers(cfg, char_cap))
     else:
         raise ValueError(f"unknown method {method!r} (want 'exact' or 'ub')")
     return first_below(values, eps, n_cap, method)
@@ -472,8 +542,10 @@ def bound_series(
     One engine runs at a time: the squared-modulus walk of char_powers
     goes up to max n and keeps only the ub and lb scalars, and its
     tables are dropped before the dense walk runs and keeps only
-    tv_exact. Each walk peaks at 32 bytes per state. Both caps are
-    checked before either walk steps."""
+    tv_exact. The character walk holds about half the characters and
+    peaks near 16 bytes per state, the dense walk at 32. Both caps are
+    checked before either walk steps; a negative one raises ValueError."""
+    check_caps(state_cap=state_cap, char_cap=char_cap)
     cfg.require_admissible()
     ns = sorted(set(int(n) for n in n_values))
     if ns and ns[0] < 0:
@@ -482,7 +554,7 @@ def bound_series(
         include_exact = cfg.num_states <= state_cap
     powers = char_powers(cfg, char_cap)
     states = exactdist.dense_states(cfg, state_cap) if include_exact else None
-    bounds = [(_ub_from_powers(G), _lb_from_powers(G)) for G in _picked(powers, ns)]
+    bounds = [(_ub_from_powers(G, cfg.p), _lb_from_powers(G)) for G in _picked(powers, ns)]
     del powers  # frees g, perm and the last G before the dense walk
     series = BoundSeries(
         n=ns, ub=[ub for ub, _ in bounds], lb=[lb for _, lb in bounds]

@@ -299,8 +299,10 @@ def mixing_search(
     """Least n at which the distance `method` measures is <= eps:
     `fourier.mixing_time` for 'exact' and 'ub', `projected_mixing_time`
     of (cfg.T, cfg.p) for 'projected'. Any other method raises
-    ValueError, as do inputs that break `fourier.check_search`."""
+    ValueError, as do inputs that break `fourier.check_search` and a
+    negative state_cap or char_cap, whichever method is asked for."""
     _check_method(method, METHODS)
+    fourier.check_caps(state_cap=state_cap, char_cap=char_cap)
     if method == "projected":
         return projected_mixing_time(cfg.T, cfg.p, eps, n_cap)
     return fourier.mixing_time(
@@ -371,9 +373,10 @@ def scaling_sweep(
     whose classification fails that way records the failure at every p.
     method: one of METHODS, or 'auto' to pick 'ub' for spectra off the
     unit circle and 'projected' for root-of-unity spectra. An unknown
-    method, an eps outside (0, 1) or a negative n_cap is refused before
-    any cell runs."""
+    method, an eps outside (0, 1) or a negative n_cap, char_cap or
+    state_cap is refused before any cell runs."""
     fourier.check_search(eps, n_cap)
+    fourier.check_caps(char_cap=char_cap, state_cap=state_cap)
     _check_method(method, ("auto", *METHODS))
     reports = []
     for T in Ts:

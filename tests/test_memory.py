@@ -3,8 +3,10 @@
 tracemalloc sees every numpy buffer, so each traced peak is held to a
 per-state budget plus a constant slack for Python objects and numpy's
 ufunc buffers. The budgets: the squared-modulus walk behind ub and lb
-holds |f|^2, the transpose permutation and the old and new |P_hat|^2
-(8 B each); the dense walk holds the state, the gather permutation, the
+steps only the characters with c_{d-1} <= p//2, about half of them, and
+holds |f|^2, the folded transpose map and the old and new |P_hat|^2
+(about 4 B per state each, 24 B budgeted; building the two tables peaks
+near 14 B); the dense walk holds the state, the gather permutation, the
 placed grid and the output (8 B each). bound_series runs one engine at
 a time, so its peak is the larger of the two. After each call returns,
 traced memory is back to its level before the call: no index table
@@ -36,10 +38,10 @@ NS = range(12)
 # call -> (peak budget in bytes per state, the call)
 CALLS = {
     "bound_series_exact": (32, lambda cfg: bound_series(cfg, NS, include_exact=True)),
-    "bound_series_no_exact": (32, lambda cfg: bound_series(cfg, NS, include_exact=False)),
+    "bound_series_no_exact": (24, lambda cfg: bound_series(cfg, NS, include_exact=False)),
     "mixing_time_exact": (32, lambda cfg: mixing_time(cfg, 0.25, method="exact")),
-    "mixing_time_ub": (32, lambda cfg: mixing_time(cfg, 0.25, method="ub")),
-    "ub_bound": (32, lambda cfg: ub_bound(max(NS), cfg)),
+    "mixing_time_ub": (24, lambda cfg: mixing_time(cfg, 0.25, method="ub")),
+    "ub_bound": (24, lambda cfg: ub_bound(max(NS), cfg)),
 }
 
 

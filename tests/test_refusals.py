@@ -56,6 +56,72 @@ class TestNegativeStepCap:
         assert out == "" and "n_cap must be >= 0" in err
 
 
+class TestNegativeCaps:
+    """state_cap and char_cap count states and characters, so a negative
+    one is a bad input (exit 2) by the rule n_cap follows, whichever
+    engine would run; a cap of 0 is still a budget that stops the work
+    (exit 4)."""
+
+    FAST = WalkConfig(IntMatrix([[2, 1], [1, 1]]), 11)
+    ROT = WalkConfig(IntMatrix([[0, -1], [1, 0]]), 101)
+    CAPS = {"state_cap": 10**6, "char_cap": 10**6}
+
+    @pytest.mark.parametrize("cap", ["state_cap", "char_cap"])
+    @pytest.mark.parametrize("call", [
+        lambda self, caps: montecarlo.mixing_search(self.FAST, 0.25, "exact", 100, **caps),
+        lambda self, caps: montecarlo.mixing_search(self.FAST, 0.25, "ub", 100, **caps),
+        lambda self, caps: montecarlo.mixing_search(self.ROT, 0.25, "projected", 100, **caps),
+        lambda self, caps: fourier.mixing_time(self.FAST, 0.25, method="exact", **caps),
+        lambda self, caps: fourier.mixing_time(self.FAST, 0.25, method="ub", **caps),
+        lambda self, caps: fourier.bound_series(self.FAST, [0, 3], **caps),
+    ], ids=["search-exact", "search-ub", "search-projected", "mixing_time-exact",
+            "mixing_time-ub", "bound_series"])
+    def test_library(self, call, cap):
+        with pytest.raises(ValueError, match=f"{cap} must be >= 0"):
+            call(self, {**self.CAPS, cap: -1})
+
+    def test_ub_bound(self):
+        with pytest.raises(ValueError, match="char_cap must be >= 0"):
+            fourier.ub_bound(3, self.FAST, char_cap=-1)
+
+    @pytest.mark.parametrize("cap", ["state_cap", "char_cap"])
+    def test_scaling_sweep_refuses_before_any_cell(self, cap, monkeypatch):
+        def boom(*args):
+            raise RuntimeError("classified a matrix")
+
+        monkeypatch.setattr(spectral, "classify", boom)
+        with pytest.raises(ValueError, match=f"{cap} must be >= 0"):
+            montecarlo.scaling_sweep([self.ROT.T], [101], 0.25, **{cap: -1})
+
+    COMMANDS = {
+        "mixtime": ["mixtime", "--matrix", "[[2,1],[1,1]]", "--p", "11", "--epsilon", "0.25"],
+        "mixtime-ub": ["mixtime", "--matrix", "[[2,1],[1,1]]", "--p", "11", "--epsilon",
+                       "0.25", "--method", "ub"],
+        "bounds": ["bounds", "--matrix", "[[2,1],[1,1]]", "--p", "11", "--n-max", "3"],
+        "bounds-exact": ["bounds", "--matrix", "[[2,1],[1,1]]", "--p", "11", "--n-max", "3",
+                         "--exact"],
+        "sweep": ["sweep", "--matrix", "[[2,1],[1,1]]", "--p", "11", "--epsilon", "0.25",
+                  "--method", "ub"],
+    }
+
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--state-cap", "-5", "state_cap"), ("--char-cap", "-1", "char_cap"),
+    ])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_cli_exit_2(self, command, flag, value, name, capsys):
+        assert cli.main(self.COMMANDS[command] + [flag, value]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and f"config error: {name} must be >= 0" in err
+
+    @pytest.mark.parametrize("command,flag", [
+        ("mixtime", "--state-cap"), ("mixtime-ub", "--char-cap"),
+        ("bounds", "--char-cap"), ("bounds-exact", "--state-cap"),
+    ])
+    def test_cli_zero_cap_is_a_budget(self, command, flag, capsys):
+        assert cli.main(self.COMMANDS[command] + [flag, "0"]) == cli.EXIT_BUDGET
+        assert "cap" in capsys.readouterr().err
+
+
 class TestSweepEpsilon:
     """A sweep refuses an epsilon outside (0, 1) once, before any cell
     runs, as mixtime does (exit 2), instead of one failure per cell."""

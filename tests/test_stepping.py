@@ -1,8 +1,11 @@
 """The stepping generators and the shared first-below search, checked
 against plain step-by-step reference loops with exact equality: the
 generators run the same float operations in the same order, so their
-results must match bit for bit. The projected law is the exception: it
-is read from the spectrum, so it matches its stepped reference to 1e-12.
+results must match bit for bit. Two exceptions match to 1e-12: the
+projected law is read from the spectrum, and the bounds' real walk steps
+half the characters and reads the rest through c -> -c, where
+|f(-c)| is rounded apart from |f(c)| and the square sum is taken in
+another order.
 
 The references share no code with the engines they check: the dense
 step is a bincount scatter onto T x + b, the index and factor tables go
@@ -143,6 +146,35 @@ def ref_powers(cfg, n):
     return out
 
 
+def ref_fold(cfg):
+    """Index of c, or of -c when c_{d-1} > p//2, for every character,
+    through the coordinate table."""
+    coords = indexing.all_coords(cfg.p, cfg.d)
+    top = coords[:, -1] > cfg.p // 2
+    return indexing.encode(np.where(top[:, None], -coords % cfg.p, coords), cfg.p)
+
+
+def ref_half_tables(cfg):
+    """|f|^2 and c -> T^t c folded by ref_fold, on the characters with
+    c_{d-1} <= p//2 (the first (p//2 + 1) p^(d-1) indices)."""
+    slab = (cfg.p // 2 + 1) * cfg.p ** (cfg.d - 1)
+    g = np.abs(ref_factor_table(cfg.p, cfg.d)) ** 2
+    return g[:slab], ref_fold(cfg)[ref_transpose_perm(cfg)][:slab]
+
+
+def assert_powers_read_through_fold(cfg, n):
+    """Every full-space reference value |P_hat_k(c)|^2, k <= n, equals the
+    half table of char_powers read at c or -c. f(c) and f(-c) are rounded
+    apart: near |f| ~ 1/p that moves |f|^2 by up to 2e-12 relative, at a
+    size near 4e-7 (over 2100 random walks with p^d <= 5000, at most
+    3.2e-19 past the relative margin), and at an exact zero of f each
+    side keeps a residue below 1e-30; hence the absolute floor."""
+    fold = ref_fold(cfg)
+    got = islice(fourier.char_powers(cfg), n + 1)
+    for H, G in zip(got, ref_powers(cfg, n), strict=True):
+        np.testing.assert_allclose(H[fold], G, rtol=1e-12, atol=1e-16)
+
+
 def ref_ub(G):
     return 0.5 * math.sqrt(float(G[1:].sum()))
 
@@ -183,8 +215,10 @@ class TestMatchesReferenceLoops:
         states, powers = ref_states(cfg, 7), ref_powers(cfg, 7)
         series = bound_series(cfg, ns, include_exact=True)
         assert series.n == ns
-        assert series.ub == [ref_ub(powers[n]) for n in ns]
-        assert series.lb == [ref_lb(powers[n]) for n in ns]
+        # the half-character walk reads c past p//2 through -c and sums in
+        # another order than the full-space reference: equal to round-off
+        assert series.ub == pytest.approx([ref_ub(powers[n]) for n in ns], rel=1e-12)
+        assert series.lb == pytest.approx([ref_lb(powers[n]) for n in ns], rel=1e-12)
         assert series.tv_exact == [ref_tv(states[n]) for n in ns]
 
     def test_mixing_time_exact(self, cfg):
@@ -195,15 +229,19 @@ class TestMatchesReferenceLoops:
         ubs = [ref_ub(G) for G in ref_powers(cfg, 60)]
         assert mixing_time(cfg, 0.1, method="ub") == ref_first_below(ubs, 0.1)
         for n in (0, 4, 9):
-            assert fourier.ub_bound(n, cfg) == ubs[n]
+            # the half-character walk reads c past p//2 through -c and sums
+            # in another order than the full-space reference
+            assert fourier.ub_bound(n, cfg) == pytest.approx(ubs[n], rel=1e-12)
 
 
 def test_bound_series_matches_reference_powers_at_p257():
     cfg = WalkConfig(IntMatrix([[2, 1], [1, 1]]), 257)  # 66049 characters
     series = bound_series(cfg, range(25), include_exact=False)
     powers = ref_powers(cfg, 24)
-    assert series.ub == [ref_ub(G) for G in powers]
-    assert series.lb == [ref_lb(G) for G in powers]
+    # the half-character walk reads c past p//2 through -c and sums in
+    # another order than the full-space reference: equal to round-off
+    assert series.ub == pytest.approx([ref_ub(G) for G in powers], rel=1e-12)
+    assert series.lb == pytest.approx([ref_lb(G) for G in powers], rel=1e-12)
 
 
 @pytest.mark.parametrize("cfg", MODULI_WALKS, ids=lambda c: f"d{c.d}-p{c.p}")
@@ -213,6 +251,8 @@ class TestMatchesCoordinateReferences:
         assert np.array_equal(
             step_factor_table(cfg.p, cfg.d), ref_factor_table(cfg.p, cfg.d)
         )
+        for got, want in zip(fourier._half_tables(cfg), ref_half_tables(cfg), strict=True):
+            assert np.array_equal(got, want)
 
     def test_dense_states(self, cfg):
         got = islice(exactdist.dense_states(cfg), STEPS + 1)
@@ -224,6 +264,9 @@ class TestMatchesCoordinateReferences:
         got = islice(char_transforms(cfg), STEPS + 1)
         for F, G in zip(got, ref_transforms(cfg, STEPS), strict=True):
             assert np.array_equal(F, G)
+
+    def test_char_powers(self, cfg):
+        assert_powers_read_through_fold(cfg, STEPS)
 
 
 @st.composite
@@ -241,6 +284,8 @@ def admissible_walks(draw):
 def test_random_walks_match_coordinate_references(cfg):
     assert np.array_equal(transpose_perm(cfg), ref_transpose_perm(cfg))
     assert np.array_equal(step_factor_table(cfg.p, cfg.d), ref_factor_table(cfg.p, cfg.d))
+    for got, want in zip(fourier._half_tables(cfg), ref_half_tables(cfg), strict=True):
+        assert np.array_equal(got, want)
     P = Q = exactdist.delta_at_zero(cfg.p, cfg.d)
     for _ in range(6):
         P, Q = step_exact(P, cfg), ref_step(Q, cfg)
@@ -279,6 +324,12 @@ def test_random_walks_bounds_match_complex_transform(cfg, n):
     lb = 0.5 * float(mods.max())
     assert series.ub[0] == pytest.approx(ub, rel=1e-12, abs=1e-150)
     assert series.lb[0] == pytest.approx(lb, rel=1e-12, abs=1e-150)
+
+
+@settings(max_examples=40, deadline=None)
+@given(admissible_walks(), st.integers(0, 29))
+def test_random_walks_char_powers_read_through_fold(cfg, n):
+    assert_powers_read_through_fold(cfg, n)
 
 
 @settings(max_examples=40, deadline=None)
