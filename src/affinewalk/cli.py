@@ -288,6 +288,9 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     if cfg.n is None or cfg.samples is None:
         raise ConfigError("simulate needs --n and --samples")
     walk = WalkConfig(cfg.T, cfg.p)
+    if not cfg.dump_states:  # refuse what empirical_tv would, before simulating
+        montecarlo.check_simulate(walk, cfg.n, cfg.samples)
+        montecarlo.check_counting(walk, cfg.samples)
     batch = montecarlo.simulate(walk, cfg.n, cfg.samples, cfg.seed)
     if cfg.dump_states:
         _emit(batch.states_csv(header_comment=cfg.meta()), cfg.output)

@@ -147,14 +147,23 @@ def step_exact(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
     return DenseDistribution(p, d, out.reshape(-1))
 
 
+def check_caps(**caps: int) -> None:
+    """A budget counts steps, states or characters, so each named cap must
+    be >= 0 (ValueError); a cap of 0 is a budget that refuses any work."""
+    for name, cap in caps.items():
+        if cap < 0:
+            raise ValueError(f"{name} must be >= 0")
+
+
 def dense_states(
     cfg: WalkConfig, state_cap: int = DEFAULT_STATE_CAP
 ) -> Iterator[DenseDistribution]:
     """P_0, P_1, P_2, ... from the point mass at zero, one step_exact per
     item, with the mass defect checked after every step. The state cap is
-    checked on the call; P_0 is allocated on the first draw, and the
-    gather table is dropped when the walk ends (exhausted, closed or
-    garbage-collected)."""
+    checked on the call (`check_caps`, then the budget); P_0 is allocated
+    on the first draw, and the gather table is dropped when the walk ends
+    (exhausted, closed or garbage-collected)."""
+    check_caps(state_cap=state_cap)
     if cfg.num_states > state_cap:
         raise BudgetError(
             f"p^d = {cfg.num_states} exceeds the dense-state cap {state_cap}"

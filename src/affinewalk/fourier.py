@@ -31,7 +31,7 @@ import numpy as np
 
 from . import exactdist, indexing
 from .errors import BudgetError, NotMixedError
-from .exactdist import WalkConfig
+from .exactdist import WalkConfig, check_caps
 from .modmath import ModVector, center, mat_vec_mod
 
 # A character is indexed by a residue vector c; rho_c(b) = q^(b . c).
@@ -157,7 +157,9 @@ def fourier_n(c: CharacterIndex, n: int, cfg: WalkConfig) -> complex:
 
 
 def _require_char_cap(cfg: WalkConfig, char_cap: int, advice: str) -> None:
-    """BudgetError when a table over every character would pass the cap."""
+    """BudgetError when a table over every character would pass the cap
+    (ValueError when the cap is negative)."""
+    check_caps(char_cap=char_cap)
     if cfg.num_states > char_cap:
         raise BudgetError(
             f"p^d = {cfg.num_states} exceeds the character cap {char_cap}; {advice}"
@@ -449,14 +451,6 @@ def orbit_constant_report(
     if found.size:
         report["c2_fit"] = float(found.max() / math.log(p))
     return report
-
-
-def check_caps(**caps: int) -> None:
-    """A budget counts steps, states or characters, so each named cap must
-    be >= 0 (ValueError); a cap of 0 is a budget that refuses any work."""
-    for name, cap in caps.items():
-        if cap < 0:
-            raise ValueError(f"{name} must be >= 0")
 
 
 def check_search(eps: float, n_cap: int) -> None:

@@ -1,6 +1,13 @@
 """Trajectory simulation, the slow-mixing apparatus, and the one entry
 point of every mixing-time search.
 
+`simulate` steps no walk. From X_0 = 0 the walk unrolls to
+X_n = sum_{k<n} T^(n-1-k) B_k mod p, the unrolling behind the product
+formula, so a final state is a sum of entries of one table of
+T^j e_b mod p, one read per group of g steps packed into a uint8 code;
+its docstring gives the group size rule, the tiling and why int64 is
+exact.
+
 When a root-of-unity factor of order m forces T^m to fix a direction
 mod p, the walk observed through that direction is a random walk on
 Z/pZ with increments supported on at most (d+1)^m residues. Its
@@ -51,7 +58,11 @@ from .modmath import (
 # stream layout never depends on thread count or batch size.
 RNG_CHUNK = 4096
 DEFAULT_SEED = 12345
-_INT64_MAX = 2**63 - 1
+DEFAULT_COUNT_CAP = 10_000_000  # states empirical_tv may histogram
+# `simulate` reads a chunk's step stream in tiles of rows holding at most
+# _TILE_ROWS_BYTES of steps, each tile reading at most _TILE_READS table rows
+_TILE_ROWS_BYTES = 2**20
+_TILE_READS = 2**17
 
 # the mixing-time methods `mixing_search` accepts
 METHODS = ("exact", "ub", "projected")
@@ -87,6 +98,92 @@ def _step_stream(seed: int, chunk_index: int, rows: int, n: int, d: int) -> np.n
     return gen.integers(0, d + 1, size=(rows, n), dtype=np.uint8)
 
 
+def _group_size(d: int, samples: int) -> int:
+    """Steps packed into one uint8 code: the largest g with (d+1)^g at
+    most 256 and at most `samples`, and 1 at least. A group's table row
+    holds (d+1)^g entries, so no row is longer than the walks that read
+    it."""
+    g = 1
+    while (d + 1) ** (g + 1) <= min(256, samples):
+        g += 1
+    return g
+
+
+def _increment_table(cfg: WalkConfig, n: int, g: int) -> np.ndarray:
+    """Row j*(d+1)^g + code: sum_t T^(m-1-jg-t) e_{b_t} mod p, with m the
+    multiple of g at or above n, e_0 = 0 and b_0 ... b_{g-1} the base
+    d+1 digits of code, most significant first. That is what group j of
+    the steps adds to X_n when time is counted from m - n steps before
+    the walk starts.
+
+    The powers T^k mod p, k < m, come by doubling from T mod p; a product
+    of two reduced matrices stays below d (p-1)^2 + 1, which the int64
+    refusal keeps exact. Each coordinate is built digit by digit, least
+    significant first, so every broadcast add runs along the codes, then
+    reduced into its column of the table."""
+    p, d = cfg.p, cfg.d
+    groups = -(-n // g)
+    m = groups * g
+    tm = np.array(cfg.T.mod(p).entries, dtype=np.int64)
+    pw = np.empty((m, d, d), dtype=np.int64)
+    pw[0] = np.eye(d, dtype=np.int64)
+    done = 1
+    while done < m:
+        k = min(done, m - done)
+        np.matmul(pw[done - 1] @ tm % p, pw[:k], out=pw[done : done + k])
+        pw[done : done + k] %= p
+        done += k
+    inc = np.zeros((m, d, d + 1), dtype=np.int64)  # [step, coordinate, b]
+    inc[:, :, 1:] = pw[::-1]
+    inc = inc.reshape(groups, g, d, d + 1)
+    table = np.empty((groups, (d + 1) ** g, d), dtype=np.int64)
+    for i in range(d):
+        W = inc[:, g - 1, i]
+        for t in range(g - 2, -1, -1):
+            W = (inc[:, t, i, :, None] + W[:, None, :]).reshape(groups, -1)
+        np.remainder(W, p, out=table[:, :, i])
+    return table.reshape(-1, d)
+
+
+def _add_unrolled(out: np.ndarray, stream: np.ndarray, table: np.ndarray, p: int, g: int) -> None:
+    """Add to out, mod p, the final states of the walks whose steps are
+    the rows of stream, one table row per group of g steps (see
+    simulate). Tiles hold at most _TILE_ROWS_BYTES // n stream rows (one
+    at least) by _TILE_READS // rows groups, codes and indices laid out
+    (groups, rows) so the gathered entries sum over axis 0; out is
+    reduced after every tile."""
+    rows, n = stream.shape
+    d = out.shape[1]
+    groups = -(-n // g)
+    pad = groups * g - n  # digits missing from the first group
+    offsets = np.arange(groups, dtype=np.intp)[:, None] * (d + 1) ** g
+    tile_rows = max(1, min(rows, _TILE_ROWS_BYTES // n))
+    tile_groups = max(1, _TILE_READS // tile_rows)
+    for r0 in range(0, rows, tile_rows):
+        steps, acc = stream[r0 : r0 + tile_rows], out[r0 : r0 + tile_rows]
+        for j0 in range(0, groups, tile_groups):
+            j1 = min(groups, j0 + tile_groups)
+            code = np.zeros((j1 - j0, len(steps)), dtype=np.uint8)
+            for t in range(g):
+                k = j0 * g + t - pad  # the step of digit t in group j0
+                skip = int(k < 0)  # only the first group lacks digits
+                code *= d + 1
+                code[skip:] += steps[:, k + skip * g : j1 * g + t - pad : g].T
+            idx = np.add(code, offsets[j0:j1], dtype=np.intp)
+            acc += table.take(idx, axis=0).sum(axis=0)
+            acc %= p
+
+
+def check_simulate(cfg: WalkConfig, n: int, samples: int) -> None:
+    """What simulate refuses, in its order: a negative n or samples
+    (ValueError), an inadmissible (T, p) (PreconditionError) and a modulus
+    past the int64 limit (BudgetError)."""
+    if n < 0 or samples < 0:
+        raise ValueError("n and samples must be >= 0")
+    cfg.require_admissible()
+    cfg.require_int64("simulate")
+
+
 def simulate(cfg: WalkConfig, n: int, samples: int, seed: int) -> TrajectoryBatch:
     """Run `samples` walks from the zero state for n i.i.d. steps.
 
@@ -95,60 +192,54 @@ def simulate(cfg: WalkConfig, n: int, samples: int, seed: int) -> TrajectoryBatc
     substream, so chunks could be filled in parallel without changing
     the result.
 
-    The state is kept as d int64 columns, and a step sets column i to
-    sum_j tm[i][j] col_j + [step == i+1], with tm = T mod p. Reduction
-    mod p is deferred: every entry stays in [0, hi] (tm is non-negative),
-    a step maps the bound hi to grow*hi + 1 with grow the largest row sum
-    of tm, and the columns are reduced only before a step that could
-    pass 2^63 - 1. Right after a reduction hi = p - 1 and grow <= d(p-1),
-    so the next step reaches at most d (p-1)^2 + 1: the int64 refusal
-    (BudgetError above that limit) is exactly what keeps every step
-    exact, and needs no change for the deferral.
+    No walk is stepped. From X_0 = 0 the walk unrolls to
+    X_n = sum_{k<n} T^(n-1-k) B_k mod p, so a final state is a sum of
+    table entries. g consecutive steps pack into one uint8 code by
+    Horner, g the largest integer with (d+1)^g <= 256 (and <= samples),
+    and one read of `_increment_table` adds the whole group. The leading
+    n mod g steps form a shorter first group: leading zero digits leave
+    a code unchanged and e_0 = 0, so the stream is never padded.
+
+    Each chunk's (rows, n) step stream is read in tiles (`_add_unrolled`)
+    whose temporaries keep one size however long the walk; the table,
+    built once per call, holds 8 d (d+1)^g / g bytes per step.
+
+    int64 is exact throughout under the int64 refusal (BudgetError when
+    d (p-1)^2 + 1 > 2^63 - 1): it keeps the table's matrix products
+    exact, and since then p < 2^32, a state below p plus the at most
+    _TILE_READS table entries below p that one tile adds stays below
+    2^50.
     """
-    if n < 0 or samples < 0:
-        raise ValueError("n and samples must be >= 0")
-    cfg.require_admissible()
-    cfg.require_int64("simulate")
-    p, d = cfg.p, cfg.d
-    steps = np.empty((n, samples), dtype=np.uint8)  # one row per time step
-    for ci, lo in enumerate(range(0, samples, RNG_CHUNK)):
-        rows = min(RNG_CHUNK, samples - lo)
-        steps[:, lo : lo + rows] = _step_stream(seed, ci, rows, n, d).T
-    tm = cfg.T.mod(p).entries
-    grow = max(sum(r) for r in tm)
-    cols = [np.zeros(samples, dtype=np.int64) for _ in range(d)]
-    hi = 0  # every entry of every column lies in [0, hi]
-    for s in steps:
-        if grow * hi + 1 > _INT64_MAX:
-            for c in cols:
-                np.remainder(c, p, out=c)
-            hi = p - 1
-        new = []
-        for i in range(d):
-            acc = (s == i + 1).astype(np.int64)
-            for j, t in enumerate(tm[i]):
-                if t:
-                    acc += t * cols[j]
-            new.append(acc)
-        cols = new
-        hi = grow * hi + 1
-    X = np.empty((samples, d), dtype=np.int64)
-    for i, c in enumerate(cols):
-        np.remainder(c, p, out=X[:, i])
+    check_simulate(cfg, n, samples)
+    X = np.zeros((samples, cfg.d), dtype=np.int64)
+    if n and samples:
+        g = _group_size(cfg.d, samples)
+        table = _increment_table(cfg, n, g)
+        for ci, lo in enumerate(range(0, samples, RNG_CHUNK)):
+            rows = min(RNG_CHUNK, samples - lo)
+            stream = _step_stream(seed, ci, rows, n, cfg.d)
+            _add_unrolled(X[lo : lo + rows], stream, table, cfg.p, g)
+            del stream  # freed before the next chunk's stream is drawn
     return TrajectoryBatch(cfg=cfg, n=n, seed=seed, samples=samples, final_states=X)
 
 
-def empirical_tv(batch: TrajectoryBatch, count_cap: int = 10_000_000) -> float:
+def check_counting(cfg: WalkConfig, samples: int, count_cap: int = DEFAULT_COUNT_CAP) -> None:
+    """What empirical_tv refuses, in its order, so a caller can refuse it
+    before simulating: a histogram over all p^d states past count_cap
+    (BudgetError) and nothing to count (ValueError)."""
+    if cfg.num_states > count_cap:
+        raise BudgetError(f"p^d = {cfg.num_states} exceeds the counting budget {count_cap}")
+    if samples == 0:
+        raise ValueError("empty batch")
+
+
+def empirical_tv(batch: TrajectoryBatch, count_cap: int = DEFAULT_COUNT_CAP) -> float:
     """TV between the batch's empirical histogram and uniform. Biased
     upward by about sqrt(p^d / samples); fine as a mixing indicator,
-    useless beyond the counting budget."""
-    n_states = batch.cfg.num_states
-    if n_states > count_cap:
-        raise BudgetError(f"p^d = {n_states} exceeds the counting budget {count_cap}")
-    if batch.samples == 0:
-        raise ValueError("empty batch")
+    useless beyond the counting budget (`check_counting`)."""
+    check_counting(batch.cfg, batch.samples, count_cap)
     idx = indexing.encode(batch.final_states, batch.cfg.p)
-    counts = np.bincount(idx, minlength=n_states)
+    counts = np.bincount(idx, minlength=batch.cfg.num_states)
     return exactdist.tv_vector(counts / batch.samples)
 
 
@@ -302,7 +393,7 @@ def mixing_search(
     ValueError, as do inputs that break `fourier.check_search` and a
     negative state_cap or char_cap, whichever method is asked for."""
     _check_method(method, METHODS)
-    fourier.check_caps(state_cap=state_cap, char_cap=char_cap)
+    exactdist.check_caps(state_cap=state_cap, char_cap=char_cap)
     if method == "projected":
         return projected_mixing_time(cfg.T, cfg.p, eps, n_cap)
     return fourier.mixing_time(
@@ -376,7 +467,7 @@ def scaling_sweep(
     method, an eps outside (0, 1) or a negative n_cap, char_cap or
     state_cap is refused before any cell runs."""
     fourier.check_search(eps, n_cap)
-    fourier.check_caps(char_cap=char_cap, state_cap=state_cap)
+    exactdist.check_caps(char_cap=char_cap, state_cap=state_cap)
     _check_method(method, ("auto", *METHODS))
     reports = []
     for T in Ts:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import readers
+from affinewalk import montecarlo
 from affinewalk.cli import main
 from affinewalk.montecarlo import METHODS
 
@@ -215,6 +216,18 @@ class TestSimulateCommand:
             )
             assert code == 0
         assert f1.read_bytes() == f2.read_bytes()
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (["--p", "3163", "--samples", "2000"], 4, "exceeds the counting budget"),
+        (["--p", "5", "--samples", "0"], 2, "empty batch"),
+    ], ids=["counting-budget", "no-samples"])
+    def test_tv_refusals_come_before_simulating(self, monkeypatch, capsys, argv, code, message):
+        def boom(*args):
+            raise AssertionError("simulated a batch empirical_tv refuses")
+
+        monkeypatch.setattr(montecarlo, "simulate", boom)
+        got, out, err = run(capsys, "simulate", "--matrix", "[[2,1],[1,1]]", "--n", "3", *argv)
+        assert got == code and out == "" and message in err
 
     def test_default_seed_documented_constant(self, capsys):
         code, out, _ = run(

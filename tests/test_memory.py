@@ -1,4 +1,5 @@
-"""Memory budgets of the exact engines, in bytes per state.
+"""Memory budgets of the exact engines, in bytes per state, and of
+`simulate`, in bytes per sample-step of one chunk.
 
 tracemalloc sees every numpy buffer, so each traced peak is held to a
 per-state budget plus a constant slack for Python objects and numpy's
@@ -18,13 +19,24 @@ buffers numpy's ufunc machinery may allocate for an add over a strided
 of the dense step runs on 1-D views and takes none; at d >= 3 the
 middle-axis slabs are 2-D, and at p = 47 only the wrap-around one takes
 buffers, 3 x 47^2 float64 (52 KiB).
+
+simulate holds one chunk's uint8 step stream (1 B per step of each of
+its min(samples, RNG_CHUNK) walks), the batch (8 d B per walk), the
+temporaries of one tile, a fixed size (a uint8 code, an intp index and
+d int64 table entries per table read), and, per step, the powers of T
+mod p and the increment table. That table holds 8 d (d+1)^g / g B per
+step: under 0.2 B per sample-step of a full chunk at d <= 2, and with
+fewer than 256 walks no more codes per group than walks, so 72 B per
+step for 10 walks at d = 2. The budget is 1.5 B per sample-step of one
+chunk, 16 d B per walk, 128 d^2 B per step and the tile's temporaries,
+plus the slack.
 """
 
 import tracemalloc
 
 import pytest
 
-from affinewalk import exactdist
+from affinewalk import exactdist, montecarlo
 from affinewalk.exactdist import WalkConfig
 from affinewalk.fourier import bound_series, mixing_time, ub_bound
 from affinewalk.modmath import IntMatrix
@@ -65,4 +77,28 @@ def test_peak_and_residue(traced, cfg, name):
     call(cfg)
     after, peak = tracemalloc.get_traced_memory()
     assert peak - before <= per_state * cfg.num_states + SLACK
+    assert after - before <= SLACK
+
+
+SIMULATIONS = [  # (walk, n, samples)
+    (WalkConfig(IntMatrix([[2, 1], [1, 1]]), 2**31 - 1), 20_000, 4096),  # a long walk
+    (WalkConfig(IntMatrix([[2, 1], [1, 1]]), 2**31 - 1), 2000, 40_000),  # a wide batch
+    (WalkConfig(IntMatrix([[-7]]), 3_037_000_500), 3000, 9000),  # the d = 1 int64 edge
+    (WalkConfig(IntMatrix([[2, 1], [1, 1]]), 101), 100_000, 10),  # a long walk of few walks
+]
+
+
+@pytest.mark.parametrize("cfg,n,samples", SIMULATIONS, ids=["long", "wide", "d1-edge", "few"])
+def test_simulate_peak_and_residue(traced, cfg, n, samples):
+    montecarlo.simulate(cfg, 1, 1, seed=0)  # numpy imports np.random on first use
+    before = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    batch = montecarlo.simulate(cfg, n, samples, seed=1)
+    peak = tracemalloc.get_traced_memory()[1]
+    del batch
+    after = tracemalloc.get_traced_memory()[0]
+    tile = (1 + 8 + 8 * cfg.d) * montecarlo._TILE_READS
+    chunk_steps = min(samples, montecarlo.RNG_CHUNK) * n
+    per_step = 128 * cfg.d**2 * n
+    assert peak - before <= 1.5 * chunk_steps + 16 * cfg.d * samples + per_step + tile + SLACK
     assert after - before <= SLACK

@@ -4,7 +4,7 @@ package error and an exit code, never in a traceback or a wrong answer."""
 import numpy as np
 import pytest
 
-from affinewalk import cli, fourier, indexing, montecarlo, spectral
+from affinewalk import cli, exactdist, fourier, indexing, montecarlo, spectral
 from affinewalk.errors import BudgetError, RootConvergenceError
 from affinewalk.exactdist import WalkConfig
 from affinewalk.modmath import IntMatrix, ModVector
@@ -83,6 +83,17 @@ class TestNegativeCaps:
     def test_ub_bound(self):
         with pytest.raises(ValueError, match="char_cap must be >= 0"):
             fourier.ub_bound(3, self.FAST, char_cap=-1)
+
+    @pytest.mark.parametrize("call,cap", [
+        (lambda cfg: fourier.fourier_n_all(1, cfg, char_cap=-1), "char_cap"),
+        (lambda cfg: fourier.char_powers(cfg, -1), "char_cap"),
+        (lambda cfg: exactdist.evolve(cfg, 1, state_cap=-1), "state_cap"),
+        (lambda cfg: exactdist.dense_states(cfg, -1), "state_cap"),
+    ], ids=["fourier_n_all", "char_powers", "evolve", "dense_states"])
+    def test_below_the_entry_points(self, call, cap):
+        # each read a negative cap as a budget (BudgetError) before
+        with pytest.raises(ValueError, match=f"{cap} must be >= 0"):
+            call(self.FAST)
 
     @pytest.mark.parametrize("cap", ["state_cap", "char_cap"])
     def test_scaling_sweep_refuses_before_any_cell(self, cap, monkeypatch):

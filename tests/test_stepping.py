@@ -512,9 +512,8 @@ def ref_first_large_sweep(cfg, c1, cs=None, ell_max=None):
 
 
 # d = 1..4, negative entries, composite moduli, and moduli at the int64
-# edge; [[3,-1],[1,0]] has T mod p entry p - 1, so at p = 2^31 simulate
-# must reduce before every step, and [[2,1],[1,1]] at 2^31 - 1 about
-# every 20 steps
+# edge; [[3,-1],[1,0]] has T mod p entry p - 1, so at p = 2^31 the
+# products that build simulate's powers of T mod p come near 2^63
 INT64_WALKS = [
     WalkConfig(IntMatrix([[5]]), 12),
     WalkConfig(IntMatrix([[-7]]), 3_037_000_500),  # the d = 1 edge
@@ -532,10 +531,20 @@ INT64_WALKS = [
 @pytest.mark.parametrize("cfg", INT64_WALKS, ids=lambda c: f"d{c.d}-p{c.p}")
 class TestInt64KernelsMatchReferences:
     def test_simulate(self, cfg):
-        for n, samples in ((0, 5), (3, 0), (1, 7), (45, 300)):
+        # n = 1001 is no multiple of any group size, so the first group is short
+        for n, samples in ((0, 5), (3, 0), (1, 7), (45, 300), (1001, 50)):
             got = montecarlo.simulate(cfg, n, samples, seed=11).final_states
             assert got.shape == (samples, cfg.d)
             assert np.array_equal(got, ref_simulate(cfg, n, samples, 11))
+
+    def test_simulate_in_small_tiles(self, cfg, monkeypatch):
+        # tiles of at most 2 rows by 32 groups at n = 1001: the short first
+        # group and every tile edge in both directions
+        monkeypatch.setattr(montecarlo, "_TILE_ROWS_BYTES", 2048)
+        monkeypatch.setattr(montecarlo, "_TILE_READS", 64)
+        for n, samples in ((1001, 50), (47, 300)):
+            got = montecarlo.simulate(cfg, n, samples, seed=13).final_states
+            assert np.array_equal(got, ref_simulate(cfg, n, samples, 13))
 
     def test_states_csv(self, cfg):
         for samples in (0, 1, 300):
