@@ -11,6 +11,12 @@ and no rolled copy is formed. A dense walk holds 32 bytes per state at
 its peak (the state, the permutation, the placed grid and the output),
 and the permutation is dropped when the walk ends. Mass drift is
 asserted, never renormalized away.
+
+The gather and the shifted adds of a step, and the build of the gather
+table, run by contiguous ranges on the CPUs of the process's affinity
+mask (`indexing.split_rows`). Each state takes the same terms in the
+same order whatever the split, so every state is bit-identical to a
+serial step; the reductions (the mass check, TV to uniform) stay serial.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 
 from . import indexing
 from .errors import BudgetError, PreconditionError
-from .modmath import IntMatrix, ModVector, is_admissible
+from .modmath import IntMatrix, ModVector, is_admissible, mat_inv_mod
 
 DEFAULT_STATE_CAP = 10_000_000
 MASS_TOL = 1e-12
@@ -107,13 +113,10 @@ def uniform(p: int, d: int) -> DenseDistribution:
 
 @lru_cache(maxsize=1)
 def _gather_index(T: IntMatrix, p: int) -> np.ndarray:
-    """Index map T x -> x over all states: the inverse of x -> T x mod p,
-    so a step reads its sources in index order. Only the latest table is
+    """Index map T x -> x over all states, that is x -> T^{-1} x mod p, so
+    a step reads its sources in index order. Only the latest table is
     kept, and dense_states drops it when its walk ends."""
-    base = indexing.linear_perm(T.mod(p).entries, p)
-    inv = np.empty_like(base)
-    inv[base] = np.arange(base.shape[0])
-    return inv
+    return indexing.linear_perm(mat_inv_mod(T, p).entries, p)
 
 
 def step_exact(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
@@ -129,22 +132,48 @@ def step_exact(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
     [1:] takes [:-1] and the wrap-around slab [:1] takes [-1:]. That is
     the addition order of the placed grid plus d rolled copies. Each state
     receives exactly d+1 terms, so mass is conserved up to float
-    addition."""
+    addition.
+
+    Both phases run by ranges (`indexing.split_rows`): the gather and
+    division by ranges of states, then, once every state is placed, the
+    shifted adds by ranges of rows of numpy axis 0, each row taking its
+    d+1 terms in the order above."""
     cfg.require_admissible()
     if (P.p, P.d) != (cfg.p, cfg.d):
         raise ValueError("distribution does not match config")
-    p, d = cfg.p, cfg.d
-    placed = P.masses[_gather_index(cfg.T, p)]
-    placed /= d + 1
+    p, d, n = cfg.p, cfg.d, cfg.num_states
+    src = _gather_index(cfg.T, p)
+    placed = np.empty(n)
+
+    def place(s):
+        np.take(P.masses, src[s], out=placed[s], mode="clip")
+        placed[s] /= d + 1
+
+    indexing.split_rows(place, n)
     grid = placed.reshape((p,) * d)
     out = np.empty_like(grid)
-    np.add(placed[1:], placed[:-1], out=out.reshape(-1)[1:])
-    np.add(grid[..., 0], grid[..., -1], out=out[..., 0])
-    for r in range(1, d):
-        g, o = np.moveaxis(grid, d - 1 - r, 0), np.moveaxis(out, d - 1 - r, 0)
-        o[1:] += g[:-1]
-        o[:1] += g[-1:]
-    return DenseDistribution(p, d, out.reshape(-1))
+    flat = out.reshape(-1)
+    runs, out_runs = placed.reshape(-1, p), flat.reshape(-1, p)  # x_0 = 0 .. p-1 per run
+    m = n // p  # states per row of numpy axis 0
+
+    def add_shifts(s):  # rows s of numpy axis 0: states [a, b)
+        a, b = s.start * m, s.stop * m
+        lo = max(a, 1)
+        np.add(placed[lo:b], placed[lo - 1 : b - 1], out=flat[lo:b])
+        i, j = -(-a // p), -(-b // p)  # the runs whose x_0 = 0 state lies in [a, b)
+        np.add(runs[i:j, 0], runs[i:j, -1], out=out_runs[i:j, 0])
+        for r in range(1, d - 1):
+            g, o = np.moveaxis(grid[s], d - 1 - r, 0), np.moveaxis(out[s], d - 1 - r, 0)
+            o[1:] += g[:-1]
+            o[:1] += g[-1:]
+        if d > 1:  # coordinate d-1 lies on numpy axis 0 and reads rows outside s
+            lo = max(s.start, 1)
+            out[lo : s.stop] += grid[lo - 1 : s.stop - 1]
+            if s.start == 0:
+                out[:1] += grid[-1:]
+
+    indexing.split_rows(add_shifts, p, m)
+    return DenseDistribution(p, d, flat)
 
 
 def check_caps(**caps: int) -> None:

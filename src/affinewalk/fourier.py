@@ -17,6 +17,13 @@ c -> T^t c commutes with negation: G_n = |P_hat_n|^2 is even. The real
 walk therefore steps only the characters whose top coordinate c_{d-1}
 lies in [0, p//2] - a prefix of the index order, about half of them -
 and reads G_n at any other character from its negative.
+
+Each step of that real walk, and the build of its two tables and of
+transpose_perm, runs by contiguous ranges of characters on the CPUs of
+the process's affinity mask (`indexing.split_rows`). Every character
+takes the same operations whatever the split, so G_n, ub and lb are
+bit-identical to a serial run; the square sum and the maximum behind ub
+and lb stay serial. The complex walk of char_transforms is not split.
 """
 
 from __future__ import annotations
@@ -174,42 +181,74 @@ def _half_tables(cfg: WalkConfig) -> tuple[np.ndarray, np.ndarray]:
     coordinate is above p//2, so every image stays in the slab. g is
     step_factor_table's |f|^2 on the slab, bit for bit. Both are
     broadcast over the slab's grid as indexing.linear_perm broadcasts over
-    the full one, so no table over every character is formed."""
+    the full one, so no table over every character is formed, and both
+    are filled by ranges of rows of numpy axis 0, which carries c_{d-1}
+    (`indexing.split_rows`)."""
     p, d = cfg.p, cfg.d
     k = np.arange(p, dtype=np.int64)
     spans = [k] * (d - 1) + [k[: p // 2 + 1]]  # the values of coordinate r
+    shape = (p // 2 + 1,) + (p,) * (d - 1)
     w = np.exp(2j * np.pi / p * k)
-    acc = np.ones((p // 2 + 1,) + (p,) * (d - 1), dtype=complex)
-    for r, span in enumerate(spans):
-        acc += indexing.along(w[span], d, r)
-    acc /= d + 1
-    g = np.abs(acc).reshape(-1)
+    *phases, lead = (indexing.along(w[span], d, r) for r, span in enumerate(spans))
+    head = np.ones((1,) + shape[1:], dtype=complex)
+    for ph in phases:  # 1 + q^c_0 + ... + q^c_{d-2}, in step_factor_table's order
+        head += ph
+    g = np.empty(shape)
+    perm = np.empty(shape, dtype=np.int64)
+    acc = np.empty(shape, dtype=complex)
+
+    def fill_g(s):  # rows s of numpy axis 0: the characters with c_{d-1} in s
+        np.add(head, lead[s], out=acc[s])
+        acc[s] /= d + 1
+        np.abs(acc[s], out=g[s])
+        g[s] **= 2
+
+    indexing.split_rows(fill_g, shape[0], p ** (d - 1))
     del acc
-    g **= 2
 
-    def image(row):  # one coordinate of T^t c over the slab's grid
-        y = sum(indexing.along(m * s % p, d, r) for r, (m, s) in enumerate(zip(row, spans)))
-        return np.remainder(y, p, out=y)
+    terms = []  # per coordinate j of T^t c: its c_{d-1} term, the sum of the others
+    for row in cfg.T.transpose().mod(p).entries:
+        *low, top = (indexing.along(m * span % p, d, r) for r, (m, span) in enumerate(zip(row, spans)))
+        terms.append((top, sum(low)))
+    y = np.empty(shape, dtype=np.int64)
+    flip = np.empty(shape, dtype=bool)  # images replaced by their negatives
 
-    rows = cfg.T.transpose().mod(p).entries
-    perm = image(rows[d - 1])
-    flip = perm > p // 2  # these images are replaced by their negatives
-    np.subtract(p, perm, out=perm, where=flip)
-    for row in reversed(rows[: d - 1]):  # Horner: index = sum_j y_j p^j
-        y = image(row)
-        np.negative(y, out=y, where=flip)
-        np.remainder(y, p, out=y)
-        perm *= p
-        perm += y
-        del y
-    return g, perm.reshape(-1)
+    def fill_perm(s):
+        o, t, f = perm[s], y[s], flip[s]
+        top, low = terms[d - 1]
+        np.add(top[s], low, out=o)
+        np.remainder(o, p, out=o)
+        np.greater(o, p // 2, out=f)
+        np.subtract(p, o, out=o, where=f)
+        for top, low in reversed(terms[: d - 1]):  # Horner: index = sum_j y_j p^j
+            np.add(top[s], low, out=t)
+            np.remainder(t, p, out=t)
+            np.negative(t, out=t, where=f)
+            np.remainder(t, p, out=t)
+            o *= p
+            o += t
+
+    indexing.split_rows(fill_perm, shape[0], p ** (d - 1))
+    return g.reshape(-1), perm.reshape(-1)
 
 
 def _char_walk(table: np.ndarray, perm: np.ndarray) -> Iterator[np.ndarray]:
     """W_0 = 1, W_1, ... by the one-step recurrence
-    W_{n+1}(c) = table(c) W_n(perm(c)), in the dtype of the table."""
-    W0 = np.ones(table.shape[0], dtype=table.dtype)
-    return accumulate(repeat(None), lambda W, _: table * W[perm], initial=W0)
+    W_{n+1}(c) = table(c) W_n(perm(c)) for a float64 table: each step
+    gathers into one fresh output and multiplies it in place, by ranges
+    of characters (`indexing.split_rows`)."""
+
+    def step(W, _):
+        out = np.empty_like(W)
+
+        def part(s):
+            np.take(W, perm[s], out=out[s], mode="clip")
+            out[s] *= table[s]
+
+        indexing.split_rows(part, out.shape[0])
+        return out
+
+    return accumulate(repeat(None), step, initial=np.ones(table.shape[0]))
 
 
 def char_transforms(
@@ -220,7 +259,14 @@ def char_transforms(
     checked on the call, before any item is drawn; admissibility is the
     caller's to check."""
     _require_char_cap(cfg, char_cap, "use char_lower_bound on sampled candidates instead")
-    return _char_walk(step_factor_table(cfg.p, cfg.d), transpose_perm(cfg))
+    table, perm = step_factor_table(cfg.p, cfg.d), transpose_perm(cfg)
+    # Keep `table * F[perm]` as written: from 256 KiB on, numpy elides the
+    # temporary and computes it in place as F[perm] * table, and a complex
+    # product rounds differently once its operands are swapped or it is
+    # formed in place, so any other spelling changes the bits of
+    # fourier_n_all, which the reference loops in the tests reproduce.
+    F0 = np.ones(table.shape[0], dtype=complex)
+    return accumulate(repeat(None), lambda F, _: table * F[perm], initial=F0)
 
 
 def char_powers(cfg: WalkConfig, char_cap: int = DEFAULT_CHAR_CAP) -> Iterator[np.ndarray]:

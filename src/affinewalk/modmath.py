@@ -176,6 +176,28 @@ def is_admissible(T: IntMatrix, p: int) -> bool:
     return det != 0 and math.gcd(abs(det), p) == 1
 
 
+def mat_inv_mod(T: IntMatrix, p: int) -> IntMatrix:
+    """T^{-1} mod p, entries in [0, p): the adjugate times det(T)^{-1}
+    mod p. Holds for every modulus p >= 2 with gcd(det T, p) = 1,
+    composite p included, since only the determinant is inverted; a
+    determinant that is not a unit mod p raises PreconditionError."""
+    if p < 2:
+        raise ValueError("modulus must be >= 2")
+    det = int_det(T)
+    if math.gcd(det, p) != 1:
+        raise PreconditionError(f"det T = {det} is not a unit mod {p}")
+    inv = pow(det, -1, p)
+    d = T.dim
+
+    def cofactor(i, j):  # (-1)^(i+j) times the minor without row i and column j
+        if d == 1:
+            return 1
+        minor = [row[:j] + row[j + 1 :] for k, row in enumerate(T.entries) if k != i]
+        return (-1) ** (i + j) * int_det(IntMatrix(minor))
+
+    return IntMatrix([[cofactor(j, i) * inv % p for j in range(d)] for i in range(d)])
+
+
 def mat_pow_mod(T: IntMatrix, k: int, p: int) -> IntMatrix:
     """T^k with entries reduced mod p; binary exponentiation, reducing at
     every multiply so operands never grow past p^2 * d."""

@@ -7,11 +7,13 @@ ufunc buffers. The budgets: the squared-modulus walk behind ub and lb
 steps only the characters with c_{d-1} <= p//2, about half of them, and
 holds |f|^2, the folded transpose map and the old and new |P_hat|^2
 (about 4 B per state each, 24 B budgeted; building the two tables peaks
-near 14 B); the dense walk holds the state, the gather permutation, the
-placed grid and the output (8 B each). bound_series runs one engine at
-a time, so its peak is the larger of the two. After each call returns,
-traced memory is back to its level before the call: no index table
-outlives its walk.
+near 16 B too); the dense walk holds the state, the gather permutation,
+the placed grid and the output (8 B each). bound_series runs one engine
+at a time, so its peak is the larger of the two. After each call
+returns, traced memory is back to its level before the call: no index
+table outlives its walk. Each budget holds with the tables and walk
+steps run on the calling thread and split into uneven ranges on three
+threads (`indexing.split_rows`), which allocates nothing of its own.
 
 The slack is a constant, not a share of p^d. Its largest part is the
 buffers numpy's ufunc machinery may allocate for an add over a strided
@@ -36,7 +38,7 @@ import tracemalloc
 
 import pytest
 
-from affinewalk import exactdist, montecarlo
+from affinewalk import cli, exactdist, montecarlo
 from affinewalk.exactdist import WalkConfig
 from affinewalk.fourier import bound_series, mixing_time, ub_bound
 from affinewalk.modmath import IntMatrix
@@ -78,6 +80,26 @@ def test_peak_and_residue(traced, cfg, name):
     after, peak = tracemalloc.get_traced_memory()
     assert peak - before <= per_state * cfg.num_states + SLACK
     assert after - before <= SLACK
+
+
+@pytest.mark.parametrize("name", CALLS)
+@pytest.mark.parametrize("cfg", WALKS, ids=["d2-p317", "d3-p47"])
+def test_peak_and_residue_split(traced, forced_split, cfg, name):
+    # the split allocates nothing of its own, and no worker keeps an array
+    # alive after its walk
+    test_peak_and_residue(traced, cfg, name)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+def test_bounds_exact_leaves_nothing(traced, tmp_path, request, split):
+    if split:
+        request.getfixturevalue("forced_split")
+    argv = ["bounds", "--matrix", "[[0,0,1],[1,0,-1],[0,1,3]]", "--p", "47",
+            "--n-min", "0", "--n-max", "11", "--exact", "-o", str(tmp_path / "b.csv")]
+    assert cli.main(argv) == 0  # the first run imports what the command needs
+    before = tracemalloc.get_traced_memory()[0]
+    assert cli.main(argv) == 0
+    assert tracemalloc.get_traced_memory()[0] - before <= SLACK
 
 
 SIMULATIONS = [  # (walk, n, samples)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from affinewalk import indexing
@@ -16,6 +16,7 @@ from affinewalk.modmath import (
     int_det,
     is_admissible,
     is_prime,
+    mat_inv_mod,
     mat_pow_exact,
     mat_pow_mod,
     mat_vec_mod,
@@ -108,6 +109,40 @@ class TestMatPowMod:
         assert mat_pow_exact(big, 3) == big @ big @ big
         with pytest.raises(ValueError):
             mat_pow_exact(FIB, -1)
+
+
+@st.composite
+def unit_det_matrices(draw):
+    """(T, p) with gcd(det T, p) = 1, d = 1..4, p = 2..60: prime,
+    composite and even moduli."""
+    d = draw(st.integers(1, 4))
+    p = draw(st.integers(2, 60))
+    entries = draw(st.lists(st.integers(-3 * p, 3 * p), min_size=d * d, max_size=d * d))
+    T = IntMatrix([entries[i * d : (i + 1) * d] for i in range(d)])
+    assume(is_admissible(T, p))
+    return T, p
+
+
+class TestMatInvMod:
+    @settings(max_examples=200, deadline=None)
+    @given(unit_det_matrices())
+    def test_inverse_on_both_sides(self, walk):
+        T, p = walk
+        inv = mat_inv_mod(T, p)
+        assert all(0 <= x < p for row in inv.entries for x in row)
+        assert (inv @ T).mod(p) == IntMatrix.identity(T.dim)
+        assert (T @ inv).mod(p) == IntMatrix.identity(T.dim)
+
+    def test_composite_modulus(self):
+        # det = 1 is a unit mod every p; Z/12Z is not a field
+        assert mat_inv_mod(FIB, 12) == IntMatrix([[1, 11], [11, 2]])
+
+    @pytest.mark.parametrize(
+        "T,p", [(IntMatrix([[2, 0], [0, 3]]), 12), (IntMatrix([[1, 2], [2, 4]]), 7), (IntMatrix([[4]]), 6)]
+    )
+    def test_non_unit_determinant_refused(self, T, p):
+        with pytest.raises(PreconditionError):
+            mat_inv_mod(T, p)
 
 
 class TestCenter:
