@@ -2,11 +2,13 @@
 
 Subcommands: classify, bounds, mixtime, orbit, project, simulate, sweep.
 Options can come from flags or from a JSON config file (--config);
-flags override file values. Every CSV output starts with a comment line
-carrying the tool version and the full effective config; JSON outputs
-carry the same information in a "meta" field. Outputs contain nothing
-run-dependent (no timestamps), so identical configs give identical
-bytes.
+flags override file values. Only sweep takes several matrices, and only
+sweep and classify several moduli (classify reports admissibility at
+each); any other second --matrix or --p is refused (exit 2). Every CSV
+output starts with a comment line carrying the tool version and the
+full effective config; JSON outputs carry the same information in a
+"meta" field. Outputs contain nothing run-dependent (no timestamps), so
+identical configs give identical bytes.
 
 Exit codes: 0 ok, 2 bad config (an --epsilon outside (0, 1) included),
 3 mathematical precondition violated (singular matrix, inadmissible or
@@ -74,12 +76,20 @@ class ExperimentConfig:
 
     @property
     def T(self) -> IntMatrix:
+        """The one matrix of a single-walk command; only sweep reads
+        several."""
+        if len(self.matrices) > 1:
+            raise ConfigError(f"one matrix is allowed here, got {len(self.matrices)}")
         return self.matrices[0]
 
     @property
     def p(self) -> int:
+        """The one modulus of a single-walk command; sweep and classify
+        read every modulus through ps."""
         if not self.ps:
             raise ConfigError("a modulus p is required")
+        if len(self.ps) > 1:
+            raise ConfigError(f"one modulus p is allowed here, got {len(self.ps)}")
         return self.ps[0]
 
     def meta(self) -> str:
@@ -337,7 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
             action="append",
             help='row-major JSON, e.g. "[[2,1],[1,1]]" (repeatable for sweep)',
         )
-        sp.add_argument("--p", type=int, action="append", dest="p", help="modulus (repeatable)")
+        sp.add_argument(
+            "--p", type=int, action="append", dest="p",
+            help="modulus (repeatable for sweep and classify)",
+        )
         sp.add_argument("-o", "--output", help="output file (default stdout)")
 
     def caps(sp):

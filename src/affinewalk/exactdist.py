@@ -1,7 +1,5 @@
 """Ground-truth engine: exact dense evolution of the walk distribution
-over all p^d states, total variation distance to uniform, and a direct
-character transform (an FFT) used as the oracle for the product-formula
-module.
+over all p^d states and its total variation distance to uniform.
 
 Dense float64 vectors in mixed-radix index order (see indexing). A step
 places P(x)/(d+1) on T x with one gather through an inverse permutation,
@@ -30,7 +28,7 @@ import numpy as np
 
 from . import indexing
 from .errors import BudgetError, PreconditionError
-from .modmath import IntMatrix, ModVector, is_admissible, mat_inv_mod
+from .modmath import IntMatrix, is_admissible, mat_inv_mod
 
 DEFAULT_STATE_CAP = 10_000_000
 MASS_TOL = 1e-12
@@ -96,19 +94,11 @@ class DenseDistribution:
         if defect > MASS_TOL:
             raise AssertionError(f"mass drifted by {defect:.3e}")
 
-    def prob(self, state) -> float:
-        return float(self.masses[indexing.index_of(state, self.p)])
-
 
 def delta_at_zero(p: int, d: int) -> DenseDistribution:
     masses = np.zeros(p**d)
     masses[0] = 1.0
     return DenseDistribution(p, d, masses)
-
-
-def uniform(p: int, d: int) -> DenseDistribution:
-    n = p**d
-    return DenseDistribution(p, d, np.full(n, 1.0 / n))
 
 
 @lru_cache(maxsize=1)
@@ -223,28 +213,6 @@ def evolve(
 
 def tv_from_uniform(P: DenseDistribution) -> float:
     return tv_vector(P.masses)
-
-
-def dft(P: DenseDistribution) -> np.ndarray:
-    """Character transform: out[c] = sum_s P(s) q^(s . c), q = e^(2 pi i/p),
-    indexed like the state space. The sign of the exponent makes this an
-    unnormalised inverse DFT over the (p,)*d grid: np.fft.ifftn times
-    p^d, cost O(p^d log p)."""
-    p, d = P.p, P.d
-    return (np.fft.ifftn(P.masses.reshape((p,) * d)) * p**d).reshape(-1)
-
-
-def pushforward(P: DenseDistribution, v: ModVector) -> np.ndarray:
-    """Distribution of v . x mod p under P (length-p vector). A linear
-    functional is a coarsening, and when gcd(v, p) = 1 it maps the
-    uniform law to the uniform law, so its TV to uniform lower-bounds the
-    full TV (data-processing); for a v sharing a factor with a composite
-    p it does not. v . x mod p is formed on the (p,)*d grid by
-    broadcasting, with no (p^d, d) coordinate table."""
-    if v.p != P.p or v.d != P.d:
-        raise ValueError("functional does not match state space")
-    vals = indexing.linear_perm([v.entries], P.p)
-    return np.bincount(vals, weights=P.masses, minlength=P.p)
 
 
 def tv_vector(dist_p: np.ndarray) -> float:

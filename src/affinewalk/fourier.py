@@ -8,22 +8,22 @@ bounds, orbit statistics (how fast a coordinate of (T^t)^l c gets
 pushed out to size ~ p), and mixing-time searches.
 
 Both bounds need only the squared moduli, which compose the same way:
-|P_hat_n(c)|^2 = prod_{j<n} |f((T^t)^j c)|^2. The bound engines step
-that real product (char_powers) rather than the complex transform
-(char_transforms), which stays for fourier_n_all and the dft oracle.
+|P_hat_n(c)|^2 = prod_{j<n} |f((T^t)^j c)|^2, so the one walk over all
+characters (char_powers) steps that real product.
 
 P_n is a real law, so P_hat_n(-c) is the conjugate of P_hat_n(c), and
 c -> T^t c commutes with negation: G_n = |P_hat_n|^2 is even. The real
 walk therefore steps only the characters whose top coordinate c_{d-1}
 lies in [0, p//2] - a prefix of the index order, about half of them -
-and reads G_n at any other character from its negative.
+and reads G_n at any other character from its negative. Its two tables,
+|f|^2 (step_factor_table) and the folded map c -> +-T^t c
+(transpose_perm), are built over that slab alone.
 
-Each step of that real walk, and the build of its two tables and of
-transpose_perm, runs by contiguous ranges of characters on the CPUs of
-the process's affinity mask (`indexing.split_rows`). Every character
-takes the same operations whatever the split, so G_n, ub and lb are
-bit-identical to a serial run; the square sum and the maximum behind ub
-and lb stay serial. The complex walk of char_transforms is not split.
+Each step of that real walk, and the build of its two tables, runs by
+contiguous ranges of characters on the CPUs of the process's affinity
+mask (`indexing.split_rows`). Every character takes the same operations
+whatever the split, so G_n, ub and lb are bit-identical to a serial run;
+the square sum and the maximum behind ub and lb stay serial.
 """
 
 from __future__ import annotations
@@ -71,19 +71,87 @@ def step_factor(c: CharacterIndex) -> complex:
     return acc / (d + 1)
 
 
+def _slab(p: int, d: int) -> tuple[list[np.ndarray], tuple[int, ...]]:
+    """The values of each coordinate r over the characters with top
+    coordinate c_{d-1} in [0, p//2], the first (p//2 + 1) p^(d-1)
+    indices, and the shape of their grid, whose numpy axis 0 carries
+    c_{d-1}."""
+    k = np.arange(p, dtype=np.int64)
+    return [k] * (d - 1) + [k[: p // 2 + 1]], (p // 2 + 1,) + (p,) * (d - 1)
+
+
 def step_factor_table(p: int, d: int) -> np.ndarray:
-    """f(c) for every character index at once: the p phases q^k, added
-    to a grid of ones along each coordinate in turn."""
-    w = np.exp(2j * np.pi / p * np.arange(p))
-    acc = np.ones((p,) * d, dtype=complex)
-    for r in range(d):
-        acc += indexing.along(w, d, r)
-    return (acc / (d + 1)).reshape(-1)
+    """g = |f|^2 over the characters with top coordinate c_{d-1} in
+    [0, p//2]: the p phases q^k added to a grid of ones along each
+    coordinate in turn, divided by d+1, then squared in modulus.
+
+    The phases are broadcast over the slab's grid as
+    indexing.linear_perm broadcasts over the full one, so no table over
+    every character is formed, and the grid is filled by ranges of rows
+    of numpy axis 0 (`indexing.split_rows`)."""
+    spans, shape = _slab(p, d)
+    w = np.exp(2j * np.pi / p * np.arange(p, dtype=np.int64))
+    *phases, lead = (indexing.along(w[span], d, r) for r, span in enumerate(spans))
+    head = np.ones((1,) + shape[1:], dtype=complex)
+    for ph in phases:  # 1 + q^c_0 + ... + q^c_{d-2}
+        head += ph
+    # g, which outlives the build, before the temporary acc: of the orders
+    # tried, this one gave the lowest peak RSS on the bound walk
+    g = np.empty(shape)
+    acc = np.empty(shape, dtype=complex)
+
+    def fill(s):  # rows s of numpy axis 0: the characters with c_{d-1} in s
+        # head + lead as a copy and an in-place add: a broadcast np.add over
+        # the grid takes numpy's ufunc buffers for both operands, in every
+        # range of the split at once, and the copy takes none
+        acc[s] = head
+        acc[s] += lead[s]
+        acc[s] /= d + 1
+        np.abs(acc[s], out=g[s])
+        g[s] **= 2
+
+    indexing.split_rows(fill, shape[0], p ** (d - 1))
+    return g.reshape(-1)
 
 
 def transpose_perm(cfg: WalkConfig) -> np.ndarray:
-    """Index map c -> T^t c mod p over all characters."""
-    return indexing.linear_perm(cfg.T.transpose().mod(cfg.p).entries, cfg.p)
+    """The folded map over the characters with top coordinate c_{d-1} in
+    [0, p//2]: c goes to T^t c, or to -T^t c when that image's top
+    coordinate is above p//2, so every image stays in the slab.
+
+    Built as step_factor_table is, by broadcasting over the slab's grid
+    and by ranges of its rows: the top coordinate of the image decides
+    the flip, and the lower ones are negated where it flipped and added
+    in by Horner's rule, index = sum_j y_j p^j."""
+    p, d = cfg.p, cfg.d
+    spans, shape = _slab(p, d)
+    terms = []  # per coordinate j of T^t c: its c_{d-1} term, the sum of the others
+    for row in cfg.T.transpose().mod(p).entries:
+        *low, top = (indexing.along(m * span % p, d, r) for r, (m, span) in enumerate(zip(row, spans)))
+        terms.append((top, sum(low)))
+    perm = np.empty(shape, dtype=np.int64)
+    y = np.empty(shape, dtype=np.int64)
+    flip = np.empty(shape, dtype=bool)  # images replaced by their negatives
+
+    def fill(s):
+        o, t, f = perm[s], y[s], flip[s]
+        top, low = terms[d - 1]
+        o[...] = low  # low + top as a copy and an in-place add (see step_factor_table)
+        o += top[s]
+        np.remainder(o, p, out=o)
+        np.greater(o, p // 2, out=f)
+        np.subtract(p, o, out=o, where=f)
+        for top, low in reversed(terms[: d - 1]):
+            t[...] = low
+            t += top[s]
+            np.remainder(t, p, out=t)
+            np.negative(t, out=t, where=f)
+            np.remainder(t, p, out=t)
+            o *= p
+            o += t
+
+    indexing.split_rows(fill, shape[0], p ** (d - 1))
+    return perm.reshape(-1)
 
 
 def _check_c1(c1: float) -> None:
@@ -105,6 +173,12 @@ def contraction_gap(d: int, c1: float = DEFAULT_C1) -> float:
     """
     _check_c1(c1)
     return (1.0 - math.cos(2 * math.pi * c1)) / (2 * (d + 1))
+
+
+def _check_character(c: CharacterIndex, cfg: WalkConfig) -> None:
+    """A character of the walk has the walk's modulus and dimension."""
+    if c.p != cfg.p or c.d != cfg.d:
+        raise ValueError("character does not match config")
 
 
 def _orbit(c: CharacterIndex, cfg: WalkConfig, limit: int):
@@ -145,8 +219,7 @@ def fourier_n(c: CharacterIndex, n: int, cfg: WalkConfig) -> complex:
     if n < 0:
         raise ValueError("n must be >= 0")
     cfg.require_admissible()
-    if c.p != cfg.p or c.d != cfg.d:
-        raise ValueError("character does not match config")
+    _check_character(c, cfg)
     orbit, cyc_start, cyc_len = _orbit(c, cfg, n)
     factors = [step_factor(v) for v in orbit]
     if len(factors) == n:
@@ -173,65 +246,6 @@ def _require_char_cap(cfg: WalkConfig, char_cap: int, advice: str) -> None:
         )
 
 
-def _half_tables(cfg: WalkConfig) -> tuple[np.ndarray, np.ndarray]:
-    """g = |f|^2 and the folded map over the characters with top coordinate
-    c_{d-1} in [0, p//2], the first (p//2 + 1) p^(d-1) indices.
-
-    The folded map sends c to T^t c, or to -T^t c when that image's top
-    coordinate is above p//2, so every image stays in the slab. g is
-    step_factor_table's |f|^2 on the slab, bit for bit. Both are
-    broadcast over the slab's grid as indexing.linear_perm broadcasts over
-    the full one, so no table over every character is formed, and both
-    are filled by ranges of rows of numpy axis 0, which carries c_{d-1}
-    (`indexing.split_rows`)."""
-    p, d = cfg.p, cfg.d
-    k = np.arange(p, dtype=np.int64)
-    spans = [k] * (d - 1) + [k[: p // 2 + 1]]  # the values of coordinate r
-    shape = (p // 2 + 1,) + (p,) * (d - 1)
-    w = np.exp(2j * np.pi / p * k)
-    *phases, lead = (indexing.along(w[span], d, r) for r, span in enumerate(spans))
-    head = np.ones((1,) + shape[1:], dtype=complex)
-    for ph in phases:  # 1 + q^c_0 + ... + q^c_{d-2}, in step_factor_table's order
-        head += ph
-    g = np.empty(shape)
-    perm = np.empty(shape, dtype=np.int64)
-    acc = np.empty(shape, dtype=complex)
-
-    def fill_g(s):  # rows s of numpy axis 0: the characters with c_{d-1} in s
-        np.add(head, lead[s], out=acc[s])
-        acc[s] /= d + 1
-        np.abs(acc[s], out=g[s])
-        g[s] **= 2
-
-    indexing.split_rows(fill_g, shape[0], p ** (d - 1))
-    del acc
-
-    terms = []  # per coordinate j of T^t c: its c_{d-1} term, the sum of the others
-    for row in cfg.T.transpose().mod(p).entries:
-        *low, top = (indexing.along(m * span % p, d, r) for r, (m, span) in enumerate(zip(row, spans)))
-        terms.append((top, sum(low)))
-    y = np.empty(shape, dtype=np.int64)
-    flip = np.empty(shape, dtype=bool)  # images replaced by their negatives
-
-    def fill_perm(s):
-        o, t, f = perm[s], y[s], flip[s]
-        top, low = terms[d - 1]
-        np.add(top[s], low, out=o)
-        np.remainder(o, p, out=o)
-        np.greater(o, p // 2, out=f)
-        np.subtract(p, o, out=o, where=f)
-        for top, low in reversed(terms[: d - 1]):  # Horner: index = sum_j y_j p^j
-            np.add(top[s], low, out=t)
-            np.remainder(t, p, out=t)
-            np.negative(t, out=t, where=f)
-            np.remainder(t, p, out=t)
-            o *= p
-            o += t
-
-    indexing.split_rows(fill_perm, shape[0], p ** (d - 1))
-    return g.reshape(-1), perm.reshape(-1)
-
-
 def _char_walk(table: np.ndarray, perm: np.ndarray) -> Iterator[np.ndarray]:
     """W_0 = 1, W_1, ... by the one-step recurrence
     W_{n+1}(c) = table(c) W_n(perm(c)) for a float64 table: each step
@@ -251,48 +265,20 @@ def _char_walk(table: np.ndarray, perm: np.ndarray) -> Iterator[np.ndarray]:
     return accumulate(repeat(None), step, initial=np.ones(table.shape[0]))
 
 
-def char_transforms(
-    cfg: WalkConfig, char_cap: int = DEFAULT_CHAR_CAP
-) -> Iterator[np.ndarray]:
-    """P_hat_0, P_hat_1, ... over every character, by the one-step
-    recurrence P_hat_{n+1}(c) = f(c) P_hat_n(T^t c). The character cap is
-    checked on the call, before any item is drawn; admissibility is the
-    caller's to check."""
-    _require_char_cap(cfg, char_cap, "use char_lower_bound on sampled candidates instead")
-    table, perm = step_factor_table(cfg.p, cfg.d), transpose_perm(cfg)
-    # Keep `table * F[perm]` as written: from 256 KiB on, numpy elides the
-    # temporary and computes it in place as F[perm] * table, and a complex
-    # product rounds differently once its operands are swapped or it is
-    # formed in place, so any other spelling changes the bits of
-    # fourier_n_all, which the reference loops in the tests reproduce.
-    F0 = np.ones(table.shape[0], dtype=complex)
-    return accumulate(repeat(None), lambda F, _: table * F[perm], initial=F0)
-
-
 def char_powers(cfg: WalkConfig, char_cap: int = DEFAULT_CHAR_CAP) -> Iterator[np.ndarray]:
     """G_n = |P_hat_n|^2 for n = 0, 1, ..., over the characters with top
     coordinate c_{d-1} in [0, p//2] (the first (p//2 + 1) p^(d-1)
     indices); G_n is even, so G_n(c) for any other c is G_n(-c).
 
     The walk is G_{n+1}(c) = |f(c)|^2 G_n(T^t c), with T^t c folded onto
-    -T^t c when its top coordinate is above p//2 (`_half_tables`): a
-    float64 walk over about half the characters, a quarter of the bytes
-    of char_transforms and no modulus per step. Moduli below about 1e-154
-    square to below the normal float range and lose digits there. The
-    character cap counts every character, p^d; caps and admissibility as
-    for char_transforms."""
+    -T^t c when its top coordinate is above p//2 (step_factor_table and
+    transpose_perm): a float64 walk over about half the characters with
+    no modulus per step. Moduli below about 1e-154 square to below the
+    normal float range and lose digits there. The character cap counts
+    every character, p^d, and is checked on the call, before any item is
+    drawn; admissibility is the caller's to check."""
     _require_char_cap(cfg, char_cap, "use char_lower_bound on sampled candidates instead")
-    return _char_walk(*_half_tables(cfg))
-
-
-def fourier_n_all(
-    n: int, cfg: WalkConfig, char_cap: int = DEFAULT_CHAR_CAP
-) -> np.ndarray:
-    """P_hat_n over every character at once (see char_transforms)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    cfg.require_admissible()
-    return next(islice(char_transforms(cfg, char_cap), n, None))
+    return _char_walk(step_factor_table(cfg.p, cfg.d), transpose_perm(cfg))
 
 
 def _ub_from_powers(G: np.ndarray, p: int) -> float:
@@ -382,6 +368,7 @@ def orbit_analysis(
     (the orbit is then fully known) or at ell_max. first_large_ell stays
     None if the threshold is never reached on the explored orbit - a
     reportable counterexample to the chosen c1."""
+    _check_character(c, cfg)
     if c.is_zero():
         raise ValueError("orbit analysis needs a nonzero character")
     _check_c1(c1)

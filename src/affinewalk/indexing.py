@@ -137,18 +137,3 @@ def linear_perm(rows, p: int) -> np.ndarray:
     split_rows(fill, p, p ** (d - 1))
     return out.reshape(-1)
 
-
-def index_of(state, p: int) -> int:
-    """Index of a single state given as a sequence of residues."""
-    acc = 0
-    for x in reversed(tuple(state)):
-        acc = acc * p + int(x) % p
-    return acc
-
-
-def state_of(index: int, p: int, d: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(d):
-        index, r = divmod(index, p)
-        out.append(r)
-    return tuple(out)

@@ -1,0 +1,70 @@
+"""Oracles the tests check the engines against: the dense character
+transform, the law of a linear functional, the uniform law, the full
+table of the one-step multiplier, and single-state indexing. Nothing in
+the package calls them.
+"""
+
+import numpy as np
+
+from affinewalk import indexing
+from affinewalk.exactdist import DenseDistribution
+from affinewalk.modmath import ModVector
+
+
+def index_of(state, p: int) -> int:
+    """Index of a single state given as a sequence of residues."""
+    acc = 0
+    for x in reversed(tuple(state)):
+        acc = acc * p + int(x) % p
+    return acc
+
+
+def state_of(index: int, p: int, d: int) -> tuple[int, ...]:
+    """Residues of the state at an index, coordinate 0 first."""
+    out = []
+    for _ in range(d):
+        index, r = divmod(index, p)
+        out.append(r)
+    return tuple(out)
+
+
+def prob(P: DenseDistribution, state) -> float:
+    """Mass of P at a single state."""
+    return float(P.masses[index_of(state, P.p)])
+
+
+def uniform(p: int, d: int) -> DenseDistribution:
+    n = p**d
+    return DenseDistribution(p, d, np.full(n, 1.0 / n))
+
+
+def dft(P: DenseDistribution) -> np.ndarray:
+    """Character transform: out[c] = sum_s P(s) q^(s . c), q = e^(2 pi i/p),
+    indexed like the state space. The sign of the exponent makes this an
+    unnormalised inverse DFT over the (p,)*d grid: np.fft.ifftn times
+    p^d, cost O(p^d log p)."""
+    p, d = P.p, P.d
+    return (np.fft.ifftn(P.masses.reshape((p,) * d)) * p**d).reshape(-1)
+
+
+def pushforward(P: DenseDistribution, v: ModVector) -> np.ndarray:
+    """Distribution of v . x mod p under P (length-p vector). A linear
+    functional is a coarsening, and when gcd(v, p) = 1 it maps the
+    uniform law to the uniform law, so its TV to uniform lower-bounds the
+    full TV (data-processing); for a v sharing a factor with a composite
+    p it does not. v . x mod p is formed on the (p,)*d grid by
+    broadcasting, with no (p^d, d) coordinate table."""
+    if v.p != P.p or v.d != P.d:
+        raise ValueError("functional does not match state space")
+    vals = indexing.linear_perm([v.entries], P.p)
+    return np.bincount(vals, weights=P.masses, minlength=P.p)
+
+
+def factor_table(p: int, d: int) -> np.ndarray:
+    """The one-step multiplier f(c) = (1 + sum_r q^{c_r})/(d+1) at every
+    character, through the (p^d, d) coordinate table."""
+    coords = indexing.all_coords(p, d)
+    acc = np.ones(coords.shape[0], dtype=complex)
+    for r in range(d):
+        acc += np.exp(2j * np.pi / p * coords[:, r])
+    return acc / (d + 1)

@@ -177,6 +177,14 @@ class TestOrbitCommand:
         assert "ell_max must be >= 0" in err
 
 
+    def test_character_of_another_dimension_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "orbit", "--matrix", "[[2,1],[1,1]]", "--p", "11", "--c", "[1]"
+        )
+        assert code == 2 and out == ""
+        assert "config error: character does not match config" in err
+
+
 class TestProjectCommand:
     def test_eigendirection_json(self, capsys):
         code, out, _ = run(capsys, "project", "--matrix", "[[1,1],[0,2]]", "--p", "101")
@@ -335,6 +343,45 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"matrix": [[2, 1], [1, 1]], "tol": 1}))
         code, out, _ = run(capsys, "classify", "--config", str(cfg))
         assert code == 0 and json.loads(out)["tolerance"] == 1
+
+
+class TestOneWalkPerCommand:
+    """Only sweep reads several matrices, and only sweep and classify
+    several moduli; any other command refuses a second one rather than
+    answer for the first."""
+
+    FIB = ["--matrix", "[[2,1],[1,1]]"]
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--n-max", "3"],
+        ["mixtime", "--epsilon", "0.25", "--method", "ub"],
+        ["orbit", "--c", "[1,0]"],
+        ["project"],
+        ["simulate", "--n", "3", "--samples", "5"],
+    ], ids=lambda argv: argv[0])
+    def test_second_p_exit_2(self, argv, capsys):
+        code, out, err = run(capsys, argv[0], *self.FIB, "--p", "11", "--p", "13", *argv[1:])
+        assert code == 2 and out == ""
+        assert "config error: one modulus p is allowed here, got 2" in err
+
+    def test_list_of_p_in_config_file_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "matrix": [[2, 1], [1, 1]], "p": [11, 13], "epsilon": 0.25, "method": "ub",
+        }))
+        code, out, err = run(capsys, "mixtime", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "config error: one modulus p is allowed here, got 2" in err
+
+    def test_classify_second_matrix_exit_2(self, capsys):
+        code, out, err = run(capsys, "classify", *self.FIB, "--matrix", "[[0,-1],[1,0]]")
+        assert code == 2 and out == ""
+        assert "config error: one matrix is allowed here, got 2" in err
+
+    def test_classify_reads_every_p(self, capsys):
+        code, out, _ = run(capsys, "classify", *self.FIB, "--p", "11", "--p", "13")
+        assert code == 0
+        assert json.loads(out)["admissible"] == {"11": True, "13": True}
 
 
 class TestMultiMatrixSweep:

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 import readers
 from affinewalk import exactdist, indexing
 from affinewalk.errors import BudgetError, NotMixedError
-from affinewalk.exactdist import WalkConfig, delta_at_zero, dft, step_exact
+from affinewalk.exactdist import WalkConfig, delta_at_zero, evolve, step_exact
 from affinewalk.fourier import (
     bound_series,
     char_lower_bound,
@@ -15,12 +16,10 @@ from affinewalk.fourier import (
     default_ell_max,
     first_large_sweep,
     fourier_n,
-    fourier_n_all,
     mixing_time,
     orbit_analysis,
     orbit_constant_report,
     step_factor,
-    step_factor_table,
     transpose_perm,
     ub_bound,
 )
@@ -45,13 +44,13 @@ class TestStepFactor:
         assert step_factor(ModVector(2, [1, 1])) == pytest.approx(-1 / 3)
 
     def test_table_matches_scalar(self):
-        table = step_factor_table(7, 2)
+        table = oracles.factor_table(7, 2)
         for idx in range(49):
-            c = ModVector(7, indexing.state_of(idx, 7, 2))
+            c = ModVector(7, oracles.state_of(idx, 7, 2))
             assert table[idx] == pytest.approx(step_factor(c))
 
     def test_modulus_at_most_one_with_equality_iff_zero(self):
-        table = np.abs(step_factor_table(7, 2))
+        table = np.abs(oracles.factor_table(7, 2))
         assert table[0] == pytest.approx(1.0)
         assert table.max() <= 1.0 + 1e-15
         assert table[1:].max() < 1.0
@@ -62,7 +61,7 @@ class TestStepFactor:
         p, d, c1 = 101, 2, 0.125
         gap = contraction_gap(d, c1)
         assert gap == pytest.approx((1 - math.cos(2 * math.pi * c1)) / (2 * (d + 1)))
-        table = np.abs(step_factor_table(p, d))
+        table = np.abs(oracles.factor_table(p, d))
         coords = indexing.all_coords(p, d)
         centered = np.minimum(coords, p - coords).max(axis=1)
         big = centered >= c1 * p
@@ -72,12 +71,12 @@ class TestStepFactor:
 class TestFourierN:
     def test_n0_is_one(self):
         for idx in range(25):
-            c = ModVector(5, indexing.state_of(idx, 5, 2))
+            c = ModVector(5, oracles.state_of(idx, 5, 2))
             assert fourier_n(c, 0, CFG5) == pytest.approx(1.0)
 
     def test_n1_is_step_factor(self):
         for idx in range(25):
-            c = ModVector(5, indexing.state_of(idx, 5, 2))
+            c = ModVector(5, oracles.state_of(idx, 5, 2))
             assert fourier_n(c, 1, CFG5) == pytest.approx(step_factor(c))
 
     @pytest.mark.parametrize("T", [FIB, UPPER, ROT], ids=lambda m: m.tag())
@@ -88,16 +87,16 @@ class TestFourierN:
         for n in range(0, 16):
             if n:
                 P = step_exact(P, cfg)
-            hat = dft(P)
+            hat = oracles.dft(P)
             for idx in (0, 1, p, p + 1, p * p - 1):
-                c = ModVector(p, indexing.state_of(idx, p, 2))
+                c = ModVector(p, oracles.state_of(idx, p, 2))
                 assert abs(fourier_n(c, n, cfg) - hat[idx]) < 1e-9
 
     def test_batch_matches_per_character(self):
         cfg = WalkConfig(FIB, 7)
-        F = fourier_n_all(9, cfg)
+        F = oracles.dft(evolve(cfg, 9))
         for idx in range(49):
-            c = ModVector(7, indexing.state_of(idx, 7, 2))
+            c = ModVector(7, oracles.state_of(idx, 7, 2))
             assert F[idx] == pytest.approx(fourier_n(c, 9, cfg))
 
     def test_cycle_power_matches_direct_product(self):
@@ -123,7 +122,7 @@ class TestFourierN:
         Tt = FIB.transpose()
         for a, b in [(3, 4), (0, 9), (7, 2), (11, 13)]:
             for idx in (1, 8, 30):
-                c = ModVector(7, indexing.state_of(idx, 7, 2))
+                c = ModVector(7, oracles.state_of(idx, 7, 2))
                 shifted = c
                 for _ in range(b):
                     shifted = mat_vec_mod(Tt, shifted, 7)
@@ -146,7 +145,7 @@ class TestUpperBound:
     def test_matches_sum_over_fourier_n(self):
         n = 6
         total = sum(
-            abs(fourier_n(ModVector(5, indexing.state_of(i, 5, 2)), n, CFG5)) ** 2
+            abs(fourier_n(ModVector(5, oracles.state_of(i, 5, 2)), n, CFG5)) ** 2
             for i in range(1, 25)
         )
         assert ub_bound(n, CFG5) == pytest.approx(0.5 * math.sqrt(total))
@@ -170,7 +169,7 @@ class TestCharLowerBound:
         for p in (5, 7):
             cfg = WalkConfig(FIB, p)
             cands = [
-                ModVector(p, indexing.state_of(i, p, 2)) for i in range(1, p * p)
+                ModVector(p, oracles.state_of(i, p, 2)) for i in range(1, p * p)
             ]
             P = delta_at_zero(p, 2)
             for n in range(0, 12):
@@ -213,7 +212,7 @@ class TestOrbitAnalysis:
     def test_purely_periodic_exhaustive_p7(self):
         cfg = WalkConfig(FIB, 7)
         for idx in range(1, 49):
-            c = ModVector(7, indexing.state_of(idx, 7, 2))
+            c = ModVector(7, oracles.state_of(idx, 7, 2))
             rec = orbit_analysis(c, cfg, ell_max=60)
             assert rec.cycle_start == 0  # invertible T^t: no pre-period
             assert rec.cycle_length is not None
@@ -229,6 +228,13 @@ class TestOrbitAnalysis:
         rec = orbit_analysis(ModVector(7, [1, 0]), cfg, c1=0.5, ell_max=60)
         assert rec.first_large_ell is None
 
+    def test_character_of_another_dimension_refused(self):
+        # orbit_analysis and fourier_n share one check
+        cfg = WalkConfig(FIB, 11)
+        for call in (orbit_analysis, lambda c, cfg: fourier_n(c, 3, cfg)):
+            with pytest.raises(ValueError, match="character does not match config"):
+                call(ModVector(11, [1]), cfg)
+
     def test_json_round_trip(self):
         cfg = WalkConfig(FIB, 101)
         rec = orbit_analysis(ModVector(101, [1, 0]), cfg)
@@ -241,7 +247,7 @@ class TestFirstLargeSweep:
         cfg = WalkConfig(FIB, 101)
         firsts = first_large_sweep(cfg, c1=1 / 8)
         for idx in (1, 2, 57, 1000, 10200):
-            c = ModVector(101, indexing.state_of(idx, 101, 2))
+            c = ModVector(101, oracles.state_of(idx, 101, 2))
             rec = orbit_analysis(c, cfg, c1=1 / 8)
             assert rec.first_large_ell == firsts[idx - 1]
 
@@ -321,10 +327,15 @@ class TestBoundSeries:
 
 
 def test_transpose_perm_definition():
+    # the characters with c_1 <= 2, each sent to T^t c, or to -T^t c when
+    # the top coordinate of T^t c is above 2
     cfg = WalkConfig(UPPER, 5)
     perm = transpose_perm(cfg)
+    assert perm.shape == (15,)
     Tt = UPPER.transpose()
-    for idx in range(25):
-        c = ModVector(5, indexing.state_of(idx, 5, 2))
-        expected = indexing.index_of(mat_vec_mod(Tt, c, 5).entries, 5)
-        assert perm[idx] == expected
+    for idx in range(15):
+        c = ModVector(5, oracles.state_of(idx, 5, 2))
+        image = mat_vec_mod(Tt, c, 5).entries
+        if image[1] > 2:
+            image = [-x for x in image]
+        assert perm[idx] == oracles.index_of(image, 5)

@@ -6,14 +6,17 @@ per-state budget plus a constant slack for Python objects and numpy's
 ufunc buffers. The budgets: the squared-modulus walk behind ub and lb
 steps only the characters with c_{d-1} <= p//2, about half of them, and
 holds |f|^2, the folded transpose map and the old and new |P_hat|^2
-(about 4 B per state each, 24 B budgeted; building the two tables peaks
-near 16 B too); the dense walk holds the state, the gather permutation,
-the placed grid and the output (8 B each). bound_series runs one engine
-at a time, so its peak is the larger of the two. After each call
-returns, traced memory is back to its level before the call: no index
-table outlives its walk. Each budget holds with the tables and walk
-steps run on the calling thread and split into uneven ranges on three
-threads (`indexing.split_rows`), which allocates nothing of its own.
+(about 4 B per state each, 24 B budgeted). Building the two tables
+peaks near 13 B (16 B budgeted): step_factor_table holds |f|^2 and its
+complex temporary (12 B), then transpose_perm holds the folded map, the
+image coordinate and the flip mask next to |f|^2 (12.5 B). The dense
+walk holds the state, the gather permutation, the placed grid and the
+output (8 B each). bound_series runs one engine at a time, so its peak
+is the larger of the two. After each call returns, traced memory is
+back to its level before the call: no index table outlives its walk.
+Each budget holds with the tables and walk steps run on the calling
+thread and split into uneven ranges on three threads
+(`indexing.split_rows`), which allocates nothing of its own.
 
 The slack is a constant, not a share of p^d. Its largest part is the
 buffers numpy's ufunc machinery may allocate for an add over a strided
@@ -40,7 +43,13 @@ import pytest
 
 from affinewalk import cli, exactdist, montecarlo
 from affinewalk.exactdist import WalkConfig
-from affinewalk.fourier import bound_series, mixing_time, ub_bound
+from affinewalk.fourier import (
+    bound_series,
+    mixing_time,
+    step_factor_table,
+    transpose_perm,
+    ub_bound,
+)
 from affinewalk.modmath import IntMatrix
 
 SLACK = 128 * 1024
@@ -56,6 +65,7 @@ CALLS = {
     "mixing_time_exact": (32, lambda cfg: mixing_time(cfg, 0.25, method="exact")),
     "mixing_time_ub": (24, lambda cfg: mixing_time(cfg, 0.25, method="ub")),
     "ub_bound": (24, lambda cfg: ub_bound(max(NS), cfg)),
+    "tables": (16, lambda cfg: (step_factor_table(cfg.p, cfg.d), transpose_perm(cfg))),
 }
 
 

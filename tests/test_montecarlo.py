@@ -5,10 +5,11 @@ from itertools import product
 import numpy as np
 import pytest
 
+import oracles
 import readers
 from affinewalk import indexing, spectral
 from affinewalk.errors import BudgetError, PreconditionError, RootConvergenceError
-from affinewalk.exactdist import WalkConfig, evolve, pushforward, tv_from_uniform, tv_vector
+from affinewalk.exactdist import WalkConfig, evolve, tv_from_uniform, tv_vector
 from affinewalk.fourier import fourier_n
 from affinewalk.modmath import IntMatrix, ModVector, mat_pow_mod
 from affinewalk.montecarlo import (
@@ -49,7 +50,7 @@ class TestSimulate:
         idx = indexing.encode(batch.final_states, 5)
         freqs = np.bincount(idx, minlength=25) / batch.samples
         # only 0, e1, e2 reachable, each ~1/3
-        support = {0, indexing.index_of((1, 0), 5), indexing.index_of((0, 1), 5)}
+        support = {0, oracles.index_of((1, 0), 5), oracles.index_of((0, 1), 5)}
         assert set(np.nonzero(freqs)[0]) == support
         assert np.abs(freqs[list(support)] - 1 / 3).max() < 0.02
 
@@ -221,7 +222,7 @@ class TestProjectedWalk:
         rep = projection_functional(UPPER, 7)
         cfg = WalkConfig(UPPER, 7)
         for blocks in range(0, 12):
-            dense = pushforward(evolve(cfg, blocks), rep.v)
+            dense = oracles.pushforward(evolve(cfg, blocks), rep.v)
             walk = projected_walk_dist(rep, cfg, blocks)
             assert np.abs(dense - walk).max() < 1e-10
 
@@ -229,7 +230,7 @@ class TestProjectedWalk:
         rep = projection_functional(ROT, 5)
         cfg = WalkConfig(ROT, 5)
         for blocks in (0, 1, 2, 3):
-            dense = pushforward(evolve(cfg, 4 * blocks), rep.v)
+            dense = oracles.pushforward(evolve(cfg, 4 * blocks), rep.v)
             walk = projected_walk_dist(rep, cfg, blocks)
             assert np.abs(dense - walk).max() < 1e-10
 

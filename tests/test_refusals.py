@@ -85,11 +85,10 @@ class TestNegativeCaps:
             fourier.ub_bound(3, self.FAST, char_cap=-1)
 
     @pytest.mark.parametrize("call,cap", [
-        (lambda cfg: fourier.fourier_n_all(1, cfg, char_cap=-1), "char_cap"),
         (lambda cfg: fourier.char_powers(cfg, -1), "char_cap"),
         (lambda cfg: exactdist.evolve(cfg, 1, state_cap=-1), "state_cap"),
         (lambda cfg: exactdist.dense_states(cfg, -1), "state_cap"),
-    ], ids=["fourier_n_all", "char_powers", "evolve", "dense_states"])
+    ], ids=["char_powers", "evolve", "dense_states"])
     def test_below_the_entry_points(self, call, cap):
         # each read a negative cap as a budget (BudgetError) before
         with pytest.raises(ValueError, match=f"{cap} must be >= 0"):

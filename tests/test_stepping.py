@@ -22,14 +22,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from affinewalk import exactdist, fourier, indexing, montecarlo
 from affinewalk.errors import BudgetError, NotMixedError
 from affinewalk.exactdist import DenseDistribution, WalkConfig, evolve, step_exact
 from affinewalk.fourier import (
     bound_series,
-    char_transforms,
     first_below,
-    fourier_n_all,
     mixing_time,
     step_factor_table,
     transpose_perm,
@@ -94,14 +93,6 @@ def ref_transpose_perm(cfg):
     return indexing.encode(coords @ ref_tmod(cfg) % cfg.p, cfg.p)
 
 
-def ref_factor_table(p, d):
-    coords = indexing.all_coords(p, d)
-    acc = np.ones(coords.shape[0], dtype=complex)
-    for r in range(d):
-        acc += np.exp(2j * np.pi / p * coords[:, r])
-    return acc / (d + 1)
-
-
 def ref_step(P, cfg):
     """Scatter P(x)/(d+1) onto T x, then onto T x + e_r for r = 0..d-1,
     one bincount each."""
@@ -132,7 +123,9 @@ def ref_states(cfg, n):
 
 
 def ref_transforms(cfg, n):
-    f = ref_factor_table(cfg.p, cfg.d)
+    """P_hat_0, ..., P_hat_n over every character by F = f * F[perm], the
+    complex walk of the product formula."""
+    f = oracles.factor_table(cfg.p, cfg.d)
     perm = ref_transpose_perm(cfg)
     F = np.ones(cfg.num_states, dtype=complex)
     out = [F]
@@ -145,7 +138,7 @@ def ref_transforms(cfg, n):
 def ref_powers(cfg, n):
     """|P_hat_0|^2, ..., |P_hat_n|^2 by G = g * G[perm], g = |f|^2 taken
     from the complex factor table."""
-    g = np.abs(ref_factor_table(cfg.p, cfg.d)) ** 2
+    g = np.abs(oracles.factor_table(cfg.p, cfg.d)) ** 2
     perm = ref_transpose_perm(cfg)
     G = np.ones(cfg.num_states)
     out = [G]
@@ -167,7 +160,7 @@ def ref_half_tables(cfg):
     """|f|^2 and c -> T^t c folded by ref_fold, on the characters with
     c_{d-1} <= p//2 (the first (p//2 + 1) p^(d-1) indices)."""
     slab = (cfg.p // 2 + 1) * cfg.p ** (cfg.d - 1)
-    g = np.abs(ref_factor_table(cfg.p, cfg.d)) ** 2
+    g = np.abs(oracles.factor_table(cfg.p, cfg.d)) ** 2
     return g[:slab], ref_fold(cfg)[ref_transpose_perm(cfg)][:slab]
 
 
@@ -237,10 +230,6 @@ class TestMatchesReferenceLoops:
         for n, P in enumerate(ref_states(cfg, 6)):
             assert np.array_equal(evolve(cfg, n).masses, P.masses)
 
-    def test_fourier_n_all(self, cfg):
-        for n, F in enumerate(ref_transforms(cfg, 6)):
-            assert np.array_equal(fourier_n_all(n, cfg), F)
-
     def test_bound_series(self, cfg):
         ns = [0, 2, 3, 7]
         states, powers = ref_states(cfg, 7), ref_powers(cfg, 7)
@@ -278,13 +267,10 @@ def test_bound_series_matches_reference_powers_at_p257():
 @pytest.mark.parametrize("cfg", MODULI_WALKS, ids=lambda c: f"d{c.d}-p{c.p}")
 class TestMatchesCoordinateReferences:
     def test_tables(self, cfg):
-        assert np.array_equal(transpose_perm(cfg), ref_transpose_perm(cfg))
         assert np.array_equal(exactdist._gather_index(cfg.T, cfg.p), ref_gather_index(cfg))
-        assert np.array_equal(
-            step_factor_table(cfg.p, cfg.d), ref_factor_table(cfg.p, cfg.d)
-        )
-        for got, want in zip(fourier._half_tables(cfg), ref_half_tables(cfg), strict=True):
-            assert np.array_equal(got, want)
+        g, perm = ref_half_tables(cfg)
+        assert np.array_equal(step_factor_table(cfg.p, cfg.d), g)
+        assert np.array_equal(transpose_perm(cfg), perm)
 
     def test_dense_states(self, cfg):
         got = islice(exactdist.dense_states(cfg), STEPS + 1)
@@ -292,25 +278,20 @@ class TestMatchesCoordinateReferences:
             assert np.array_equal(P.masses, Q.masses)
             assert ref_tv(P) == exactdist.tv_from_uniform(P)
 
-    def test_char_transforms(self, cfg):
-        got = islice(char_transforms(cfg), STEPS + 1)
-        for F, G in zip(got, ref_transforms(cfg, STEPS), strict=True):
-            assert np.array_equal(F, G)
-
     def test_char_powers(self, cfg):
         assert_powers_read_through_fold(cfg, STEPS)
 
 
 def every_table(cfg):
-    """The index and factor tables and STEPS steps of the dense walk, the
-    bound walk and the complex walk."""
+    """The index and factor tables and STEPS steps of the dense walk and
+    the bound walk."""
     exactdist._gather_index.cache_clear()
     return [
         exactdist._gather_index(cfg.T, cfg.p),
-        *fourier._half_tables(cfg),
+        step_factor_table(cfg.p, cfg.d),
+        transpose_perm(cfg),
         *(P.masses for P in islice(exactdist.dense_states(cfg), STEPS + 1)),
         *islice(fourier.char_powers(cfg), STEPS + 1),
-        *islice(char_transforms(cfg), STEPS + 1),
     ]
 
 
@@ -364,11 +345,10 @@ def admissible_walks(draw):
 @settings(max_examples=60, deadline=None)
 @given(admissible_walks())
 def test_random_walks_match_coordinate_references(cfg):
-    assert np.array_equal(transpose_perm(cfg), ref_transpose_perm(cfg))
     assert np.array_equal(exactdist._gather_index(cfg.T, cfg.p), ref_gather_index(cfg))
-    assert np.array_equal(step_factor_table(cfg.p, cfg.d), ref_factor_table(cfg.p, cfg.d))
-    for got, want in zip(fourier._half_tables(cfg), ref_half_tables(cfg), strict=True):
-        assert np.array_equal(got, want)
+    g, perm = ref_half_tables(cfg)
+    assert np.array_equal(step_factor_table(cfg.p, cfg.d), g)
+    assert np.array_equal(transpose_perm(cfg), perm)
     P = Q = exactdist.delta_at_zero(cfg.p, cfg.d)
     for _ in range(6):
         P, Q = step_exact(P, cfg), ref_step(Q, cfg)
@@ -381,8 +361,8 @@ def test_random_walks_match_coordinate_references(cfg):
 def test_random_walks_product_formula_matches_dft(cfg, n):
     # both sides are float sums of at most 5000 terms of modulus <= 1;
     # over 400 random walks they differed by at most 2.6e-15
-    got = fourier_n_all(n, cfg)
-    assert np.abs(got - exactdist.dft(evolve(cfg, n))).max() <= 1e-12
+    got = ref_transforms(cfg, n)[n]
+    assert np.abs(got - oracles.dft(evolve(cfg, n))).max() <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -406,7 +386,7 @@ def test_random_walks_bounds_match_complex_transform(cfg, n):
     # range, so there the comparison is absolute. Where P_n is exactly
     # uniform, P_hat_n vanishes off c = 0 and both sides are only the
     # rounding residue of zero, which no relative margin admits.
-    mods = np.abs(fourier_n_all(n, cfg)[1:])
+    mods = np.abs(ref_transforms(cfg, n)[n][1:])
     series = bound_series(cfg, [n], include_exact=False)
     ub = 0.5 * math.sqrt(float((mods**2).sum()))
     lb = 0.5 * float(mods.max())
@@ -431,7 +411,7 @@ def test_random_walks_pushforward_tv_at_most_full_tv(cfg, n, data):
     # a composite p and a v sharing a factor with it the bound fails
     assume(math.gcd(cfg.p, *v) == 1)
     P = evolve(cfg, n)
-    tv = exactdist.tv_vector(exactdist.pushforward(P, ModVector(cfg.p, v)))
+    tv = exactdist.tv_vector(oracles.pushforward(P, ModVector(cfg.p, v)))
     assert tv <= exactdist.tv_from_uniform(P) + 1e-12
 
 def test_dense_and_character_paths_build_no_coordinate_table(monkeypatch):
@@ -459,11 +439,6 @@ def test_projected_matches_reference_loop(T, p, m):
         assert np.max(np.abs(got - dists[blocks])) <= 1e-12
     tvs = [exactdist.tv_vector(d) for d in dists]
     assert projected_mixing_time(T, p, 0.25) == m * ref_first_below(tvs, 0.25)
-
-
-def test_fourier_n_all_rejects_negative_n():
-    with pytest.raises(ValueError):
-        fourier_n_all(-1, WALKS[0])
 
 
 class TestFirstBelow:
