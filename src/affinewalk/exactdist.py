@@ -11,10 +11,11 @@ and the permutation is dropped when the walk ends. Mass drift is
 asserted, never renormalized away.
 
 The gather and the shifted adds of a step, and the build of the gather
-table, run by contiguous ranges on the CPUs of the process's affinity
-mask (`indexing.split_rows`). Each state takes the same terms in the
-same order whatever the split, so every state is bit-identical to a
-serial step; the reductions (the mass check, TV to uniform) stay serial.
+table (`indexing.linear_perm` over every state), run by contiguous
+ranges on the CPUs of the process's affinity mask
+(`indexing.split_rows`). Each state takes the same terms in the same
+order whatever the split, so every state is bit-identical to a serial
+step; the reductions (the mass check, TV to uniform) stay serial.
 """
 
 from __future__ import annotations
@@ -103,10 +104,11 @@ def delta_at_zero(p: int, d: int) -> DenseDistribution:
 
 @lru_cache(maxsize=1)
 def _gather_index(T: IntMatrix, p: int) -> np.ndarray:
-    """Index map T x -> x over all states, that is x -> T^{-1} x mod p, so
-    a step reads its sources in index order. Only the latest table is
+    """Index map T x -> x over all states, that is x -> T^{-1} x mod p
+    (`indexing.linear_perm` with h = p, so nothing flips), so a step
+    reads its sources in index order. Only the latest table is
     kept, and dense_states drops it when its walk ends."""
-    return indexing.linear_perm(mat_inv_mod(T, p).entries, p)
+    return indexing.linear_perm(mat_inv_mod(T, p).entries, p, p)
 
 
 def step_exact(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:

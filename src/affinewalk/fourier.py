@@ -17,7 +17,8 @@ walk therefore steps only the characters whose top coordinate c_{d-1}
 lies in [0, p//2] - a prefix of the index order, about half of them -
 and reads G_n at any other character from its negative. Its two tables,
 |f|^2 (step_factor_table) and the folded map c -> +-T^t c
-(transpose_perm), are built over that slab alone.
+(transpose_perm, which is indexing.linear_perm with h = p//2 + 1), are
+built over that slab alone.
 
 Each step of that real walk, and the build of its two tables, runs by
 contiguous ranges of characters on the CPUs of the process's affinity
@@ -71,25 +72,16 @@ def step_factor(c: CharacterIndex) -> complex:
     return acc / (d + 1)
 
 
-def _slab(p: int, d: int) -> tuple[list[np.ndarray], tuple[int, ...]]:
-    """The values of each coordinate r over the characters with top
-    coordinate c_{d-1} in [0, p//2], the first (p//2 + 1) p^(d-1)
-    indices, and the shape of their grid, whose numpy axis 0 carries
-    c_{d-1}."""
-    k = np.arange(p, dtype=np.int64)
-    return [k] * (d - 1) + [k[: p // 2 + 1]], (p // 2 + 1,) + (p,) * (d - 1)
-
-
 def step_factor_table(p: int, d: int) -> np.ndarray:
     """g = |f|^2 over the characters with top coordinate c_{d-1} in
     [0, p//2]: the p phases q^k added to a grid of ones along each
     coordinate in turn, divided by d+1, then squared in modulus.
 
-    The phases are broadcast over the slab's grid as
-    indexing.linear_perm broadcasts over the full one, so no table over
-    every character is formed, and the grid is filled by ranges of rows
-    of numpy axis 0 (`indexing.split_rows`)."""
-    spans, shape = _slab(p, d)
+    The phases are broadcast over the slab's grid (`indexing.slab`), as
+    indexing.linear_perm broadcasts its terms, so no table over every
+    character is formed, and the grid is filled by ranges of rows of
+    numpy axis 0 (`indexing.split_rows`)."""
+    spans, shape = indexing.slab(p, d, p // 2 + 1)
     w = np.exp(2j * np.pi / p * np.arange(p, dtype=np.int64))
     *phases, lead = (indexing.along(w[span], d, r) for r, span in enumerate(spans))
     head = np.ones((1,) + shape[1:], dtype=complex)
@@ -117,41 +109,9 @@ def step_factor_table(p: int, d: int) -> np.ndarray:
 def transpose_perm(cfg: WalkConfig) -> np.ndarray:
     """The folded map over the characters with top coordinate c_{d-1} in
     [0, p//2]: c goes to T^t c, or to -T^t c when that image's top
-    coordinate is above p//2, so every image stays in the slab.
-
-    Built as step_factor_table is, by broadcasting over the slab's grid
-    and by ranges of its rows: the top coordinate of the image decides
-    the flip, and the lower ones are negated where it flipped and added
-    in by Horner's rule, index = sum_j y_j p^j."""
-    p, d = cfg.p, cfg.d
-    spans, shape = _slab(p, d)
-    terms = []  # per coordinate j of T^t c: its c_{d-1} term, the sum of the others
-    for row in cfg.T.transpose().mod(p).entries:
-        *low, top = (indexing.along(m * span % p, d, r) for r, (m, span) in enumerate(zip(row, spans)))
-        terms.append((top, sum(low)))
-    perm = np.empty(shape, dtype=np.int64)
-    y = np.empty(shape, dtype=np.int64)
-    flip = np.empty(shape, dtype=bool)  # images replaced by their negatives
-
-    def fill(s):
-        o, t, f = perm[s], y[s], flip[s]
-        top, low = terms[d - 1]
-        o[...] = low  # low + top as a copy and an in-place add (see step_factor_table)
-        o += top[s]
-        np.remainder(o, p, out=o)
-        np.greater(o, p // 2, out=f)
-        np.subtract(p, o, out=o, where=f)
-        for top, low in reversed(terms[: d - 1]):
-            t[...] = low
-            t += top[s]
-            np.remainder(t, p, out=t)
-            np.negative(t, out=t, where=f)
-            np.remainder(t, p, out=t)
-            o *= p
-            o += t
-
-    indexing.split_rows(fill, shape[0], p ** (d - 1))
-    return perm.reshape(-1)
+    coordinate is above p//2, so every image stays in the slab
+    (`indexing.linear_perm` with h = p//2 + 1)."""
+    return indexing.linear_perm(cfg.T.transpose().mod(cfg.p).entries, cfg.p, cfg.p // 2 + 1)
 
 
 def _check_c1(c1: float) -> None:
@@ -517,18 +477,18 @@ def mixing_time(
     character upper bound <= eps (method='ub'); raises NotMixedError at
     the cap. n=0 counts: TV(P_0, U) = 1 - 1/p^d, so eps at or above that
     returns 0 for either method. Bad inputs (`check_search`, a negative
-    state_cap or char_cap) raise ValueError."""
+    state_cap or char_cap, another method) raise ValueError at any eps."""
     check_search(eps, n_cap)
     check_caps(state_cap=state_cap, char_cap=char_cap)
+    if method not in ("exact", "ub"):
+        raise ValueError(f"unknown method {method!r} (want 'exact' or 'ub')")
     cfg.require_admissible()
     if eps >= 1.0 - 1.0 / cfg.num_states:
         return 0
     if method == "exact":
         values = map(exactdist.tv_from_uniform, exactdist.dense_states(cfg, state_cap))
-    elif method == "ub":
-        values = (_ub_from_powers(G, cfg.p) for G in char_powers(cfg, char_cap))
     else:
-        raise ValueError(f"unknown method {method!r} (want 'exact' or 'ub')")
+        values = (_ub_from_powers(G, cfg.p) for G in char_powers(cfg, char_cap))
     return first_below(values, eps, n_cap, method)
 
 

@@ -105,35 +105,65 @@ def split_rows(fn, rows: int, row_size: int = 1) -> None:
         raise errors[0]
 
 
-def linear_perm(rows, p: int) -> np.ndarray:
-    """Index map x -> M x mod p over all p^d states, M given by its k
-    rows of d residues mod p; the image is indexed in (Z/pZ)^k, so one
-    row v gives v . x mod p.
-
-    Built by broadcasting length-p columns over the (p,)*d grid, so no
-    (p^d, d) coordinate table is formed, and reduced in place, so at most
-    two grids (16 bytes per state) are alive at once. Both grids are
-    allocated here and filled by ranges of rows of numpy axis 0
-    (`split_rows`), which carries coordinate d-1; the terms of the other
-    coordinates are summed once, outside the ranges."""
-    d = len(rows[0])
+def slab(p: int, d: int, h: int) -> tuple[list[np.ndarray], tuple[int, ...]]:
+    """The values of each coordinate r over the states with top coordinate
+    x_{d-1} < h, the first h p^(d-1) indices, and the shape of their
+    grid, whose numpy axis 0 carries x_{d-1}."""
     k = np.arange(p, dtype=np.int64)
-    terms = []  # per image coordinate: its coordinate-(d-1) term, the sum of the others
+    return [k] * (d - 1) + [k[:h]], (h,) + (p,) * (d - 1)
+
+
+def linear_perm(rows, p: int, h: int) -> np.ndarray:
+    """Index map x -> M x mod p over the states with x_{d-1} < h (`slab`),
+    M given by its d rows of residues mod p. An image whose top
+    coordinate is h or more is replaced by its negative. The dense step's
+    gather table is x -> T^{-1} x with h = p, where nothing flips; the
+    character walk's is c -> +-T^t c with h = p//2 + 1, where every image
+    or its negative lies in the slab.
+
+    Built by broadcasting length-p columns over the slab's grid, so no
+    (p^d, d) coordinate table is formed. The map, one image coordinate
+    and, when h < p, the flip mask are allocated here, in that order, and
+    filled by ranges of rows of numpy axis 0 (`split_rows`), which carries
+    x_{d-1}; the terms of the other coordinates are summed once, outside
+    the ranges. Each coordinate of the image is a copy and an in-place
+    add, which takes one 64 KiB numpy buffer per range where a broadcast
+    np.add takes buffers for both operands: the build peaks at the two
+    int64 grids (16 bytes per state of the slab) plus about 80-120 KiB,
+    16.8 B/state for the gather table at p = 317, d = 2. The top
+    coordinate of the image decides the flip, and the lower ones are
+    negated where it flipped and added in by Horner's rule,
+    index = sum_j y_j p^j."""
+    d = len(rows)
+    spans, shape = slab(p, d, h)
+    terms = []  # per image coordinate: its x_{d-1} term, the sum of the others
     for row in rows:
-        *low, top = (along(m * k % p, d, r) for r, m in enumerate(row))
+        *low, top = (along(m * span % p, d, r) for r, (m, span) in enumerate(zip(row, spans)))
         terms.append((top, sum(low)))
-    out = np.empty((p,) * d, dtype=np.int64)
-    y = np.empty_like(out) if len(rows) > 1 else None
+    # allocated in the order measured for peak RSS, which moves with it
+    out = np.empty(shape, dtype=np.int64)
+    y = np.empty(shape, dtype=np.int64) if d > 1 else None
+    flip = np.empty(shape, dtype=bool) if h < p else None  # images replaced by their negatives
 
     def fill(s):
-        for j, (top, low) in enumerate(terms):
-            t = out[s] if j == 0 else y[s]
-            np.add(top[s], low, out=t)
+        o = out[s]
+        top, low = terms[d - 1]
+        o[...] = low
+        o += top[s]
+        np.remainder(o, p, out=o)
+        if flip is not None:
+            np.greater_equal(o, h, out=flip[s])
+            np.subtract(p, o, out=o, where=flip[s])
+        for top, low in reversed(terms[: d - 1]):
+            t = y[s]
+            t[...] = low
+            t += top[s]
             np.remainder(t, p, out=t)
-            if j:
-                t *= p**j
-                out[s] += t
+            if flip is not None:
+                np.negative(t, out=t, where=flip[s])
+                np.remainder(t, p, out=t)
+            o *= p
+            o += t
 
-    split_rows(fill, p, p ** (d - 1))
+    split_rows(fill, h, p ** (d - 1))
     return out.reshape(-1)
-

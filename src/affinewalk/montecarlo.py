@@ -405,7 +405,8 @@ def mixing_search(
 class ScalingReport:
     """Mixing-time growth for one matrix over a modulus sweep, with a
     least-squares fit in the log domain: either the constant of the
-    (log p)^2 law or the exponent of a power law p^b."""
+    (log p)^2 law or the exponent of a power law p^b. The fit fields stay
+    None, with no residuals, when the cells leave nothing to fit."""
 
     matrix_tag: str
     method: str
@@ -427,21 +428,23 @@ class ScalingReport:
         }
 
 
-def _fit_log_constant(cells: Sequence[tuple[int, int]]) -> tuple[float, list[float]]:
-    """Fit n = C (log p)^2 by least squares on log n - log((log p)^2)."""
+def _fit_log_constant(cells: Sequence[tuple[int, int]]) -> tuple[Optional[float], list[float]]:
+    """Fit n = C (log p)^2 by least squares on log n - log((log p)^2);
+    (None, []) with no cell of n > 0 to fit."""
     logs = [math.log(n) - math.log(math.log(p) ** 2) for p, n in cells if n > 0]
     if not logs:
-        return float("nan"), []
+        return None, []
     c = math.exp(sum(logs) / len(logs))
     resid = [x - math.log(c) for x in logs]
     return c, resid
 
 
-def _fit_power_law(cells: Sequence[tuple[int, int]]) -> tuple[float, list[float]]:
-    """Fit n = a p^b by least squares on (log p, log n); returns b."""
+def _fit_power_law(cells: Sequence[tuple[int, int]]) -> tuple[Optional[float], list[float]]:
+    """Fit n = a p^b by least squares on (log p, log n); returns b, or
+    (None, []) with fewer than two cells of n > 0 to fit."""
     pts = [(math.log(p), math.log(n)) for p, n in cells if n > 0]
     if len(pts) < 2:
-        return float("nan"), []
+        return None, []
     xs = np.array([x for x, _ in pts])
     ys = np.array([y for _, y in pts])
     b, a = np.polyfit(xs, ys, 1)
@@ -492,12 +495,14 @@ def scaling_sweep(
             except (AffineWalkError, ValueError) as exc:  # recorded, sweep continues
                 rep.failures.append((p, f"{type(exc).__name__}: {exc}"))
         if len(rep.cells) >= 2:
-            if root_of_unity:
-                rep.fit_kind = "power_law_exponent"
-                rep.fit_value, rep.residuals = _fit_power_law(rep.cells)
-            else:
-                rep.fit_kind = "logp_squared_constant"
-                rep.fit_value, rep.residuals = _fit_log_constant(rep.cells)
+            kind, fit = (
+                ("power_law_exponent", _fit_power_law)
+                if root_of_unity
+                else ("logp_squared_constant", _fit_log_constant)
+            )
+            value, resid = fit(rep.cells)
+            if value is not None:  # a fit with no cell to use stays unset
+                rep.fit_kind, rep.fit_value, rep.residuals = kind, value, resid
         reports.append(rep)
     return reports
 

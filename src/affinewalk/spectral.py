@@ -298,8 +298,8 @@ def classify(T: IntMatrix, tol: float = DEFAULT_TOL) -> SpectrumReport:
     with an exact reciprocal-polynomial confirmation for unit-modulus
     non-cyclotomic spectra.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:  # also refuses NaN
+        raise ValueError("tol must be positive and finite")
     cp = char_poly(T)
     if int_det(T) == 0:
         return SpectrumReport(cp, (), (), Classification.SINGULAR, None, tol)

@@ -56,8 +56,10 @@ def pushforward(P: DenseDistribution, v: ModVector) -> np.ndarray:
     broadcasting, with no (p^d, d) coordinate table."""
     if v.p != P.p or v.d != P.d:
         raise ValueError("functional does not match state space")
-    vals = indexing.linear_perm([v.entries], P.p)
-    return np.bincount(vals, weights=P.masses, minlength=P.p)
+    p, d = P.p, P.d
+    k = np.arange(p, dtype=np.int64)
+    vals = sum(indexing.along(m * k % p, d, r) for r, m in enumerate(v.entries)) % p
+    return np.bincount(vals.reshape(-1), weights=P.masses, minlength=p)
 
 
 def factor_table(p: int, d: int) -> np.ndarray:

@@ -43,6 +43,20 @@ class TestClassifyCommand:
         code, _, err = run(capsys, "classify", "--matrix", "[[2,1],[1]]")
         assert code == 2 and "matrix" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
+    def test_tol_outside_positive_reals_exit_2(self, tol, capsys):
+        code, out, err = run(capsys, "classify", "--matrix", "[[2,1],[1,1]]", f"--tol={tol}")
+        assert code == 2 and out == ""
+        assert "tol must be positive and finite" in err
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_tol_outside_positive_reals_in_config_exit_2(self, tol, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"matrix": [[2, 1], [1, 1]], "tol": tol}))  # NaN, Infinity
+        code, out, err = run(capsys, "classify", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "tol must be positive and finite" in err
+
     def test_missing_matrix_exit_2(self, capsys):
         code, _, err = run(capsys, "classify")
         assert code == 2
@@ -263,6 +277,22 @@ class TestSweepCommand:
         ]
         fits = json.loads(fit_path.read_text())
         assert fits["fits"][0]["fit_kind"] == "logp_squared_constant"
+
+    def test_fit_json_without_a_fit_is_strict_json(self, capsys, tmp_path):
+        # every n_mix is 0, so no cell can be fitted: the fit stays null
+        fit_path = tmp_path / "fits.json"
+        code, _, _ = run(
+            capsys, "sweep", "--matrix", "[[2,1],[1,1]]", "--p", "2", "--p", "3",
+            "--epsilon", "0.9", "--method", "ub", "--fit-json", str(fit_path),
+        )
+        assert code == 0
+
+        def refuse(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        fit = json.loads(fit_path.read_text(), parse_constant=refuse)["fits"][0]
+        assert fit["cells"] == [[2, 0], [3, 0]]
+        assert (fit["fit_kind"], fit["fit_value"], fit["residuals"]) == (None, None, [])
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         paths = [tmp_path / "s1.csv", tmp_path / "s2.csv"]

@@ -297,6 +297,14 @@ class TestMixingTime:
         with pytest.raises(ValueError):
             mixing_time(CFG5, 1.5, "exact")
 
+    def test_unknown_method_refused_where_n_is_zero(self):
+        # eps >= 1 - 1/p^d answers 0 for a known method, never for another
+        cfg = WalkConfig(FIB, 2)
+        assert mixing_time(cfg, 0.8, "ub") == 0
+        for eps in (0.5, 0.8):
+            with pytest.raises(ValueError, match="unknown method 'nope'"):
+                mixing_time(cfg, eps, method="nope")
+
 
 class TestBoundSeries:
     def test_sandwich_rows(self):

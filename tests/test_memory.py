@@ -11,12 +11,16 @@ peaks near 13 B (16 B budgeted): step_factor_table holds |f|^2 and its
 complex temporary (12 B), then transpose_perm holds the folded map, the
 image coordinate and the flip mask next to |f|^2 (12.5 B). The dense
 walk holds the state, the gather permutation, the placed grid and the
-output (8 B each). bound_series runs one engine at a time, so its peak
-is the larger of the two. After each call returns, traced memory is
-back to its level before the call: no index table outlives its walk.
-Each budget holds with the tables and walk steps run on the calling
-thread and split into uneven ranges on three threads
-(`indexing.split_rows`), which allocates nothing of its own.
+output (8 B each). Building its gather table (indexing.linear_perm,
+nothing folded) holds the map and one image coordinate (8 B each) and a
+64 KiB numpy buffer per range for the in-place broadcast add: 16 B plus
+83-120 KiB measured, serial and split (17 B budgeted). bound_series
+runs one engine at a time, so its peak is the larger of the two. After
+each call returns, traced memory is back to its level before the call:
+no index table outlives its walk. Each budget holds with the tables and
+walk steps run on the calling thread and split into uneven ranges on
+three threads (`indexing.split_rows`), which allocates nothing of its
+own.
 
 The slack is a constant, not a share of p^d. Its largest part is the
 buffers numpy's ufunc machinery may allocate for an add over a strided
@@ -41,7 +45,7 @@ import tracemalloc
 
 import pytest
 
-from affinewalk import cli, exactdist, montecarlo
+from affinewalk import cli, exactdist, indexing, montecarlo
 from affinewalk.exactdist import WalkConfig
 from affinewalk.fourier import (
     bound_series,
@@ -50,7 +54,7 @@ from affinewalk.fourier import (
     transpose_perm,
     ub_bound,
 )
-from affinewalk.modmath import IntMatrix
+from affinewalk.modmath import IntMatrix, mat_inv_mod
 
 SLACK = 128 * 1024
 WALKS = [
@@ -66,6 +70,7 @@ CALLS = {
     "mixing_time_ub": (24, lambda cfg: mixing_time(cfg, 0.25, method="ub")),
     "ub_bound": (24, lambda cfg: ub_bound(max(NS), cfg)),
     "tables": (16, lambda cfg: (step_factor_table(cfg.p, cfg.d), transpose_perm(cfg))),
+    "gather_table": (17, lambda cfg: indexing.linear_perm(mat_inv_mod(cfg.T, cfg.p).entries, cfg.p, cfg.p)),
 }
 
 

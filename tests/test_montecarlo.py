@@ -276,6 +276,15 @@ class TestScalingSweep:
         assert slow.fit_value > 1.5
         assert len(fast.residuals) == 2
 
+    def test_no_fit_without_a_cell_to_fit(self):
+        # n_mix = 0 at every p: the fit is left unset, never NaN
+        for T, method in ((FIB, "ub"), (ROT, "projected")):
+            (rep,) = scaling_sweep([T], [2, 3], 0.9, method=method)
+            assert [n for _, n in rep.cells] == [0, 0]
+            assert (rep.fit_kind, rep.fit_value, rep.residuals) == (None, None, [])
+        (rep,) = scaling_sweep([FIB], [5, 11], 0.25, method="ub")
+        assert rep.fit_kind == "logp_squared_constant" and math.isfinite(rep.fit_value)
+
     def test_failures_recorded_sweep_continues(self):
         # p = 2 shares a factor with det(UPPER) = 2: cell fails, sweep lives
         reports = scaling_sweep([UPPER], [2, 11], 0.25, method="projected")

@@ -147,6 +147,11 @@ class TestClassify:
         rep = classify(IntMatrix([[1, 1], [1, 0]]), tol=0.5)
         assert rep.classification == Classification.BORDERLINE
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+    def test_tol_outside_positive_reals_refused(self, tol):
+        with pytest.raises(ValueError, match="positive and finite"):
+            classify(FIB, tol=tol)
+
     def test_cyclotomic_overrides_numerics(self):
         # the exact divisibility witness must not depend on tol
         rep = classify(ROT, tol=1e-15)
