@@ -5,17 +5,33 @@ Dense float64 vectors in mixed-radix index order (see indexing). A step
 places P(x)/(d+1) on T x with one gather through an inverse permutation,
 then adds the placed grid shifted by one along each axis (the shift by
 e_r) with slice adds into one fresh output; no (p^d, d) coordinate table
-and no rolled copy is formed. A dense walk holds 32 bytes per state at
-its peak (the state, the permutation, the placed grid and the output),
-and the permutation is dropped when the walk ends. Mass drift is
-asserted, never renormalized away.
+and no rolled copy is formed. Mass drift is asserted, never
+renormalized away.
 
-The gather and the shifted adds of a step, and the build of the gather
-table (`indexing.linear_perm` over every state), run by contiguous
-ranges on the CPUs of the process's affinity mask
+The walk starts at X_0 = 0, so X_n = sum_{k<n} T^(n-1-k) B_k and P_n
+lives on at most (d+1)^n states. While it is that small, the walk holds
+P_n by its support, (state indices, masses), and steps that form
+(`_step_support`): the support goes through T mod p coordinate by
+coordinate, each image is shifted by b = 0, e_0, ..., e_{d-1} in that
+order, and np.bincount sums the terms of each state in that order. That
+is the order in which step_exact adds a state's d+1 terms, and a term
+the support form leaves out is an exact +0.0 there, so every mass is
+bit-identical to the dense step's. The walk steps the support while
+(d+1) |supp P_n| <= p^d / HEAD_RATIO; from the first step past that it
+hands the dense masses to step_exact and never goes back (the support
+never shrinks). The dense vector of a law held by its support is built
+only when something reads `masses`, and the gather table only at the
+first dense step, so the walk's peak of 32 bytes per state (the state,
+the permutation, the placed grid and the output) starts there; the
+permutation is dropped when the walk ends.
+
+The gather and the shifted adds of a dense step, and the build of the
+gather table (`indexing.linear_perm` over every state), run by
+contiguous ranges on the CPUs of the process's affinity mask
 (`indexing.split_rows`). Each state takes the same terms in the same
 order whatever the split, so every state is bit-identical to a serial
-step; the reductions (the mass check, TV to uniform) stay serial.
+step; the support steps and the reductions (the mass check, TV to
+uniform) stay serial.
 """
 
 from __future__ import annotations
@@ -23,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -33,6 +49,11 @@ from .modmath import IntMatrix, is_admissible, mat_inv_mod
 
 DEFAULT_STATE_CAP = 10_000_000
 MASS_TOL = 1e-12
+# The walk steps P_n by its support while (d+1) |supp P_n| <= p^d / HEAD_RATIO.
+# Chosen by measurement (README, Performance): a smaller ratio keeps more
+# steps on the support but raised the dense_exact benchmark's peak RSS,
+# by 6% at 16 and 3% at 32 against 1.8% at 64 and 128.
+HEAD_RATIO = 64
 
 
 @dataclass(frozen=True)
@@ -77,18 +98,42 @@ def _det_str(T: IntMatrix) -> str:
     return str(int_det(T))
 
 
-@dataclass(frozen=True, eq=False)
 class DenseDistribution:
-    p: int
-    d: int
-    masses: np.ndarray  # length p^d, float64
+    """A law on the p^d states, in index order.
 
-    def __post_init__(self):
-        if self.masses.shape != (self.p**self.d,):
+    `masses` is the dense float64 vector. A walk holds its first states
+    by their support instead: `support` is (indices, masses) of the
+    states that carry mass, indices increasing, and `masses` is built
+    from it on first read and kept. `max_support` bounds the number of
+    states that carry mass: the exact count while the support is held,
+    else p^d, or d+1 times the bound of the law that step_exact stepped."""
+
+    def __init__(self, p: int, d: int, masses: Optional[np.ndarray] = None, *,
+                 support: Optional[tuple[np.ndarray, np.ndarray]] = None,
+                 max_support: Optional[int] = None):
+        if (masses is None) == (support is None):
+            raise ValueError("give exactly one of the mass vector and the support")
+        if masses is not None and masses.shape != (p**d,):
             raise ValueError("mass vector has wrong length")
+        self.p, self.d = p, d
+        self.support = support
+        self._masses = masses
+        if max_support is None:
+            max_support = p**d if support is None else support[0].shape[0]
+        self.max_support = max_support
+
+    @property
+    def masses(self) -> np.ndarray:  # length p^d, float64
+        if self._masses is None:
+            states, weights = self.support
+            masses = np.zeros(self.p**self.d)
+            masses[states] = weights
+            self._masses = masses  # only once filled: no reader sees a part
+        return self._masses
 
     def mass_defect(self) -> float:
-        return abs(float(self.masses.sum()) - 1.0)
+        held = self.masses if self.support is None else self.support[1]
+        return abs(float(held.sum()) - 1.0)
 
     def check_mass(self) -> None:
         defect = self.mass_defect()
@@ -97,9 +142,7 @@ class DenseDistribution:
 
 
 def delta_at_zero(p: int, d: int) -> DenseDistribution:
-    masses = np.zeros(p**d)
-    masses[0] = 1.0
-    return DenseDistribution(p, d, masses)
+    return DenseDistribution(p, d, support=(np.zeros(1, dtype=np.int64), np.ones(1)))
 
 
 @lru_cache(maxsize=1)
@@ -134,11 +177,11 @@ def step_exact(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
     if (P.p, P.d) != (cfg.p, cfg.d):
         raise ValueError("distribution does not match config")
     p, d, n = cfg.p, cfg.d, cfg.num_states
-    src = _gather_index(cfg.T, p)
+    masses, src = P.masses, _gather_index(cfg.T, p)  # built here, not in the ranges
     placed = np.empty(n)
 
     def place(s):
-        np.take(P.masses, src[s], out=placed[s], mode="clip")
+        np.take(masses, src[s], out=placed[s], mode="clip")
         placed[s] /= d + 1
 
     indexing.split_rows(place, n)
@@ -165,7 +208,26 @@ def step_exact(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
                 out[:1] += grid[-1:]
 
     indexing.split_rows(add_shifts, p, m)
-    return DenseDistribution(p, d, flat)
+    return DenseDistribution(p, d, flat, max_support=min(n, (d + 1) * P.max_support))
+
+
+def _step_support(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
+    """step_exact on a law held by its support, to the bit: the support
+    goes through T mod p coordinate by coordinate, the images are
+    shifted by b = 0, e_0, ..., e_{d-1} in that order, and bincount adds
+    each state's terms in input order, as step_exact adds them; the
+    terms it leaves out are the exact zeros step_exact adds. The
+    coordinates stay exact in int64 while d (p-1)^2 < 2^63, which holds
+    at every p^d below 3 * 10^9."""
+    p, d = cfg.p, cfg.d
+    states, weights = P.support
+    image = indexing.decode(states, p, d) @ np.array(cfg.T.mod(p).entries, dtype=np.int64).T % p
+    place = p ** np.arange(d, dtype=np.int64)
+    base = image @ place
+    keys = [base] + [base + np.where(image[:, r] == p - 1, (1 - p) * place[r], place[r]) for r in range(d)]
+    support, which = np.unique(np.concatenate(keys), return_inverse=True)
+    sums = np.bincount(which, weights=np.tile(weights / (d + 1), d + 1), minlength=support.shape[0])
+    return DenseDistribution(p, d, support=(support, sums))
 
 
 def check_caps(**caps: int) -> None:
@@ -179,11 +241,12 @@ def check_caps(**caps: int) -> None:
 def dense_states(
     cfg: WalkConfig, state_cap: int = DEFAULT_STATE_CAP
 ) -> Iterator[DenseDistribution]:
-    """P_0, P_1, P_2, ... from the point mass at zero, one step_exact per
-    item, with the mass defect checked after every step. The state cap is
-    checked on the call (`check_caps`, then the budget); P_0 is allocated
-    on the first draw, and the gather table is dropped when the walk ends
-    (exhausted, closed or garbage-collected)."""
+    """P_0, P_1, P_2, ... from the point mass at zero, one step per item
+    (a support step while P_n is small, else step_exact; see the module
+    docstring), with the mass defect checked after every step. The state
+    cap is checked on the call (`check_caps`, then the budget); P_0 is
+    made on the first draw, and the gather table is dropped when the walk
+    ends (exhausted, closed or garbage-collected)."""
     check_caps(state_cap=state_cap)
     if cfg.num_states > state_cap:
         raise BudgetError(
@@ -197,8 +260,11 @@ def _dense_walk(cfg: WalkConfig) -> Iterator[DenseDistribution]:
     try:
         while True:
             yield P
-            # a module-global lookup, so a patched step_exact is the one used
-            P = step_exact(P, cfg)
+            if P.support is not None and (cfg.d + 1) * P.max_support * HEAD_RATIO <= cfg.num_states:
+                P = _step_support(P, cfg)
+            else:
+                # a module-global lookup, so a patched step_exact is the one used
+                P = step_exact(P, cfg)
             P.check_mass()
     finally:
         _gather_index.cache_clear()

@@ -154,6 +154,16 @@ class TestMixtimeCommand:
         )
         assert code == 4 and "not mixed" in err
 
+    def test_cap_inside_the_skipped_steps_reports_tv_at_the_cap(self, capsys):
+        # the exact search reads no TV at n < 5 (the support count decides
+        # them), and the value at the cap is the TV of P_5
+        code, out, err = run(
+            capsys, "mixtime", "--matrix", "[[2,1],[1,1]]", "--p", "997",
+            "--epsilon", "0.25", "--n-cap", "5",
+        )
+        assert (code, out) == (4, "")
+        assert err == "budget exceeded: not mixed by n_max=5 (method=exact, value=0.999855)\n"
+
     @pytest.mark.parametrize("method", METHODS)
     def test_n_mix_equals_sweep_cell(self, method, capsys):
         args = ("--matrix", "[[1,1],[0,2]]", "--p", "11", "--epsilon", "0.25",

@@ -11,10 +11,13 @@ peaks near 13 B (16 B budgeted): step_factor_table holds |f|^2 and its
 complex temporary (12 B), then transpose_perm holds the folded map, the
 image coordinate and the flip mask next to |f|^2 (12.5 B). The dense
 walk holds the state, the gather permutation, the placed grid and the
-output (8 B each). Building its gather table (indexing.linear_perm,
-nothing folded) holds the map and one image coordinate (8 B each) and a
-64 KiB numpy buffer per range for the in-place broadcast add: 16 B plus
-83-120 KiB measured, serial and split (17 B budgeted). bound_series
+output (8 B each) from its first dense step on; before it, the walk
+holds P_n by its support, at most p^d / 64 states, and no table. Both
+WALKS cross that switch (test_walks_cross_the_switch). Building its
+gather table (indexing.linear_perm, nothing folded) holds the map and
+one image coordinate (8 B each) and a 64 KiB numpy buffer per range for
+the in-place broadcast add: 16 B plus 83-120 KiB measured, serial and
+split (17 B budgeted). bound_series
 runs one engine at a time, so its peak is the larger of the two. After
 each call returns, traced memory is back to its level before the call:
 no index table outlives its walk. Each budget holds with the tables and
@@ -42,11 +45,12 @@ plus the slack.
 """
 
 import tracemalloc
+from itertools import islice
 
 import pytest
 
 from affinewalk import cli, exactdist, indexing, montecarlo
-from affinewalk.exactdist import WalkConfig
+from affinewalk.exactdist import WalkConfig, evolve
 from affinewalk.fourier import (
     bound_series,
     mixing_time,
@@ -67,6 +71,7 @@ CALLS = {
     "bound_series_exact": (32, lambda cfg: bound_series(cfg, NS, include_exact=True)),
     "bound_series_no_exact": (24, lambda cfg: bound_series(cfg, NS, include_exact=False)),
     "mixing_time_exact": (32, lambda cfg: mixing_time(cfg, 0.25, method="exact")),
+    "evolve": (32, lambda cfg: evolve(cfg, max(NS))),
     "mixing_time_ub": (24, lambda cfg: mixing_time(cfg, 0.25, method="ub")),
     "ub_bound": (24, lambda cfg: ub_bound(max(NS), cfg)),
     "tables": (16, lambda cfg: (step_factor_table(cfg.p, cfg.d), transpose_perm(cfg))),
@@ -82,6 +87,13 @@ def traced():
     yield
     if started:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("cfg", WALKS, ids=["d2-p317", "d3-p47"])
+def test_walks_cross_the_switch(cfg):
+    # several steps on the support, then dense steps within the NS range
+    held = [P.support is not None for P in islice(exactdist.dense_states(cfg), max(NS) + 1)]
+    assert held[:4] == [True] * 4 and not held[-1]
 
 
 @pytest.mark.parametrize("name", CALLS)

@@ -8,14 +8,17 @@ half the characters and reads the rest through c -> -c, where
 another order.
 
 The references share no code with the engines they check: the dense
-step is a bincount scatter onto T x + b, the index and factor tables go
-through the (p^d, d) coordinate table, and the int64 kernels of the
-beyond-dense path (simulate, states_csv, first_large_sweep) are
+step is a bincount scatter onto T x + b, the support step of the dense
+walk's head adds (T x + b) mod p per coordinate for each b in a given
+order, the exact search reads TV at every n, the index and factor
+tables go through the (p^d, d) coordinate table, and the int64 kernels
+of the beyond-dense path (simulate, states_csv, first_large_sweep) are
 row-wise loops that reduce mod p after every step."""
 
 import math
 import threading
 from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -106,6 +109,26 @@ def ref_step(P, cfg):
         shifted = base + np.where(digit == p - 1, w - w * p, w)
         out += np.bincount(shifted, weights=share, minlength=n)
     return DenseDistribution(p, d, out)
+
+
+def ref_support_step(P, cfg, shifts):
+    """A support step of the dense walk, written from its definition: the
+    support's coordinates times T mod p, one block of keys per shift b in
+    the order given, and each state's terms summed by bincount in input
+    order."""
+    p, d = cfg.p, cfg.d
+    states, weights = P.support
+    image = indexing.decode(states, p, d) @ ref_tmod(cfg).T
+    blocks = [indexing.encode((image + b) % p, p) for b in shifts]
+    support, which = np.unique(np.concatenate(blocks), return_inverse=True)
+    share = np.tile(weights / (d + 1), len(shifts))
+    return support, np.bincount(which, weights=share, minlength=support.shape[0])
+
+
+def step_shifts(d):
+    """b = 0, e_0, ..., e_{d-1}: the order in which step_exact adds a
+    state's terms."""
+    return [np.zeros(d, dtype=np.int64)] + list(np.eye(d, dtype=np.int64))
 
 
 def ref_tv(P):
@@ -282,6 +305,60 @@ class TestMatchesCoordinateReferences:
         assert_powers_read_through_fold(cfg, STEPS)
 
 
+# Walks whose support head runs at least 3 steps and then turns dense at
+# the module's HEAD_RATIO (None), or at the ratio given where p^d is too
+# small for that: at p = 2, (d+1)^3 HEAD_RATIO <= 2^d needs d near 20.
+# The companion matrix of x^12 - x - 1 holds P_3 on 380 of 4096 states.
+C12 = IntMatrix([[int(j == i - 1) + int(j == 11 and i < 2) for j in range(12)] for i in range(12)])
+HEAD_WALKS = [
+    (WalkConfig(IntMatrix([[3]]), 10007), None),  # d = 1, 7 support steps
+    (WalkConfig(IntMatrix([[2, 1], [1, 1]]), 100), None),  # composite p, 4
+    (WalkConfig(FAST3, 31), None),  # 4
+    (WalkConfig(D4, 13), None),  # 4; the 4th is the order-sensitive one below
+    (WalkConfig(D4, 12), None),  # composite p, 4
+    (WalkConfig(C12, 2), 2),  # p = 2, 3
+]
+
+
+def assert_walk_matches_reference(cfg, steps):
+    """Every state of dense_states, and its TV, equal to the reference
+    walk, and its support bound exact while the walk holds the support;
+    returns, per state, whether the walk held it by its support."""
+    held = []
+    got = islice(exactdist.dense_states(cfg), steps + 1)
+    for P, Q in zip(got, ref_states(cfg, steps), strict=True):
+        held.append(P.support is not None)
+        count = np.count_nonzero(Q.masses)
+        if held[-1]:
+            assert P.max_support == count == P.support[0].shape[0]
+        assert P.max_support >= count
+        assert np.array_equal(P.masses, Q.masses)
+        assert exactdist.tv_from_uniform(P) == ref_tv(Q)
+    return held
+
+
+@pytest.mark.parametrize("cfg,ratio", HEAD_WALKS, ids=[f"d{c.d}-p{c.p}" for c, _ in HEAD_WALKS])
+def test_support_head_matches_reference(cfg, ratio, monkeypatch):
+    if ratio is not None:
+        monkeypatch.setattr(exactdist, "HEAD_RATIO", ratio)
+    held = assert_walk_matches_reference(cfg, 12)
+    # at least three steps on the support, then dense steps
+    assert held[:4] == [True] * 4 and not held[-1]
+
+
+def test_support_step_term_order_decides_bits():
+    # D4 at p = 13: in the step to P_4, eight states take terms whose sum
+    # rounds differently in the reverse order, so a support step summing
+    # in any order but step_exact's would fail the tests above
+    cfg = WalkConfig(D4, 13)
+    P3, P4 = list(islice(exactdist.dense_states(cfg), 5))[3:]
+    forward = ref_support_step(P3, cfg, step_shifts(cfg.d))
+    backward = ref_support_step(P3, cfg, step_shifts(cfg.d)[::-1])
+    assert np.array_equal(forward[0], backward[0])
+    assert (forward[1] != backward[1]).sum() == 8
+    assert np.array_equal(P4.support[1], forward[1])
+
+
 def every_table(cfg):
     """The index and factor tables and STEPS steps of the dense walk and
     the bound walk."""
@@ -354,6 +431,14 @@ def test_random_walks_match_coordinate_references(cfg):
         P, Q = step_exact(P, cfg), ref_step(Q, cfg)
         assert np.array_equal(P.masses, Q.masses)
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(admissible_walks(), st.sampled_from([1, 2, 8, 64]))
+def test_random_walks_support_head_matches_reference(cfg, ratio):
+    # the ratio is drawn, so the head runs at p^d far below the default's reach
+    with mock.patch.object(exactdist, "HEAD_RATIO", ratio):
+        assert_walk_matches_reference(cfg, 10)
 
 
 @settings(max_examples=40, deadline=None)
@@ -439,6 +524,63 @@ def test_projected_matches_reference_loop(T, p, m):
         assert np.max(np.abs(got - dists[blocks])) <= 1e-12
     tvs = [exactdist.tv_vector(d) for d in dists]
     assert projected_mixing_time(T, p, 0.25) == m * ref_first_below(tvs, 0.25)
+
+
+# the exact search skips TV where the support count alone puts it above eps
+SEARCH_WALKS = [
+    WalkConfig(IntMatrix([[2, 1], [1, 1]]), 101),
+    WalkConfig(IntMatrix([[3]]), 10007),
+    WalkConfig(FAST3, 31),
+]
+
+
+def ref_exact_search(tvs, eps, n_cap):
+    """The search reading TV at every n: (least n <= n_cap with TV <= eps,
+    None), else (None, TV at n_cap)."""
+    for n in range(n_cap + 1):
+        if tvs[n] <= eps:
+            return n, None
+    return None, tvs[n_cap]
+
+
+def exact_search(cfg, eps, n_cap):
+    try:
+        return mixing_time(cfg, eps, method="exact", n_cap=n_cap), None
+    except NotMixedError as err:
+        assert (err.n_cap, err.method) == (n_cap, "exact")
+        return None, err.last_value
+
+
+@pytest.mark.parametrize("cfg", SEARCH_WALKS, ids=lambda c: f"d{c.d}-p{c.p}")
+def test_exact_search_matches_reading_every_tv(cfg):
+    states = ref_states(cfg, 40)
+    tvs = [ref_tv(Q) for Q in states]
+    floors = [1 - np.count_nonzero(Q.masses) / cfg.num_states for Q in states[1:6]]
+    # eps on both sides of each skip threshold (skipped where eps < floor -
+    # margin), TVs the walk takes, and plain values
+    edges = [f - fourier.SUPPORT_MARGIN + s for f in floors for s in (-1e-12, 1e-12)]
+    for eps in edges + tvs[4:16:3] + [0.001, 0.1, 0.25, 0.5, 0.9]:
+        n_mix, _ = ref_exact_search(tvs, eps, 40)
+        for n_cap in sorted({0, 1, 2, 3, 5, n_mix - 1, n_mix, 40} - {-1}):
+            assert exact_search(cfg, eps, n_cap) == ref_exact_search(tvs, eps, n_cap)
+
+
+def test_exact_search_reads_tv_only_near_the_answer(monkeypatch):
+    cfg, eps = SEARCH_WALKS[0], 0.25
+    read = []
+
+    def tv(P):
+        read.append(P.max_support)
+        return exactdist.tv_vector(P.masses)
+
+    monkeypatch.setattr(exactdist, "tv_from_uniform", tv)
+    n_mix = mixing_time(cfg, eps, method="exact")
+    tvs = [ref_tv(Q) for Q in ref_states(cfg, n_mix)]
+    assert n_mix == ref_first_below(tvs, eps) == 11
+    # read only where the count leaves TV <= eps open: P_9 .. P_11 here (P_8
+    # has at most 4455 of 10201 states, so its TV is at least 0.563)
+    assert len(read) == 3
+    assert all(1 - s / cfg.num_states <= eps + fourier.SUPPORT_MARGIN for s in read)
 
 
 class TestFirstBelow:
