@@ -43,10 +43,6 @@ EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
 
 
-class ConfigError(Exception):
-    pass
-
-
 @dataclass
 class ExperimentConfig:
     """Validated inputs for one subcommand run."""
@@ -79,7 +75,7 @@ class ExperimentConfig:
         """The one matrix of a single-walk command; only sweep reads
         several."""
         if len(self.matrices) > 1:
-            raise ConfigError(f"one matrix is allowed here, got {len(self.matrices)}")
+            raise ValueError(f"one matrix is allowed here, got {len(self.matrices)}")
         return self.matrices[0]
 
     @property
@@ -87,9 +83,9 @@ class ExperimentConfig:
         """The one modulus of a single-walk command; sweep and classify
         read every modulus through ps."""
         if not self.ps:
-            raise ConfigError("a modulus p is required")
+            raise ValueError("a modulus p is required")
         if len(self.ps) > 1:
-            raise ConfigError(f"one modulus p is allowed here, got {len(self.ps)}")
+            raise ValueError(f"one modulus p is allowed here, got {len(self.ps)}")
         return self.ps[0]
 
     def meta(self) -> str:
@@ -116,7 +112,7 @@ def _check_type(name: str, value) -> None:
     want = _PLAIN_TYPES[name]
     accepted = (int, float) if want is float else want
     if isinstance(value, bool) != (want is bool) or not isinstance(value, accepted):
-        raise ConfigError(f"config key {name!r} must be {want.__name__}, got {value!r}")
+        raise ValueError(f"config key {name!r} must be {want.__name__}, got {value!r}")
 
 
 def _parse_matrix(value) -> IntMatrix:
@@ -124,11 +120,11 @@ def _parse_matrix(value) -> IntMatrix:
         try:
             value = json.loads(value)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"matrix must be JSON like [[2,1],[1,1]]: {exc}") from exc
+            raise ValueError(f"matrix must be JSON like [[2,1],[1,1]]: {exc}") from exc
     try:
         return IntMatrix(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad matrix: {exc}") from exc
+        raise ValueError(f"bad matrix: {exc}") from exc
 
 
 def _parse_vector(value) -> list[int]:
@@ -136,9 +132,9 @@ def _parse_vector(value) -> list[int]:
         try:
             value = json.loads(value)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"vector must be JSON like [1,0]: {exc}") from exc
+            raise ValueError(f"vector must be JSON like [1,0]: {exc}") from exc
     if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
-        raise ConfigError("vector must be a list of integers")
+        raise ValueError("vector must be a list of integers")
     return value
 
 
@@ -150,12 +146,12 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
             with open(args.config) as fh:
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
+            raise ValueError(f"cannot read config file: {exc}") from exc
         if not isinstance(file_cfg, dict):
-            raise ConfigError("config file must hold a JSON object")
+            raise ValueError("config file must hold a JSON object")
         unknown = sorted(set(file_cfg) - _FILE_KEYS)
         if unknown:
-            raise ConfigError(f"config key {unknown[0]!r} names no option")
+            raise ValueError(f"config key {unknown[0]!r} names no option")
 
     merged = dict(file_cfg)
     for key, val in vars(args).items():
@@ -166,28 +162,26 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
 
     matrices_raw = merged.get("matrix")
     if matrices_raw is None:
-        raise ConfigError("a matrix is required (--matrix or config key 'matrix')")
+        raise ValueError("a matrix is required (--matrix or config key 'matrix')")
     try:
         is_single = isinstance(matrices_raw, str) or isinstance(
             matrices_raw[0][0], int
         )
     except (TypeError, IndexError, KeyError) as exc:
-        raise ConfigError(f"bad matrix value: {matrices_raw!r}") from exc
+        raise ValueError(f"bad matrix value: {matrices_raw!r}") from exc
     if is_single:
         matrices_raw = [matrices_raw]
     matrices = [_parse_matrix(m) for m in matrices_raw]
     if not matrices:
-        raise ConfigError("matrix list is empty")
+        raise ValueError("matrix list is empty")
 
     ps = merged.get("p", [])
     if isinstance(ps, int):
         ps = [ps]
-    elif isinstance(ps, str):
-        ps = [int(x) for x in ps.split(",") if x.strip()]
     if not isinstance(ps, list) or any(type(x) is not int for x in ps):
-        raise ConfigError(f"config key 'p' must be an int or a list of ints, got {ps!r}")
+        raise ValueError(f"config key 'p' must be an int or a list of ints, got {ps!r}")
     if any(p < 2 for p in ps):
-        raise ConfigError("all moduli must be >= 2")
+        raise ValueError("all moduli must be >= 2")
 
     cfg = ExperimentConfig(matrices=matrices, ps=ps)
     for name in _PLAIN_TYPES:
@@ -232,21 +226,16 @@ def cmd_classify(cfg: ExperimentConfig) -> int:
 def cmd_bounds(cfg: ExperimentConfig) -> int:
     walk = WalkConfig(cfg.T, cfg.p)
     if cfg.n_max is None:
-        raise ConfigError("bounds needs --n-max")
+        raise ValueError("bounds needs --n-max")
     if cfg.n_min > cfg.n_max:
-        raise ConfigError(f"empty range: --n-min {cfg.n_min} exceeds --n-max {cfg.n_max}")
+        raise ValueError(f"empty range: --n-min {cfg.n_min} exceeds --n-max {cfg.n_max}")
     n_values = list(range(cfg.n_min, cfg.n_max + 1))
-    include_exact = cfg.exact
-    partial = False
-    if include_exact is None:
-        include_exact = walk.num_states <= cfg.state_cap
-    elif include_exact and walk.num_states > cfg.state_cap:
-        include_exact = False
-        partial = True
+    # --exact past the state cap: the bounds, no tv_exact column, exit 4
+    partial = cfg.exact and walk.num_states > cfg.state_cap
     series = fourier.bound_series(
         walk,
         n_values,
-        include_exact=include_exact,
+        include_exact=None if partial else cfg.exact,
         state_cap=cfg.state_cap,
         char_cap=cfg.char_cap,
     )
@@ -263,7 +252,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
 
 def cmd_mixtime(cfg: ExperimentConfig) -> int:
     if cfg.epsilon is None:
-        raise ConfigError("mixtime needs --epsilon")
+        raise ValueError("mixtime needs --epsilon")
     method = cfg.method or "exact"
     n = montecarlo.mixing_search(
         WalkConfig(cfg.T, cfg.p), cfg.epsilon, method, cfg.n_cap, cfg.state_cap, cfg.char_cap
@@ -274,7 +263,7 @@ def cmd_mixtime(cfg: ExperimentConfig) -> int:
 
 def cmd_orbit(cfg: ExperimentConfig) -> int:
     if cfg.c is None:
-        raise ConfigError("orbit needs --c, the character index vector")
+        raise ValueError("orbit needs --c, the character index vector")
     walk = WalkConfig(cfg.T, cfg.p)
     c = ModVector(cfg.p, cfg.c)
     record = fourier.orbit_analysis(c, walk, c1=cfg.c1, ell_max=cfg.ell_max)
@@ -296,7 +285,7 @@ def cmd_project(cfg: ExperimentConfig) -> int:
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     if cfg.n is None or cfg.samples is None:
-        raise ConfigError("simulate needs --n and --samples")
+        raise ValueError("simulate needs --n and --samples")
     walk = WalkConfig(cfg.T, cfg.p)
     if not cfg.dump_states:  # refuse what empirical_tv would, before simulating
         montecarlo.check_simulate(walk, cfg.n, cfg.samples)
@@ -313,9 +302,9 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     if cfg.epsilon is None:
-        raise ConfigError("sweep needs --epsilon")
+        raise ValueError("sweep needs --epsilon")
     if not cfg.ps:
-        raise ConfigError("a modulus p is required")
+        raise ValueError("a modulus p is required")
     reports = montecarlo.scaling_sweep(
         cfg.matrices,
         cfg.ps,
@@ -423,9 +412,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = build_config(args)
         return args.func(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

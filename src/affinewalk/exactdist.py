@@ -82,6 +82,15 @@ class WalkConfig:
                 f"gcd(det T, p) = 1, det = {_det_str(self.T)}"
             )
 
+    def require_states(self, cap: int, name: str, budget: str, advice: str = "") -> None:
+        """The one budget over all p^d states or characters: `cap`, passed
+        as `name`, follows check_caps (ValueError below 0), and p^d past
+        it raises BudgetError naming `budget`, then `advice` when given."""
+        check_caps(**{name: cap})
+        if self.num_states > cap:
+            tail = f"; {advice}" if advice else ""
+            raise BudgetError(f"p^d = {self.num_states} exceeds the {budget} {cap}{tail}")
+
     def require_int64(self, what: str) -> None:
         """BudgetError unless a row of residues times T mod p, plus one,
         stays exact in int64: d (p-1)^2 + 1 <= 2^63 - 1."""
@@ -217,8 +226,8 @@ def _step_support(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
     shifted by b = 0, e_0, ..., e_{d-1} in that order, and bincount adds
     each state's terms in input order, as step_exact adds them; the
     terms it leaves out are the exact zeros step_exact adds. The
-    coordinates stay exact in int64 while d (p-1)^2 < 2^63, which holds
-    at every p^d below 3 * 10^9."""
+    coordinates stay exact in int64 under the int64 refusal of
+    dense_states, which runs before any step."""
     p, d = cfg.p, cfg.d
     states, weights = P.support
     image = indexing.decode(states, p, d) @ np.array(cfg.T.mod(p).entries, dtype=np.int64).T % p
@@ -231,8 +240,9 @@ def _step_support(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
 
 
 def check_caps(**caps: int) -> None:
-    """A budget counts steps, states or characters, so each named cap must
-    be >= 0 (ValueError); a cap of 0 is a budget that refuses any work."""
+    """The one rule for a count: each named count of steps or blocks, and
+    each budget, must be >= 0 (ValueError); a cap of 0 is a budget that
+    refuses any work."""
     for name, cap in caps.items():
         if cap < 0:
             raise ValueError(f"{name} must be >= 0")
@@ -243,15 +253,17 @@ def dense_states(
 ) -> Iterator[DenseDistribution]:
     """P_0, P_1, P_2, ... from the point mass at zero, one step per item
     (a support step while P_n is small, else step_exact; see the module
-    docstring), with the mass defect checked after every step. The state
-    cap is checked on the call (`check_caps`, then the budget); P_0 is
-    made on the first draw, and the gather table is dropped when the walk
-    ends (exhausted, closed or garbage-collected)."""
-    check_caps(state_cap=state_cap)
-    if cfg.num_states > state_cap:
-        raise BudgetError(
-            f"p^d = {cfg.num_states} exceeds the dense-state cap {state_cap}"
-        )
+    docstring), with the mass defect checked after every step.
+
+    The walk is refused on the call, in the order check_simulate uses:
+    the state cap (`WalkConfig.require_states`), an inadmissible (T, p)
+    (PreconditionError) and a modulus past the int64 limit that keeps a
+    support step's coordinates exact (BudgetError). P_0 is made on the
+    first draw, and the gather table is dropped when the walk ends
+    (exhausted, closed or garbage-collected)."""
+    cfg.require_states(state_cap, "state_cap", "dense-state cap")
+    cfg.require_admissible()
+    cfg.require_int64("the dense walk")
     return _dense_walk(cfg)
 
 
@@ -274,8 +286,7 @@ def evolve(
     cfg: WalkConfig, n: int, state_cap: int = DEFAULT_STATE_CAP
 ) -> DenseDistribution:
     """n-fold step from the point mass at zero."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_caps(n=n)
     return next(islice(dense_states(cfg, state_cap), n, None))
 
 

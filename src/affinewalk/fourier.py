@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import exactdist, indexing
-from .errors import BudgetError, NotMixedError
+from .errors import NotMixedError
 from .exactdist import WalkConfig, check_caps
 from .modmath import ModVector, center, mat_vec_mod
 
@@ -62,10 +62,11 @@ def default_ell_max(p: int) -> int:
 
 def _ell_budget(p: int, ell_max: Optional[int]) -> int:
     """ell_max, or the default for p when None; an orbit budget counts
-    steps, so a negative one raises ValueError."""
-    if ell_max is not None and ell_max < 0:
-        raise ValueError("ell_max must be >= 0")
-    return default_ell_max(p) if ell_max is None else ell_max
+    steps (`check_caps`)."""
+    if ell_max is None:
+        return default_ell_max(p)
+    check_caps(ell_max=ell_max)
+    return ell_max
 
 
 def step_factor(c: CharacterIndex) -> complex:
@@ -181,8 +182,7 @@ def fourier_n(c: CharacterIndex, n: int, cfg: WalkConfig) -> complex:
     product is raised to its power in the log domain so moduli far below
     float underflow still come out right (as 0 only when truly 0).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_caps(n=n)
     cfg.require_admissible()
     _check_character(c, cfg)
     orbit, cyc_start, cyc_len = _orbit(c, cfg, n)
@@ -199,16 +199,6 @@ def fourier_n(c: CharacterIndex, n: int, cfg: WalkConfig) -> complex:
         return 0.0 if reps >= 1 else head * tail
     log_cycle = sum(cmath.log(f) for f in cycle)
     return head * cmath.exp(reps * log_cycle) * tail
-
-
-def _require_char_cap(cfg: WalkConfig, char_cap: int, advice: str) -> None:
-    """BudgetError when a table over every character would pass the cap
-    (ValueError when the cap is negative)."""
-    check_caps(char_cap=char_cap)
-    if cfg.num_states > char_cap:
-        raise BudgetError(
-            f"p^d = {cfg.num_states} exceeds the character cap {char_cap}; {advice}"
-        )
 
 
 def _char_walk(table: np.ndarray, perm: np.ndarray) -> Iterator[np.ndarray]:
@@ -242,7 +232,8 @@ def char_powers(cfg: WalkConfig, char_cap: int = DEFAULT_CHAR_CAP) -> Iterator[n
     normal float range and lose digits there. The character cap counts
     every character, p^d, and is checked on the call, before any item is
     drawn; admissibility is the caller's to check."""
-    _require_char_cap(cfg, char_cap, "use char_lower_bound on sampled candidates instead")
+    cfg.require_states(char_cap, "char_cap", "character cap",
+                       "use char_lower_bound on sampled candidates instead")
     return _char_walk(step_factor_table(cfg.p, cfg.d), transpose_perm(cfg))
 
 
@@ -276,9 +267,7 @@ def ub_bound(
     the characters with c_{d-1} <= p//2 and counts each of the others
     through its negative, where |P_hat_n(-c)| = |P_hat_n(c)|. A negative
     char_cap raises ValueError."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    check_caps(char_cap=char_cap)
+    check_caps(n=n, char_cap=char_cap)
     cfg.require_admissible()
     return _ub_from_powers(next(islice(char_powers(cfg, char_cap), n, None)), cfg.p)
 
@@ -376,11 +365,8 @@ def first_large_sweep(
     p, d = cfg.p, cfg.d
     ell_max = _ell_budget(p, ell_max)
     if cs is None:
-        _require_char_cap(
-            cfg,
-            DEFAULT_CHAR_CAP,
-            "pass sampled characters as cs= (sample= in orbit_constant_report)",
-        )
+        cfg.require_states(DEFAULT_CHAR_CAP, "char_cap", "character cap",
+                           "pass sampled characters as cs= (sample= in orbit_constant_report)")
         cs = indexing.all_coords(p, d)[1:]
     C = np.array(cs, dtype=np.int64) % p
     if C.ndim != 2 or C.shape[1] != d:
@@ -458,6 +444,12 @@ def check_search(eps: float, n_cap: int) -> None:
     check_caps(n_cap=n_cap)
 
 
+def check_method(method: str, allowed: Sequence[str]) -> None:
+    """Every search names its method among `allowed` (ValueError)."""
+    if method not in allowed:
+        raise ValueError(f"unknown method {method!r} (want one of {', '.join(allowed)})")
+
+
 def first_below(values: Iterable[float], eps: float, n_cap: int, method: str) -> int:
     """Least n with values[n] <= eps, drawing values lazily for
     n = 0, 1, ..., n_cap; raises NotMixedError with the value at n_cap
@@ -493,8 +485,7 @@ def mixing_time(
     carries, is always read."""
     check_search(eps, n_cap)
     check_caps(state_cap=state_cap, char_cap=char_cap)
-    if method not in ("exact", "ub"):
-        raise ValueError(f"unknown method {method!r} (want 'exact' or 'ub')")
+    check_method(method, ("exact", "ub"))
     cfg.require_admissible()
     if eps >= 1.0 - 1.0 / cfg.num_states:
         return 0

@@ -37,7 +37,6 @@ import numpy as np
 from . import exactdist, fourier, indexing, spectral
 from .errors import (
     AffineWalkError,
-    BudgetError,
     DegeneratePrimeError,
     NotMixedError,
     PreconditionError,
@@ -225,10 +224,10 @@ def simulate(cfg: WalkConfig, n: int, samples: int, seed: int) -> TrajectoryBatc
 
 def check_counting(cfg: WalkConfig, samples: int, count_cap: int = DEFAULT_COUNT_CAP) -> None:
     """What empirical_tv refuses, in its order, so a caller can refuse it
-    before simulating: a histogram over all p^d states past count_cap
-    (BudgetError) and nothing to count (ValueError)."""
-    if cfg.num_states > count_cap:
-        raise BudgetError(f"p^d = {cfg.num_states} exceeds the counting budget {count_cap}")
+    before simulating: a count_cap below 0 (ValueError), a histogram over
+    all p^d states past count_cap (BudgetError, both by
+    `WalkConfig.require_states`) and nothing to count (ValueError)."""
+    cfg.require_states(count_cap, "count_cap", "counting budget")
     if samples == 0:
         raise ValueError("empty batch")
 
@@ -340,8 +339,7 @@ def projected_walk_dist(
     """Distribution of pi(X_{blocks*m}): `blocks` convolutions of the
     increment distribution on Z/pZ, starting from the point mass at 0,
     read from the spectrum (entries agree with stepping to round-off)."""
-    if blocks < 0:
-        raise ValueError("blocks must be >= 0")
+    exactdist.check_caps(blocks=blocks)
     if report.v.p != cfg.p:
         raise ValueError("projection and config use different moduli")
     return _block_law(report)(blocks)
@@ -379,11 +377,6 @@ def projected_mixing_time(
     return m * blocks
 
 
-def _check_method(method: str, allowed: Sequence[str]) -> None:
-    if method not in allowed:
-        raise ValueError(f"unknown method {method!r} (want one of {', '.join(allowed)})")
-
-
 def mixing_search(
     cfg: WalkConfig, eps: float, method: str, n_cap: int, state_cap: int, char_cap: int
 ) -> int:
@@ -392,7 +385,7 @@ def mixing_search(
     of (cfg.T, cfg.p) for 'projected'. Any other method raises
     ValueError, as do inputs that break `fourier.check_search` and a
     negative state_cap or char_cap, whichever method is asked for."""
-    _check_method(method, METHODS)
+    fourier.check_method(method, METHODS)
     exactdist.check_caps(state_cap=state_cap, char_cap=char_cap)
     if method == "projected":
         return projected_mixing_time(cfg.T, cfg.p, eps, n_cap)
@@ -471,7 +464,7 @@ def scaling_sweep(
     state_cap is refused before any cell runs."""
     fourier.check_search(eps, n_cap)
     exactdist.check_caps(char_cap=char_cap, state_cap=state_cap)
-    _check_method(method, ("auto", *METHODS))
+    fourier.check_method(method, ("auto", *METHODS))
     reports = []
     for T in Ts:
         try:

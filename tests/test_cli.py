@@ -349,6 +349,7 @@ class TestConfigFile:
         ("n_max", "10"),
         ("p", 101.9),
         ("p", [101, True]),
+        ("p", "11,13"),
     ])
     def test_wrong_type_exit_2_names_the_key(self, key, value, capsys, tmp_path):
         cfg = tmp_path / "run.json"

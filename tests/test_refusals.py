@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from affinewalk import cli, exactdist, fourier, indexing, montecarlo, spectral
-from affinewalk.errors import BudgetError, RootConvergenceError
+from affinewalk.errors import BudgetError, PreconditionError, RootConvergenceError
 from affinewalk.exactdist import WalkConfig
 from affinewalk.modmath import IntMatrix, ModVector
 
@@ -88,7 +88,9 @@ class TestNegativeCaps:
         (lambda cfg: fourier.char_powers(cfg, -1), "char_cap"),
         (lambda cfg: exactdist.evolve(cfg, 1, state_cap=-1), "state_cap"),
         (lambda cfg: exactdist.dense_states(cfg, -1), "state_cap"),
-    ], ids=["char_powers", "evolve", "dense_states"])
+        (lambda cfg: montecarlo.empirical_tv(montecarlo.simulate(cfg, 1, 4, seed=1),
+                                             count_cap=-1), "count_cap"),
+    ], ids=["char_powers", "evolve", "dense_states", "empirical_tv"])
     def test_below_the_entry_points(self, call, cap):
         # each read a negative cap as a budget (BudgetError) before
         with pytest.raises(ValueError, match=f"{cap} must be >= 0"):
@@ -132,6 +134,56 @@ class TestNegativeCaps:
         assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("call,text", [
+    (lambda cfg: exactdist.dense_states(cfg, 10_000),
+     "p^d = 10201 exceeds the dense-state cap 10000"),
+    (lambda cfg: fourier.char_powers(cfg, 10_000),
+     "p^d = 10201 exceeds the character cap 10000; "
+     "use char_lower_bound on sampled candidates instead"),
+    (lambda cfg: fourier.first_large_sweep(WalkConfig(cfg.T, 1001)),
+     "p^d = 1002001 exceeds the character cap 1000000; "
+     "pass sampled characters as cs= (sample= in orbit_constant_report)"),
+    (lambda cfg: montecarlo.check_counting(cfg, 10, 10_000),
+     "p^d = 10201 exceeds the counting budget 10000"),
+], ids=["dense_states", "char_powers", "first_large_sweep", "check_counting"])
+def test_budget_message(call, text):
+    """Every budget over the p^d states or characters words its refusal
+    one way (WalkConfig.require_states)."""
+    with pytest.raises(BudgetError) as info:
+        call(WalkConfig(IntMatrix([[2, 1], [1, 1]]), 101))
+    assert str(info.value) == text
+
+
+class TestDenseWalkGate:
+    """The dense walk refuses on the call, whatever step it would reach
+    first, in check_simulate's order: the state cap, an inadmissible
+    (T, p), then the int64 limit."""
+
+    @pytest.mark.parametrize("n", [0, 3])
+    @pytest.mark.parametrize("p", [10, 1000])
+    def test_inadmissible(self, p, n):
+        # at p = 1000 the support steps covered n = 3 and returned a law
+        with pytest.raises(PreconditionError, match="not admissible"):
+            exactdist.evolve(WalkConfig(IntMatrix([[2, 0], [0, 1]]), p), n)
+
+    @pytest.mark.parametrize("call", [
+        lambda cfg: exactdist.evolve(cfg, 3, state_cap=5 * 10**9),
+        lambda cfg: exactdist.dense_states(cfg, 5 * 10**9),
+    ], ids=["evolve", "dense_states"])
+    def test_int64_limit(self, call):
+        # the support step wrapped here, giving supp P_3 =
+        # [0, 1, 4294967087, 4294967088, 4294967310] for {0, 1, 2, p-1}
+        with pytest.raises(BudgetError, match=r"^the dense walk needs .* 2\^63 - 1"):
+            call(WalkConfig(IntMatrix([[-1]]), 4294967311))
+
+    def test_order(self):
+        cfg = WalkConfig(IntMatrix([[2]]), 2**32 + 16)  # inadmissible, past int64
+        with pytest.raises(BudgetError, match="dense-state cap"):
+            exactdist.dense_states(cfg)
+        with pytest.raises(PreconditionError):
+            exactdist.dense_states(cfg, 2**33)
+
+
 class TestSweepEpsilon:
     """A sweep refuses an epsilon outside (0, 1) once, before any cell
     runs, as mixtime does (exit 2), instead of one failure per cell."""
@@ -157,7 +209,9 @@ class TestSweepEpsilon:
 
 class TestUnknownMethod:
     """A method outside METHODS is refused with a message naming them
-    all: by mixing_search, and by a sweep once, before any cell runs."""
+    all: by mixing_search, and by a sweep once, before any cell runs;
+    fourier.mixing_time, which serves two of them, words it the same
+    way (fourier.check_method)."""
 
     ROT = IntMatrix([[0, -1], [1, 0]])
 
@@ -172,6 +226,18 @@ class TestUnknownMethod:
         monkeypatch.setattr(spectral, "classify", boom)
         with pytest.raises(ValueError, match="'fastest' .*auto, exact, ub, projected"):
             montecarlo.scaling_sweep([self.ROT], [11, 13], 0.25, method="fastest")
+
+    @pytest.mark.parametrize("call,allowed", [
+        (lambda cfg: fourier.mixing_time(cfg, 0.25, method="fastest"), "exact, ub"),
+        (lambda cfg: montecarlo.mixing_search(cfg, 0.25, "fastest", 10, 10, 10),
+         "exact, ub, projected"),
+        (lambda cfg: montecarlo.scaling_sweep([cfg.T], [cfg.p], 0.25, method="fastest"),
+         "auto, exact, ub, projected"),
+    ], ids=["mixing_time", "mixing_search", "scaling_sweep"])
+    def test_one_message(self, call, allowed):
+        with pytest.raises(ValueError) as info:
+            call(WalkConfig(self.ROT, 11))
+        assert str(info.value) == f"unknown method 'fastest' (want one of {allowed})"
 
 
 class TestNegativeOrbitBudget:
