@@ -20,10 +20,10 @@ bit-identical to the dense step's. The walk steps the support while
 (d+1) |supp P_n| <= p^d / HEAD_RATIO; from the first step past that it
 hands the dense masses to step_exact and never goes back (the support
 never shrinks). The dense vector of a law held by its support is built
-only when something reads `masses`, and the gather table only at the
-first dense step, so the walk's peak of 32 bytes per state (the state,
-the permutation, the placed grid and the output) starts there; the
-permutation is dropped when the walk ends.
+only when something reads `masses` (its TV to uniform does not), and
+the gather table only at the first dense step, so the walk's peak of 32
+bytes per state (the state, the permutation, the placed grid and the
+output) starts there; the permutation is dropped when the walk ends.
 
 The gather and the shifted adds of a dense step, and the build of the
 gather table (`indexing.linear_perm` over every state), run by
@@ -91,14 +91,19 @@ class WalkConfig:
             tail = f"; {advice}" if advice else ""
             raise BudgetError(f"p^d = {self.num_states} exceeds the {budget} {cap}{tail}")
 
-    def require_int64(self, what: str) -> None:
+    def require_int64(self, what: str, indices: bool = False) -> None:
         """BudgetError unless a row of residues times T mod p, plus one,
-        stays exact in int64: d (p-1)^2 + 1 <= 2^63 - 1."""
-        if self.d * (self.p - 1) ** 2 + 1 > 2**63 - 1:
-            raise BudgetError(
-                f"{what} needs d*(p-1)^2 + 1 <= 2^63 - 1 for exact int64 "
-                f"arithmetic; d={self.d}, p={self.p} exceeds it"
-            )
+        stays exact in int64: d (p-1)^2 + 1 <= 2^63 - 1; with `indices`,
+        then also every state index: p^d - 1 <= 2^63 - 1."""
+        bounds = [("d*(p-1)^2 + 1", self.d * (self.p - 1) ** 2 + 1)]
+        if indices:
+            bounds.append(("p^d - 1", self.num_states - 1))
+        for expr, value in bounds:
+            if value > 2**63 - 1:
+                raise BudgetError(
+                    f"{what} needs {expr} <= 2^63 - 1 for exact int64 "
+                    f"arithmetic; d={self.d}, p={self.p} exceeds it"
+                )
 
 
 def _det_str(T: IntMatrix) -> str:
@@ -226,8 +231,8 @@ def _step_support(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
     shifted by b = 0, e_0, ..., e_{d-1} in that order, and bincount adds
     each state's terms in input order, as step_exact adds them; the
     terms it leaves out are the exact zeros step_exact adds. The
-    coordinates stay exact in int64 under the int64 refusal of
-    dense_states, which runs before any step."""
+    coordinates and keys stay exact in int64 under the int64 refusals
+    of dense_states, which run before any step."""
     p, d = cfg.p, cfg.d
     states, weights = P.support
     image = indexing.decode(states, p, d) @ np.array(cfg.T.mod(p).entries, dtype=np.int64).T % p
@@ -257,13 +262,14 @@ def dense_states(
 
     The walk is refused on the call, in the order check_simulate uses:
     the state cap (`WalkConfig.require_states`), an inadmissible (T, p)
-    (PreconditionError) and a modulus past the int64 limit that keeps a
-    support step's coordinates exact (BudgetError). P_0 is made on the
-    first draw, and the gather table is dropped when the walk ends
-    (exhausted, closed or garbage-collected)."""
+    (PreconditionError) and a modulus past the int64 limits that keep a
+    support step's coordinates and state indices exact (BudgetError;
+    only a state cap raised past 2^63 reaches the second). P_0 is made
+    on the first draw, and the gather table is dropped when the walk
+    ends (exhausted, closed or garbage-collected)."""
     cfg.require_states(state_cap, "state_cap", "dense-state cap")
     cfg.require_admissible()
-    cfg.require_int64("the dense walk")
+    cfg.require_int64("the dense walk", indices=True)
     return _dense_walk(cfg)
 
 
@@ -291,7 +297,17 @@ def evolve(
 
 
 def tv_from_uniform(P: DenseDistribution) -> float:
-    return tv_vector(P.masses)
+    """TV of P to uniform. A law held by its support builds no mass
+    vector: |m - 1/N| is 1/N exactly off the support, so filling the
+    deviations with 1/N and writing them on the support gives tv_vector's
+    vector, and sum, to the bit."""
+    if P.support is None:
+        return tv_vector(P.masses)
+    states, weights = P.support
+    n = P.p**P.d
+    dev = np.full(n, 1.0 / n)
+    dev[states] = np.abs(weights - 1.0 / n)
+    return 0.5 * float(dev.sum())
 
 
 def tv_vector(dist_p: np.ndarray) -> float:

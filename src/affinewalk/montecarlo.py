@@ -45,6 +45,7 @@ from .exactdist import WalkConfig
 from .modmath import (
     IntMatrix,
     ModVector,
+    int_det,
     is_prime,
     mat_pow_exact,
     mat_pow_mod,
@@ -456,26 +457,24 @@ def scaling_sweep(
 ) -> list[ScalingReport]:
     """Mixing time (`mixing_search`) for each (T, p) cell; a cell that
     fails with a package error or a ValueError is recorded and the sweep
-    continues (any other exception is a bug and propagates). A matrix
-    whose classification fails that way records the failure at every p.
-    method: one of METHODS, or 'auto' to pick 'ub' for spectra off the
-    unit circle and 'projected' for root-of-unity spectra. An unknown
-    method, an eps outside (0, 1) or a negative n_cap, char_cap or
-    state_cap is refused before any cell runs."""
+    continues (any other exception is a bug and propagates).
+    method: one of METHODS, or 'auto' to pick 'projected' for a
+    root-of-unity spectrum and 'ub' otherwise; the same split picks the
+    fit. The split is exact: T is nonsingular and a cyclotomic
+    polynomial divides its characteristic polynomial
+    (`spectral.cyclotomic_order`), the test by which `spectral.classify`
+    answers ROOT_OF_UNITY. No root is found, so a matrix is never failed
+    for its classification. An unknown method, an eps outside (0, 1) or
+    a negative n_cap, char_cap or state_cap is refused before any cell
+    runs."""
     fourier.check_search(eps, n_cap)
     exactdist.check_caps(char_cap=char_cap, state_cap=state_cap)
     fourier.check_method(method, ("auto", *METHODS))
     reports = []
     for T in Ts:
-        try:
-            spec = spectral.classify(T)
-        except (AffineWalkError, ValueError) as exc:  # recorded, sweep continues
-            msg = f"{type(exc).__name__}: {exc}"
-            reports.append(
-                ScalingReport(T.tag(), method, failures=[(p, msg) for p in ps])
-            )
-            continue
-        root_of_unity = spec.classification == spectral.Classification.ROOT_OF_UNITY
+        root_of_unity = (
+            int_det(T) != 0 and spectral.cyclotomic_order(spectral.char_poly(T)) is not None
+        )
         cell_method = method
         if method == "auto":
             cell_method = "projected" if root_of_unity else "ub"

@@ -5,7 +5,8 @@ from the slow one (a cyclotomic factor).
 
 Root-of-unity detection is exact integer polynomial division and never
 consults floating point; the numeric root finder only feeds the
-off-circle / near-circle distinction.
+off-circle / near-circle distinction. Only `classify` finds roots, so
+mpmath is imported there (by `_simple_roots`), not with this module.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-import mpmath
 import numpy as np
-from mpmath.libmp import NoConvergence
 
 from .errors import RootConvergenceError
 from .modmath import IntMatrix, int_det
@@ -249,6 +248,9 @@ def complex_roots(cp: CharPoly) -> list[tuple[complex, int]]:
 
 def _simple_roots(cp: CharPoly) -> list[complex]:
     """Roots of a square-free cp, each certified by its residual."""
+    import mpmath  # here, so only a root search pays for the import
+    from mpmath.libmp import NoConvergence
+
     desc = [mpmath.mpf(c) for c in reversed(cp.coeffs)]
     dps, extraprec, maxsteps = 30, 40, 200
     for _ in range(ROOT_ATTEMPTS):

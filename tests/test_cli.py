@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import readers
+import affinewalk
 from affinewalk import montecarlo
 from affinewalk.cli import main
 from affinewalk.montecarlo import METHODS
@@ -60,6 +65,50 @@ class TestClassifyCommand:
     def test_missing_matrix_exit_2(self, capsys):
         code, _, err = run(capsys, "classify")
         assert code == 2
+
+
+# Every command but classify, at small p, then classify, in one fresh
+# interpreter: mpmath, which only classify's root search needs, is
+# imported by nothing before classify and by classify itself.
+NO_MPMATH = """
+import sys
+from affinewalk import cli
+
+FAST, SLOW = "[[2,1],[1,1]]", "[[1,1],[0,2]]"
+runs = [
+    ["mixtime", "--matrix", FAST, "--p", "31", "--epsilon", "0.25", "--method", "exact"],
+    ["mixtime", "--matrix", FAST, "--p", "31", "--epsilon", "0.25", "--method", "ub"],
+    ["mixtime", "--matrix", SLOW, "--p", "31", "--epsilon", "0.25", "--method", "projected"],
+    ["bounds", "--matrix", FAST, "--p", "31", "--n-max", "8", "--exact"],
+    ["sweep", "--matrix", FAST, "--matrix", SLOW, "--p", "11", "--p", "31",
+     "--epsilon", "0.25", "--method", "auto"],
+    ["project", "--matrix", SLOW, "--p", "31", "--blocks", "20"],
+    ["simulate", "--matrix", FAST, "--p", "31", "--n", "10", "--samples", "200"],
+    ["orbit", "--matrix", FAST, "--p", "31", "--c", "[1,0]"],
+]
+for argv in runs:
+    assert cli.main(argv + ["-o", "out.txt"]) == 0, argv
+    assert "mpmath" not in sys.modules, argv[0]
+assert cli.main(["classify", "--matrix", FAST, "--p", "101"]) == 0
+assert "mpmath" in sys.modules
+"""
+
+
+def test_only_classify_imports_mpmath(tmp_path, capsys):
+    src = str(Path(affinewalk.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", NO_MPMATH],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    # the same JSON as classify prints where mpmath was loaded already
+    code, out, _ = run(capsys, "classify", "--matrix", "[[2,1],[1,1]]", "--p", "101")
+    assert code == 0 and result.stdout == out
 
 
 class TestBoundsCommand:

@@ -292,21 +292,27 @@ class TestScalingSweep:
         assert [p for p, _ in rep.cells] == [11]
         assert len(rep.failures) == 1 and rep.failures[0][0] == 2
 
-    def test_classification_failure_recorded_sweep_continues(self, monkeypatch):
-        real = spectral.classify
+    def test_auto_finds_no_root(self, monkeypatch):
+        # the exact cyclotomic test picks the method and the fit; a root
+        # search that cannot succeed fails no matrix
+        def no_roots(*args, **kwargs):
+            raise RootConvergenceError("residuals not certified")
 
-        def classify(T, *args, **kwargs):
-            if T == ROT:
-                raise RootConvergenceError("residuals not certified")
-            return real(T, *args, **kwargs)
-
-        monkeypatch.setattr(spectral, "classify", classify)
-        rot, upper = scaling_sweep([ROT, UPPER], [11, 31], 0.25, method="auto")
-        assert rot.cells == [] and rot.fit_kind is None
-        msg = "RootConvergenceError: residuals not certified"
-        assert rot.failures == [(11, msg), (31, msg)]
-        assert [p for p, _ in upper.cells] == [11, 31]
-        assert upper.method == "projected"
+        monkeypatch.setattr(spectral, "classify", no_roots)
+        monkeypatch.setattr(spectral, "complex_roots", no_roots)
+        singular = IntMatrix([[1, 0], [0, 0]])  # x (x - 1): classify says singular
+        rot, upper, fib, sing = scaling_sweep([ROT, UPPER, FIB, singular], [11, 31], 0.25)
+        assert [r.method for r in (rot, upper, fib, sing)] == ["projected", "projected", "ub", "ub"]
+        assert rot.cells == [(11, 28), (31, 208)] and not rot.failures
+        assert upper.cells == [(11, 9), (31, 69)] and not upper.failures
+        assert fib.cells == [(11, 7), (31, 9)] and not fib.failures
+        assert rot.fit_kind == upper.fit_kind == "power_law_exponent"
+        assert rot.fit_value == pytest.approx(1.9354784147979953, rel=1e-12)
+        assert upper.fit_value == pytest.approx(1.965927795562465, rel=1e-12)
+        assert fib.fit_kind == "logp_squared_constant"
+        assert fib.fit_value == pytest.approx(0.9639208861285149, rel=1e-12)
+        assert sing.cells == [] and sing.fit_kind is None
+        assert [p for p, _ in sing.failures] == [11, 31]
 
     def test_repeated_eigenvalues_sweep(self):
         # unipotent: root of unity of order 1, a triple eigenvalue

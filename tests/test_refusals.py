@@ -37,9 +37,9 @@ class TestNegativeStepCap:
 
     def test_scaling_sweep_refuses_before_any_cell(self, monkeypatch):
         def boom(*args):
-            raise RuntimeError("classified a matrix")
+            raise RuntimeError("examined a matrix")
 
-        monkeypatch.setattr(spectral, "classify", boom)
+        monkeypatch.setattr(spectral, "cyclotomic_order", boom)
         with pytest.raises(ValueError, match="n_cap"):
             montecarlo.scaling_sweep([self.ROT], [101], 0.25, n_cap=-1)
 
@@ -99,9 +99,9 @@ class TestNegativeCaps:
     @pytest.mark.parametrize("cap", ["state_cap", "char_cap"])
     def test_scaling_sweep_refuses_before_any_cell(self, cap, monkeypatch):
         def boom(*args):
-            raise RuntimeError("classified a matrix")
+            raise RuntimeError("examined a matrix")
 
-        monkeypatch.setattr(spectral, "classify", boom)
+        monkeypatch.setattr(spectral, "cyclotomic_order", boom)
         with pytest.raises(ValueError, match=f"{cap} must be >= 0"):
             montecarlo.scaling_sweep([self.ROT.T], [101], 0.25, **{cap: -1})
 
@@ -157,7 +157,7 @@ def test_budget_message(call, text):
 class TestDenseWalkGate:
     """The dense walk refuses on the call, whatever step it would reach
     first, in check_simulate's order: the state cap, an inadmissible
-    (T, p), then the int64 limit."""
+    (T, p), then the int64 limits (coordinates, then state indices)."""
 
     @pytest.mark.parametrize("n", [0, 3])
     @pytest.mark.parametrize("p", [10, 1000])
@@ -176,12 +176,32 @@ class TestDenseWalkGate:
         with pytest.raises(BudgetError, match=r"^the dense walk needs .* 2\^63 - 1"):
             call(WalkConfig(IntMatrix([[-1]]), 4294967311))
 
+    @pytest.mark.parametrize("call", [
+        lambda cfg: exactdist.evolve(cfg, 2, state_cap=10**20),
+        lambda cfg: exactdist.dense_states(cfg, 10**20),
+    ], ids=["evolve", "dense_states"])
+    def test_int64_index_limit(self, call):
+        # p^4 - 1 > 2^63 - 1: the support keys wrapped here, giving supp P_2
+        # ending in [844437815099392, 844437815099393, 844437815164929,
+        # 844442110197761] with only numpy's overflow warning
+        with pytest.raises(BudgetError, match=r"^the dense walk needs p\^d - 1 <= 2\^63 - 1"):
+            call(WalkConfig(IntMatrix.identity(4).scale(-1), 65537))
+
+    def test_int64_index_limit_exit_4(self, capsys):
+        argv = ["mixtime", "--matrix", "[[-1,0,0,0],[0,-1,0,0],[0,0,-1,0],[0,0,0,-1]]",
+                "--p", "65537", "--epsilon", "0.25", "--state-cap", str(10**20)]
+        assert cli.main(argv) == cli.EXIT_BUDGET
+        assert "p^d - 1 <= 2^63 - 1" in capsys.readouterr().err
+
     def test_order(self):
         cfg = WalkConfig(IntMatrix([[2]]), 2**32 + 16)  # inadmissible, past int64
         with pytest.raises(BudgetError, match="dense-state cap"):
             exactdist.dense_states(cfg)
         with pytest.raises(PreconditionError):
             exactdist.dense_states(cfg, 2**33)
+        # inadmissible, p^d past int64: admissibility is checked first
+        with pytest.raises(PreconditionError):
+            exactdist.dense_states(WalkConfig(IntMatrix.identity(4).scale(2), 65536), 10**20)
 
 
 class TestSweepEpsilon:
@@ -193,9 +213,9 @@ class TestSweepEpsilon:
     @pytest.mark.parametrize("eps", [0.0, -0.5, 1.0])
     def test_scaling_sweep_refuses_before_any_cell(self, eps, monkeypatch):
         def boom(*args):
-            raise RuntimeError("classified a matrix")
+            raise RuntimeError("examined a matrix")
 
-        monkeypatch.setattr(spectral, "classify", boom)
+        monkeypatch.setattr(spectral, "cyclotomic_order", boom)
         with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\)"):
             montecarlo.scaling_sweep([self.ROT], [101], eps)
 
@@ -221,9 +241,9 @@ class TestUnknownMethod:
 
     def test_scaling_sweep_refuses_before_any_cell(self, monkeypatch):
         def boom(*args):
-            raise RuntimeError("classified a matrix")
+            raise RuntimeError("examined a matrix")
 
-        monkeypatch.setattr(spectral, "classify", boom)
+        monkeypatch.setattr(spectral, "cyclotomic_order", boom)
         with pytest.raises(ValueError, match="'fastest' .*auto, exact, ub, projected"):
             montecarlo.scaling_sweep([self.ROT], [11, 13], 0.25, method="fastest")
 

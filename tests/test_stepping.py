@@ -346,6 +346,19 @@ def test_support_head_matches_reference(cfg, ratio, monkeypatch):
     assert held[:4] == [True] * 4 and not held[-1]
 
 
+@pytest.mark.parametrize("cfg,ratio", HEAD_WALKS, ids=[f"d{c.d}-p{c.p}" for c, _ in HEAD_WALKS])
+def test_support_tv_builds_no_mass_vector(cfg, ratio, monkeypatch):
+    # the TV of a law held by its support has the dense vector's bits,
+    # read without building (and keeping) that law's mass vector
+    if ratio is not None:
+        monkeypatch.setattr(exactdist, "HEAD_RATIO", ratio)
+    got = islice(exactdist.dense_states(cfg), 4)
+    for P, Q in zip(got, ref_states(cfg, 3), strict=True):
+        assert P.support is not None
+        assert exactdist.tv_from_uniform(P) == ref_tv(Q)
+        assert P._masses is None
+
+
 def test_support_step_term_order_decides_bits():
     # D4 at p = 13: in the step to P_4, eight states take terms whose sum
     # rounds differently in the reverse order, so a support step summing
