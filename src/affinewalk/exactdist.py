@@ -2,11 +2,11 @@
 over all p^d states and its total variation distance to uniform.
 
 Dense float64 vectors in mixed-radix index order (see indexing). A step
-places P(x)/(d+1) on T x with one gather through an inverse permutation,
-then adds the placed grid shifted by one along each axis (the shift by
-e_r) with slice adds into one fresh output; no (p^d, d) coordinate table
-and no rolled copy is formed. Mass drift is asserted, never
-renormalized away.
+places P(x)/(d+1) on T x with one gather through an inverse permutation
+into the new vector, then adds the placed grid shifted by one along each
+axis (the shift by e_r) into that vector in place, a block of rows at a
+time; no (p^d, d) coordinate table, no rolled copy and no second output
+is formed. Mass drift is asserted, never renormalized away.
 
 The walk starts at X_0 = 0, so X_n = sum_{k<n} T^(n-1-k) B_k and P_n
 lives on at most (d+1)^n states. While it is that small, the walk holds
@@ -21,9 +21,11 @@ bit-identical to the dense step's. The walk steps the support while
 hands the dense masses to step_exact and never goes back (the support
 never shrinks). The dense vector of a law held by its support is built
 only when something reads `masses` (its TV to uniform does not), and
-the gather table only at the first dense step, so the walk's peak of 32
-bytes per state (the state, the permutation, the placed grid and the
-output) starts there; the permutation is dropped when the walk ends.
+the gather table only at the first dense step, before that step builds
+the dense vector of its input. So the walk's peak of 24 bytes per state
+(the state, the permutation and the new state, which takes the shifted
+adds in place) starts there, with 16.8 bytes per state while the table
+is built; the permutation is dropped when the walk ends.
 
 The gather and the shifted adds of a dense step, and the build of the
 gather table (`indexing.linear_perm` over every state), run by
@@ -54,6 +56,15 @@ MASS_TOL = 1e-12
 # steps on the support but raised the dense_exact benchmark's peak RSS,
 # by 6% at 16 and 3% at 32 against 1.8% at 64 and 128.
 HEAD_RATIO = 64
+# step_exact sums each range of rows in blocks of at most 1/BLOCKS of the
+# range and BLOCK_STATES states, at least one row, so its temporaries take
+# at most 1 B per state in all and 512 KiB per range. Chosen by measurement
+# (README, Performance): each block makes about ten numpy calls, for which
+# the ranges' threads take the interpreter lock in turn, so on two ranges
+# one-row blocks stepped d = 3, p = 97 in 11.1 ms and 4096-state blocks
+# d = 2, p = 997 in 14.0 ms, against 6.9 and 6.0 ms with these bounds.
+BLOCKS = 8
+BLOCK_STATES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -173,25 +184,34 @@ def step_exact(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
     inverse permutation, then add that grid shifted by one along each
     coordinate r (x + e_r receives x), r = 0..d-1 in order.
 
-    The shifts are slice adds into one fresh output, with no rolled copy.
-    Coordinate 0 is the last numpy axis, so its shift is one add over the
-    flat vectors, which is right wherever x_0 > 0, followed by the
-    wrap-around slab x_0 = 0, rewritten from x_0 = p-1. Each further
-    coordinate r adds in place on numpy axis d-1-r: the interior slab
-    [1:] takes [:-1] and the wrap-around slab [:1] takes [-1:]. That is
-    the addition order of the placed grid plus d rolled copies. Each state
-    receives exactly d+1 terms, so mass is conserved up to float
+    The shifts are slice adds into the placed grid itself, with no rolled
+    copy and no second vector: the step holds P, the gather table and the
+    new state (24 bytes per state) and never writes P. Coordinate 0 is
+    the last numpy axis, so its shift is one add over flat views, which
+    is right wherever x_0 > 0, followed by the states x_0 = 0, rewritten
+    from x_0 = p-1 of their run. Each further coordinate r adds along
+    numpy axis d-1-r, where x_r steps by p^r: the interior slab x_r >= 1
+    takes x_r - 1 and the wrap-around slab x_r = 0 takes x_r = p-1. That
+    is the addition order of the placed grid plus d rolled copies. Each
+    state receives exactly d+1 terms, so mass is conserved up to float
     addition.
 
     Both phases run by ranges (`indexing.split_rows`): the gather and
     division by ranges of states, then, once every state is placed, the
-    shifted adds by ranges of rows of numpy axis 0, each row taking its
-    d+1 terms in the order above."""
+    shifted adds by ranges of rows of numpy axis 0. A row's terms are
+    placed values in the same row and in the row below it (row p-1 below
+    row 0), so each range sums its rows from the top down in blocks, each
+    block into a small temporary copied back over it: a block reads only
+    rows that no range has rewritten yet, except the row below the
+    range's first, which is copied before any range writes. The
+    temporaries and the copied rows are allocated here, not in the
+    ranges."""
     cfg.require_admissible()
     if (P.p, P.d) != (cfg.p, cfg.d):
         raise ValueError("distribution does not match config")
     p, d, n = cfg.p, cfg.d, cfg.num_states
-    masses, src = P.masses, _gather_index(cfg.T, p)  # built here, not in the ranges
+    src = _gather_index(cfg.T, p)  # built before P's dense vector, and not in the ranges
+    masses = P.masses
     placed = np.empty(n)
 
     def place(s):
@@ -199,30 +219,37 @@ def step_exact(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
         placed[s] /= d + 1
 
     indexing.split_rows(place, n)
-    grid = placed.reshape((p,) * d)
-    out = np.empty_like(grid)
-    flat = out.reshape(-1)
-    runs, out_runs = placed.reshape(-1, p), flat.reshape(-1, p)  # x_0 = 0 .. p-1 per run
     m = n // p  # states per row of numpy axis 0
 
-    def add_shifts(s):  # rows s of numpy axis 0: states [a, b)
-        a, b = s.start * m, s.stop * m
-        lo = max(a, 1)
-        np.add(placed[lo:b], placed[lo - 1 : b - 1], out=flat[lo:b])
-        i, j = -(-a // p), -(-b // p)  # the runs whose x_0 = 0 state lies in [a, b)
-        np.add(runs[i:j, 0], runs[i:j, -1], out=out_runs[i:j, 0])
-        for r in range(1, d - 1):
-            g, o = np.moveaxis(grid[s], d - 1 - r, 0), np.moveaxis(out[s], d - 1 - r, 0)
-            o[1:] += g[:-1]
-            o[:1] += g[-1:]
-        if d > 1:  # coordinate d-1 lies on numpy axis 0 and reads rows outside s
-            lo = max(s.start, 1)
-            out[lo : s.stop] += grid[lo - 1 : s.stop - 1]
-            if s.start == 0:
-                out[:1] += grid[-1:]
+    def prepare(s):  # rows per block, a block's sums, the row below row s.start (p-1 below 0)
+        step = max(1, min(-(-(s.stop - s.start) // BLOCKS), BLOCK_STATES // m))
+        return step, np.empty(step * m), placed[(s.start - 1) % p * m :][:m].copy()
+
+    work = {s.start: prepare(s) for s in indexing.row_ranges(p, m)}  # before any range writes
+
+    def add_shifts(s):  # rows s of numpy axis 0
+        step, sums, below_first = work[s.start]
+        for top in range(s.stop, s.start, -step):
+            a, b = max(s.start, top - step) * m, top * m
+            g, t = placed[a:b], sums[: b - a]
+            below = placed[a - m : a] if a > s.start * m else below_first
+            np.add(g[1:], g[:-1], out=t[1:])
+            if d == 1:
+                np.add(g[:1], below, out=t[:1])
+            else:
+                runs = g.reshape(-1, p)
+                np.add(runs[:, 0], runs[:, -1], out=t.reshape(-1, p)[:, 0])
+                for r in range(1, d - 1):  # x_r runs in steps of p^r within each p^(r+1)
+                    w = p**r
+                    gr, o = g.reshape(-1, p * w), t.reshape(-1, p * w)
+                    o[:, w:] += gr[:, :-w]
+                    o[:, :w] += gr[:, -w:]
+                t[m:] += g[:-m]
+                t[:m] += below
+            g[...] = t
 
     indexing.split_rows(add_shifts, p, m)
-    return DenseDistribution(p, d, flat, max_support=min(n, (d + 1) * P.max_support))
+    return DenseDistribution(p, d, placed, max_support=min(n, (d + 1) * P.max_support))
 
 
 def _step_support(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:

@@ -69,12 +69,21 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def row_ranges(rows: int, row_size: int = 1) -> list[slice]:
+    """The contiguous slices that split_rows runs over a table of `rows`
+    rows of `row_size` elements, in order: k of them covering
+    range(rows), k = min(CPUs, rows * row_size // MIN_PART, rows), at
+    least 1. A caller that must prepare something per range before any
+    range runs reads them here."""
+    k = max(1, min(_cpus(), rows * row_size // MIN_PART, rows))
+    ends = [rows * i // k for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(ends, ends[1:])]
+
+
 def split_rows(fn, rows: int, row_size: int = 1) -> None:
-    """Call fn(s) once for each of k contiguous slices s that cover
-    range(rows) in order, for a table of `rows` rows of `row_size`
-    elements: k = min(CPUs, rows * row_size // MIN_PART, rows), at least
-    1. The calling thread takes the first slice and one new thread each
-    of the others, all joined before the return; with k = 1 fn runs on
+    """Call fn(s) once for each slice s of row_ranges(rows, row_size).
+    The calling thread takes the first slice and one new thread each of
+    the others, all joined before the return; with one slice fn runs on
     the calling thread alone. An exception raised by fn in any slice is
     raised here after the join.
 
@@ -83,8 +92,7 @@ def split_rows(fn, rows: int, row_size: int = 1) -> None:
     that thread's malloc arena, which keeps it after the thread ends and
     so raises the process's peak RSS. The caller allocates the outputs
     and temporaries, and fn fills its slice of them."""
-    k = max(1, min(_cpus(), rows * row_size // MIN_PART, rows))
-    ends = [rows * i // k for i in range(k + 1)]
+    first, *rest = row_ranges(rows, row_size)
     errors = []
 
     def run(s):
@@ -93,11 +101,11 @@ def split_rows(fn, rows: int, row_size: int = 1) -> None:
         except BaseException as exc:  # raised again in the caller
             errors.append(exc)
 
-    threads = [threading.Thread(target=run, args=(slice(a, b),)) for a, b in zip(ends[1:], ends[2:])]
+    threads = [threading.Thread(target=run, args=(s,)) for s in rest]
     for t in threads:
         t.start()
     try:
-        fn(slice(0, ends[1]))
+        fn(first)
     finally:
         for t in threads:
             t.join()

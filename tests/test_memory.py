@@ -10,15 +10,21 @@ holds |f|^2, the folded transpose map and the old and new |P_hat|^2
 peaks near 13 B (16 B budgeted): step_factor_table holds |f|^2 and its
 complex temporary (12 B), then transpose_perm holds the folded map, the
 image coordinate and the flip mask next to |f|^2 (12.5 B). The dense
-walk holds the state, the gather permutation, the placed grid and the
-output (8 B each) from its first dense step on; before it, the walk
-holds P_n by its support, at most p^d / 64 states, and no table. Both
-WALKS cross that switch (test_walks_cross_the_switch). Building its
-gather table (indexing.linear_perm, nothing folded) holds the map and
-one image coordinate (8 B each) and a 64 KiB numpy buffer per range for
-the in-place broadcast add: 16 B plus 83-120 KiB measured, serial and
-split (17 B budgeted). bound_series
-runs one engine at a time, so its peak is the larger of the two. After
+walk holds the state, the gather permutation and the new state (8 B
+each) from its first dense step on: the step adds the shifted copies
+into its placed grid in place, a block of rows at a time, through one
+temporary per range of at most 1/8 of that range (so at most 1 B per
+state in all) and one saved row per range. Measured: 25.3-25.6 B serial
+and 25.4-25.9 B on three ranges (26 B budgeted). Before the first dense
+step the walk holds P_n by its support, at most p^d / 64 states, and no
+table. Both WALKS cross that switch (test_walks_cross_the_switch). The
+first dense step builds the gather table before it expands the
+support-held law to its dense vector. Building the table
+(indexing.linear_perm, nothing folded) holds the map and one image
+coordinate (8 B each) and a 64 KiB numpy buffer per range for the
+in-place broadcast add: 16 B plus 83-120 KiB measured, serial and split
+(17 B budgeted), under the step's 24 B. bound_series runs one engine at
+a time, so its peak is the larger of the two. After
 each call returns, traced memory is back to its level before the call:
 no index table outlives its walk. Each budget holds with the tables and
 walk steps run on the calling thread and split into uneven ranges on
@@ -27,10 +33,11 @@ own.
 
 The slack is a constant, not a share of p^d. Its largest part is the
 buffers numpy's ufunc machinery may allocate for an add over a strided
-2-D view: up to 3 x 8192 float64 (192 KiB) per add. At d = 2 every add
-of the dense step runs on 1-D views and takes none; at d >= 3 the
-middle-axis slabs are 2-D, and at p = 47 only the wrap-around one takes
-buffers, 3 x 47^2 float64 (52 KiB).
+view of 2-D or more: three buffers of up to 8192 float64 (192 KiB) per
+add, each no larger than the view. At d = 2 every add of the dense step
+runs on 1-D views and takes none; at d >= 3 the middle-axis slabs of a
+block are 2-D or more, and at d = 3 only the wrap-around one takes
+buffers, 8 KiB for a block of six rows at p = 47.
 
 simulate holds one chunk's uint8 step stream (1 B per step of each of
 its min(samples, RNG_CHUNK) walks), the batch (8 d B per walk), the
@@ -68,10 +75,10 @@ WALKS = [
 NS = range(12)
 # call -> (peak budget in bytes per state, the call)
 CALLS = {
-    "bound_series_exact": (32, lambda cfg: bound_series(cfg, NS, include_exact=True)),
+    "bound_series_exact": (26, lambda cfg: bound_series(cfg, NS, include_exact=True)),
     "bound_series_no_exact": (24, lambda cfg: bound_series(cfg, NS, include_exact=False)),
-    "mixing_time_exact": (32, lambda cfg: mixing_time(cfg, 0.25, method="exact")),
-    "evolve": (32, lambda cfg: evolve(cfg, max(NS))),
+    "mixing_time_exact": (26, lambda cfg: mixing_time(cfg, 0.25, method="exact")),
+    "evolve": (26, lambda cfg: evolve(cfg, max(NS))),
     "mixing_time_ub": (24, lambda cfg: mixing_time(cfg, 0.25, method="ub")),
     "ub_bound": (24, lambda cfg: ub_bound(max(NS), cfg)),
     "tables": (16, lambda cfg: (step_factor_table(cfg.p, cfg.d), transpose_perm(cfg))),

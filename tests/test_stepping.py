@@ -395,6 +395,49 @@ def test_split_matches_serial(cfg, monkeypatch, request):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("cfg", MODULI_WALKS, ids=lambda c: f"d{c.d}-p{c.p}")
+def test_split_step_matches_reference(cfg, forced_split):
+    # each range reads the row below its first, and the first range row
+    # p-1, from a copy made before any range rewrites it; a wrong copy
+    # would change the states of that range's first row
+    P = Q = exactdist.delta_at_zero(cfg.p, cfg.d)
+    for _ in range(STEPS):
+        P, Q = step_exact(P, cfg), ref_step(Q, cfg)
+        assert np.array_equal(P.masses, Q.masses)
+
+
+def input_laws(cfg):
+    """A law held by its support (every third state) and a dense law, each
+    with masses drawn at random."""
+    rng = np.random.default_rng(cfg.p)
+    states = np.arange(0, cfg.num_states, 3)
+    return [
+        DenseDistribution(cfg.p, cfg.d, support=(states, rng.dirichlet(np.ones(states.shape[0])))),
+        DenseDistribution(cfg.p, cfg.d, rng.dirichlet(np.ones(cfg.num_states))),
+    ]
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+@pytest.mark.parametrize("cfg", MODULI_WALKS, ids=lambda c: f"d{c.d}-p{c.p}")
+def test_step_exact_leaves_its_input_alone(cfg, split, request):
+    # the shifted adds write the new vector only
+    if split:
+        request.getfixturevalue("forced_split")
+    for P in input_laws(cfg):
+        if P.support is None:
+            support, masses = None, P.masses.tobytes()
+        else:  # its dense vector is left for the step to build
+            support = [a.tobytes() for a in P.support]
+            masses = np.zeros(cfg.num_states)
+            masses[P.support[0]] = P.support[1]
+            masses = masses.tobytes()
+        Q = step_exact(P, cfg)
+        assert not np.shares_memory(Q.masses, P.masses)
+        assert P.masses.tobytes() == masses
+        if support is not None:
+            assert [a.tobytes() for a in P.support] == support
+
+
 def test_split_rows_cuts_uneven_ranges(forced_split):
     seen = []
     indexing.split_rows(lambda s: seen.append((s, threading.current_thread())), 10)
