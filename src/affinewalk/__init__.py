@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .errors import (
     AffineWalkError,
     BudgetError,
-    DegeneratePrimeError,
     NotMixedError,
     PreconditionError,
     RootConvergenceError,
@@ -22,7 +21,6 @@ __all__ = [
     "AffineWalkError",
     "BudgetError",
     "CenteredVector",
-    "DegeneratePrimeError",
     "DenseDistribution",
     "IntMatrix",
     "ModVector",

@@ -12,9 +12,9 @@ identical configs give identical bytes.
 
 Exit codes: 0 ok, 2 bad config (an --epsilon outside (0, 1) included),
 3 mathematical precondition violated (singular matrix, inadmissible or
-composite p where primality is needed) or eigenvalue refinement that
-failed to converge, 4 resource budget exceeded (including "not mixed by
-n_max", and moduli too large for exact int64 simulation). `mixtime` and
+composite p where primality is needed) or eigenvalues that numpy could
+not find for classify's listing, 4 resource budget exceeded (including
+"not mixed by n_max", and moduli too large for exact int64 simulation). `mixtime` and
 every `sweep` cell search through `montecarlo.mixing_search`, so one
 rule set covers --epsilon, --n-cap and --method. --n-cap counts steps
 for every method; the projected search stops after floor(n_cap / m)
@@ -59,7 +59,6 @@ class ExperimentConfig:
     samples: Optional[int] = None
     seed: int = montecarlo.DEFAULT_SEED
     method: Optional[str] = None
-    tol: float = spectral.DEFAULT_TOL
     output: Optional[str] = None
     fit_json: Optional[str] = None
     dump_states: bool = False
@@ -213,7 +212,7 @@ def _emit_json(doc: dict, cfg: ExperimentConfig, path: Optional[str]) -> None:
 
 
 def cmd_classify(cfg: ExperimentConfig) -> int:
-    report = spectral.classify(cfg.T, tol=cfg.tol)
+    report = spectral.classify(cfg.T)
     doc = report.to_dict()
     if cfg.ps:
         doc["admissible"] = {str(p): is_admissible(cfg.T, p) for p in cfg.ps}
@@ -348,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="spectrum report for the matrix", allow_abbrev=False)
     common(sp)
-    sp.add_argument("--tol", type=float)
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("bounds", help="upper/lower/exact TV series as CSV", allow_abbrev=False)
@@ -416,7 +414,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except RootConvergenceError as exc:
-        print(f"eigenvalue refinement failed: {exc}", file=sys.stderr)
+        print(f"eigenvalue listing failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -2,7 +2,8 @@
 
 The CLI maps these onto its exit-code scheme: PreconditionError and
 RootConvergenceError -> 3, BudgetError (and subclasses) -> 4, config
-problems -> 2.
+problems -> 2. Only `classify`'s eigenvalue listing raises
+RootConvergenceError; no class or search depends on a numeric root.
 """
 
 
@@ -13,11 +14,6 @@ class AffineWalkError(Exception):
 class PreconditionError(AffineWalkError):
     """A mathematical precondition is violated (singular matrix,
     inadmissible (T, p) pair, composite modulus where a prime is required)."""
-
-
-class DegeneratePrimeError(PreconditionError):
-    """The eigenvalue-1 nullspace mod p is empty: p divides a resultant
-    that is nonzero generically, so this prime cannot carry the projection."""
 
 
 class BudgetError(AffineWalkError):
@@ -38,5 +34,6 @@ class NotMixedError(BudgetError):
 
 
 class RootConvergenceError(AffineWalkError):
-    """Polynomial root refinement failed to certify residuals even after
-    raising the working precision."""
+    """numpy could not find the roots of a characteristic polynomial that
+    `classify` lists (its eigenvalue iteration did not converge, or a
+    coefficient does not fit a float). No class depends on the roots."""

@@ -35,17 +35,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import exactdist, fourier, indexing, spectral
-from .errors import (
-    AffineWalkError,
-    DegeneratePrimeError,
-    NotMixedError,
-    PreconditionError,
-)
+from .errors import AffineWalkError, NotMixedError, PreconditionError
 from .exactdist import WalkConfig
 from .modmath import (
     IntMatrix,
     ModVector,
-    int_det,
     is_prime,
     mat_pow_exact,
     mat_pow_mod,
@@ -277,10 +271,13 @@ def projection_functional(T: IntMatrix, p: int) -> ProjectionReport:
     polynomial (PreconditionError when there is none).
 
     v is the first basis vector of the nullspace of (T^m)^t - I mod p
-    (deterministic RREF order). The increment distribution of
-    pi(T^{m-1} B_0 + ... + B_{m-1}) over one block is computed by exact
-    integer convolution over Z/pZ - identical to enumerating all
-    (d+1)^m equally likely step tuples, without the exponential loop.
+    (deterministic RREF order). That nullspace is never empty: Phi_m
+    divides the characteristic polynomial, so T^m - I is singular over Q
+    and its rank mod p is at most its rank over Q. The increment
+    distribution of pi(T^{m-1} B_0 + ... + B_{m-1}) over one block is
+    computed by exact integer convolution over Z/pZ - identical to
+    enumerating all (d+1)^m equally likely step tuples, without the
+    exponential loop.
     """
     m = spectral.cyclotomic_order(spectral.char_poly(T))
     if m is None:
@@ -293,10 +290,6 @@ def projection_functional(T: IntMatrix, p: int) -> ProjectionReport:
     tm_t = mat_pow_mod(T, m, p).transpose()
     A = tm_t + IntMatrix.identity(d).scale(-1)
     basis = nullspace_mod_prime(A, p)
-    if not basis:
-        raise DegeneratePrimeError(
-            f"(T^m)^t - I is invertible mod {p}: degenerate prime for this matrix"
-        )
     # generic nullity over Q of T^m - I; a different count mod p flags p
     generic = nullity_rational(
         mat_pow_exact(T, m) + IntMatrix.identity(d).scale(-1)
@@ -460,11 +453,9 @@ def scaling_sweep(
     continues (any other exception is a bug and propagates).
     method: one of METHODS, or 'auto' to pick 'projected' for a
     root-of-unity spectrum and 'ub' otherwise; the same split picks the
-    fit. The split is exact: T is nonsingular and a cyclotomic
-    polynomial divides its characteristic polynomial
-    (`spectral.cyclotomic_order`), the test by which `spectral.classify`
-    answers ROOT_OF_UNITY. No root is found, so a matrix is never failed
-    for its classification. An unknown method, an eps outside (0, 1) or
+    fit. The split is `spectral.root_of_unity_order`, the exact test by
+    which `spectral.classify` answers ROOT_OF_UNITY. No root is found,
+    so a matrix is never failed for its classification. An unknown method, an eps outside (0, 1) or
     a negative n_cap, char_cap or state_cap is refused before any cell
     runs."""
     fourier.check_search(eps, n_cap)
@@ -472,9 +463,7 @@ def scaling_sweep(
     fourier.check_method(method, ("auto", *METHODS))
     reports = []
     for T in Ts:
-        root_of_unity = (
-            int_det(T) != 0 and spectral.cyclotomic_order(spectral.char_poly(T)) is not None
-        )
+        root_of_unity = spectral.root_of_unity_order(T) is not None
         cell_method = method
         if method == "auto":
             cell_method = "projected" if root_of_unity else "ub"

@@ -1,17 +1,17 @@
 """Spectrum of the driving matrix: exact characteristic polynomial,
-certified complex roots, root-of-unity detection, and the classification
-that separates the fast-mixing regime (no eigenvalue on the unit circle)
-from the slow one (a cyclotomic factor).
+root-of-unity detection, and the classification that separates the
+fast-mixing regime (no eigenvalue on the unit circle) from the slow one
+(a cyclotomic factor).
 
-Root-of-unity detection is exact integer polynomial division and never
-consults floating point; the numeric root finder only feeds the
-off-circle / near-circle distinction. Only `classify` finds roots, so
-mpmath is imported there (by `_simple_roots`), not with this module.
+Every class is decided in exact arithmetic: singularity by the integer
+determinant, a cyclotomic factor by integer polynomial division, and a
+root on the unit circle by a Sturm count over Q (`_circle_roots`).
+Floating point only lists the eigenvalues a report shows
+(`complex_roots`, numpy's companion-matrix roots).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -22,9 +22,6 @@ import numpy as np
 
 from .errors import RootConvergenceError
 from .modmath import IntMatrix, int_det
-
-DEFAULT_TOL = 1e-9
-ROOT_ATTEMPTS = 4  # working precisions root refinement tries, each double the last
 
 
 @dataclass(frozen=True)
@@ -44,19 +41,12 @@ class CharPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, x: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
 
 class Classification(str, Enum):
     SINGULAR = "singular"
     ALL_OFF_UNIT_CIRCLE = "all_off_unit_circle"
     ROOT_OF_UNITY = "root_of_unity"
     UNIT_MODULUS_NON_CYCLOTOMIC = "unit_modulus_non_cyclotomic"
-    BORDERLINE = "borderline"
 
 
 @dataclass(frozen=True)
@@ -66,30 +56,16 @@ class SpectrumReport:
     moduli: tuple[float, ...]
     classification: Classification
     root_of_unity_order: Optional[int]
-    tolerance: float
 
     def to_dict(self) -> dict:
         doc = {
             "charpoly": list(self.charpoly.coeffs),
             "eigenvalues": [[z.real, z.imag, m] for z, m in self.eigenvalues],
             "classification": self.classification.value,
-            "tolerance": self.tolerance,
         }
         if self.root_of_unity_order is not None:
             doc["m"] = self.root_of_unity_order
         return doc
-
-
-@dataclass(frozen=True)
-class JordanBlockSpec:
-    """One Jordan block: eigenvalue on the diagonal, ones above it."""
-
-    eigenvalue: complex
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("block size must be >= 1")
 
 
 def char_poly(T: IntMatrix) -> CharPoly:
@@ -229,114 +205,96 @@ def _square_free_factors(cp: CharPoly) -> list[tuple[CharPoly, int]]:
 
 
 def complex_roots(cp: CharPoly) -> list[tuple[complex, int]]:
-    """All distinct roots of cp with certified residuals and exact
-    multiplicities, sorted by (real, imag).
+    """All distinct roots of cp with exact multiplicities, sorted by
+    (real, imag), for display only: no class reads them.
 
     cp is split into square-free factors (_square_free_factors); the
-    roots of each factor are simple, found by simultaneous
-    (Durand-Kerner) iteration at increasing working precision, and take
-    the factor's multiplicity. Raises RootConvergenceError if none of
-    the ROOT_ATTEMPTS precisions both converges and certifies.
+    roots of each factor are simple, found by `np.roots` (the
+    eigenvalues of its companion matrix), and take the factor's
+    multiplicity. Raises RootConvergenceError where numpy's eigenvalue
+    iteration does not converge, or a coefficient overflows a float.
     """
-    roots = [
-        (z, mult)
-        for factor, mult in _square_free_factors(cp)
-        for z in _simple_roots(factor)
-    ]
+    try:
+        roots = [
+            (complex(z) + 0j, mult)  # + 0j turns a -0.0 part into 0.0
+            for factor, mult in _square_free_factors(cp)
+            for z in np.roots(np.array(factor.coeffs[::-1], dtype=float))
+        ]
+    except (np.linalg.LinAlgError, OverflowError) as exc:
+        raise RootConvergenceError(
+            f"no roots for the degree {cp.degree} characteristic polynomial: {exc}"
+        ) from exc
     return sorted(roots, key=lambda zm: (zm[0].real, zm[0].imag))
 
 
-def _simple_roots(cp: CharPoly) -> list[complex]:
-    """Roots of a square-free cp, each certified by its residual."""
-    import mpmath  # here, so only a root search pays for the import
-    from mpmath.libmp import NoConvergence
-
-    desc = [mpmath.mpf(c) for c in reversed(cp.coeffs)]
-    dps, extraprec, maxsteps = 30, 40, 200
-    for _ in range(ROOT_ATTEMPTS):
-        try:
-            with mpmath.workdps(dps):
-                found = mpmath.polyroots(desc, maxsteps=maxsteps, extraprec=extraprec)
-            candidates = [complex(r) for r in found]
-        except NoConvergence:
-            candidates = None
-        if candidates is not None and all(_residual_ok(cp, r) for r in candidates):
-            return candidates
-        dps *= 2
-        extraprec *= 2
-        maxsteps *= 2
-    raise RootConvergenceError(
-        f"root refinement failed for degree {cp.degree} polynomial"
-    )
+def _q_eval(a: Sequence[Fraction], x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
 
 
-def _residual_ok(cp: CharPoly, r: complex) -> bool:
-    scale = sum(abs(c) * max(1.0, abs(r)) ** k for k, c in enumerate(cp.coeffs))
-    return abs(cp(r)) <= 1e-8 * scale + 1e-300
+def _circle_roots(cp: CharPoly) -> int:
+    """Number of distinct roots of cp on the unit circle, for cp with no
+    root +1 or -1 (no cyclotomic factor of order 1 or 2).
 
-
-def _reciprocal_gcd_degree(cp: CharPoly) -> tuple[int, list[complex]]:
-    """Degree of gcd(cp(x), x^d cp(1/x)) over Q, plus the gcd's roots.
-
-    A monic integer polynomial with a root on the unit circle shares that
-    root with its coefficient-reversal, so a nontrivial gcd is a necessary
-    (exact) witness; the returned roots let the caller confirm one
-    actually sits on the circle.
+    A root z with |z| = 1 is also a root of the reversal
+    cp*(x) = x^d cp(1/x), since 1/z is its conjugate; so it is a root of
+    g = gcd(cp, cp*). The roots of g pair z with 1/z != z, so g is
+    palindromic of even degree 2k, and g(x) = x^k h(x + 1/x) with
+    h(y) = g_k + sum_i g_(k+i) (x^i + x^-i), x^i + x^-i a polynomial in
+    y = x + 1/x. y is real in (-2, 2) exactly when |z| = 1, z != +-1,
+    and then z and its conjugate both map to y; Sturm's theorem counts
+    the distinct real roots of h there.
     """
-    g = _q_gcd(
-        [Fraction(c) for c in cp.coeffs], [Fraction(c) for c in reversed(cp.coeffs)]
-    )
-    if len(g) - 1 < 1:
-        return 0, []
-    groots = np.roots([float(c) for c in reversed(g)])
-    return len(g) - 1, [complex(z) for z in groots]
+    f = [Fraction(c) for c in cp.coeffs]
+    g = _q_gcd(f, f[::-1])
+    k = (len(g) - 1) // 2
+    h = [g[k]]
+    # P_i(y) = x^i + x^-i for i = 0, 1, then P_(i+1) = y P_i - P_(i-1)
+    prev, cur = [Fraction(2)], [Fraction(0), Fraction(1)]
+    for i in range(1, k + 1):
+        h = _q_sub(h, [-g[k + i] * c for c in cur])  # h += g_(k+i) (x^i + x^-i)
+        prev, cur = cur, _q_sub([Fraction(0)] + cur, prev)
+    sturm = [h, _q_deriv(h)]
+    while sturm[-1] != [0]:
+        sturm.append([-c for c in _q_divmod(sturm[-2], sturm[-1])[1]])
+
+    def sign_changes(x: Fraction) -> int:
+        vals = [v for v in (_q_eval(s, x) for s in sturm) if v]
+        return sum(a * b < 0 for a, b in zip(vals, vals[1:]))
+
+    return 2 * (sign_changes(Fraction(-2)) - sign_changes(Fraction(2)))
 
 
-def classify(T: IntMatrix, tol: float = DEFAULT_TOL) -> SpectrumReport:
-    """Classify T by its complex spectrum.
+def root_of_unity_order(T: IntMatrix) -> Optional[int]:
+    """The least m with Phi_m dividing det(xI - T) (`cyclotomic_order`)
+    when T is invertible, else None: exact, and the one rule by which
+    `classify` answers ROOT_OF_UNITY and `scaling_sweep` picks its
+    method and fit."""
+    if int_det(T) == 0:
+        return None
+    return cyclotomic_order(char_poly(T))
 
-    Order of tests: exact singularity, exact cyclotomic factor (overrides
-    any numerics), then the numeric all-off-circle / near-circle split
-    with an exact reciprocal-polynomial confirmation for unit-modulus
-    non-cyclotomic spectra.
+
+def classify(T: IntMatrix) -> SpectrumReport:
+    """Classify T by its complex spectrum, exactly.
+
+    Order of tests: singularity, a cyclotomic factor
+    (`root_of_unity_order`), then a root on the unit circle
+    (`_circle_roots`); each is exact arithmetic over Z or Q. The listed
+    eigenvalues and moduli are for display.
     """
-    if not 0 < tol < math.inf:  # also refuses NaN
-        raise ValueError("tol must be positive and finite")
     cp = char_poly(T)
     if int_det(T) == 0:
-        return SpectrumReport(cp, (), (), Classification.SINGULAR, None, tol)
-    m = cyclotomic_order(cp)
+        return SpectrumReport(cp, (), (), Classification.SINGULAR, None)
+    m = root_of_unity_order(T)
     eig = tuple(complex_roots(cp))
     moduli = tuple(abs(z) for z, _ in eig)
     if m is not None:
-        return SpectrumReport(cp, eig, moduli, Classification.ROOT_OF_UNITY, m, tol)
-    if all(abs(r - 1.0) > tol for r in moduli):
-        return SpectrumReport(
-            cp, eig, moduli, Classification.ALL_OFF_UNIT_CIRCLE, None, tol
-        )
-    gdeg, groots = _reciprocal_gcd_degree(cp)
-    if gdeg >= 1 and any(abs(abs(z) - 1.0) <= tol for z in groots):
-        return SpectrumReport(
-            cp, eig, moduli, Classification.UNIT_MODULUS_NON_CYCLOTOMIC, None, tol
-        )
-    return SpectrumReport(cp, eig, moduli, Classification.BORDERLINE, None, tol)
-
-
-def jordan_power(block: JordanBlockSpec, ell: int):
-    """Entrywise closed form for the ell-th power of a Jordan block:
-    a^ell on the diagonal, C(ell, j-i) a^(ell-(j-i)) above it (binomial 0
-    when j-i > ell), zero below. Binomials are exact big integers before
-    the complex conversion."""
-    if ell < 0:
-        raise ValueError("exponent must be >= 0")
-    c = block.size
-    a = complex(block.eigenvalue)
-    out = np.zeros((c, c), dtype=complex)
-    for i in range(c):
-        for j in range(i, c):
-            k = j - i
-            if k > ell:
-                continue
-            binom = math.comb(ell, k)
-            out[i, j] = binom * a ** (ell - k)
-    return out
+        cls = Classification.ROOT_OF_UNITY
+    elif _circle_roots(cp):
+        cls = Classification.UNIT_MODULUS_NON_CYCLOTOMIC
+    else:
+        cls = Classification.ALL_OFF_UNIT_CIRCLE
+    return SpectrumReport(cp, eig, moduli, cls, m)

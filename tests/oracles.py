@@ -1,9 +1,11 @@
 """Oracles the tests check the engines against: the dense character
 transform, the law of a linear functional, the uniform law, the full
-table of the one-step multiplier, and single-state indexing. Nothing in
-the package calls them.
+table of the one-step multiplier, single-state indexing, and a
+high-precision count of a polynomial's roots on the unit circle. Nothing
+in the package calls them.
 """
 
+import mpmath
 import numpy as np
 
 from affinewalk import indexing
@@ -70,3 +72,29 @@ def factor_table(p: int, d: int) -> np.ndarray:
     for r in range(d):
         acc += np.exp(2j * np.pi / p * coords[:, r])
     return acc / (d + 1)
+
+
+def circle_roots(coeffs, dps: int = 50) -> tuple[int, int]:
+    """(distinct, with multiplicity) roots on the unit circle of the
+    monic integer polynomial with ascending coeffs: the eigenvalues of
+    its companion matrix by mpmath at dps digits. A root of
+    multiplicity k comes out to about 10^(-dps/k), so for the small
+    degrees the tests use (k <= 8) roots within 1e-4 of each other are
+    one root, and a root within 1e-4 of the circle is on it; no root of
+    those polynomials lies that close to the circle or to another root
+    without being on it or equal to it."""
+    n = len(coeffs) - 1
+    with mpmath.workdps(dps):
+        C = mpmath.zeros(n, n)
+        for i in range(n):
+            if i:
+                C[i, i - 1] = 1
+            C[i, n - 1] = -coeffs[i]
+        # mpmath hands a 1 x 1 matrix's eigenvalue back with its vectors
+        found = mpmath.eig(C, left=False, right=False) if n > 1 else [C[0, 0]]
+        on = [complex(z) for z in found if abs(abs(z) - 1) < mpmath.mpf("1e-4")]
+    distinct = []
+    for z in on:
+        if all(abs(z - w) >= 1e-4 for w in distinct):
+            distinct.append(z)
+    return len(distinct), len(on)

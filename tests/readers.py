@@ -34,7 +34,6 @@ def spectrum_report(doc: dict) -> SpectrumReport:
         moduli=tuple(abs(z) for z, _ in eig),
         classification=Classification(doc.pop("classification")),
         root_of_unity_order=doc.pop("m", None),
-        tolerance=doc.pop("tolerance"),
     )
     assert not doc, f"unread keys {sorted(doc)}"
     return rep

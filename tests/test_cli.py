@@ -48,28 +48,42 @@ class TestClassifyCommand:
         code, _, err = run(capsys, "classify", "--matrix", "[[2,1],[1]]")
         assert code == 2 and "matrix" in err
 
+    # the class is exact and has no tolerance: classify refuses --tol and
+    # a config-file "tol" at any value, these and positive ones alike
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
     def test_tol_outside_positive_reals_exit_2(self, tol, capsys):
-        code, out, err = run(capsys, "classify", "--matrix", "[[2,1],[1,1]]", f"--tol={tol}")
+        code = exit_code(["classify", "--matrix", "[[2,1],[1,1]]", f"--tol={tol}"])
+        out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert "tol must be positive and finite" in err
+        assert f"unrecognized arguments: --tol={tol}" in err
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.7])
     def test_tol_outside_positive_reals_in_config_exit_2(self, tol, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"matrix": [[2, 1], [1, 1]], "tol": tol}))  # NaN, Infinity
         code, out, err = run(capsys, "classify", "--config", str(cfg))
         assert code == 2 and out == ""
-        assert "tol must be positive and finite" in err
+        assert "config key 'tol' names no option" in err
+
+    @pytest.mark.parametrize("matrix, cls", [
+        ("[[2,1],[1,1]]", "all_off_unit_circle"),
+        ("[[1,1],[1,0]]", "all_off_unit_circle"),
+        ("[[0,0,0,-1],[1,0,0,1],[0,1,0,1],[0,0,1,1]]", "unit_modulus_non_cyclotomic"),
+    ])
+    def test_exact_class(self, matrix, cls, capsys):
+        # the cat map's polynomial is its own reversal and x^2 - x - 1's
+        # is not; only the Salem quartic has roots on the circle
+        code, out, _ = run(capsys, "classify", "--matrix", matrix)
+        doc = json.loads(out)
+        assert code == 0 and doc["classification"] == cls and "tolerance" not in doc
 
     def test_missing_matrix_exit_2(self, capsys):
         code, _, err = run(capsys, "classify")
         assert code == 2
 
 
-# Every command but classify, at small p, then classify, in one fresh
-# interpreter: mpmath, which only classify's root search needs, is
-# imported by nothing before classify and by classify itself.
+# Every command at small p, classify last, in one fresh interpreter: no
+# command imports mpmath, which only the tests' root oracle uses.
 NO_MPMATH = """
 import sys
 from affinewalk import cli
@@ -90,11 +104,11 @@ for argv in runs:
     assert cli.main(argv + ["-o", "out.txt"]) == 0, argv
     assert "mpmath" not in sys.modules, argv[0]
 assert cli.main(["classify", "--matrix", FAST, "--p", "101"]) == 0
-assert "mpmath" in sys.modules
+assert "mpmath" not in sys.modules
 """
 
 
-def test_only_classify_imports_mpmath(tmp_path, capsys):
+def test_no_command_imports_mpmath(tmp_path, capsys):
     src = str(Path(affinewalk.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
@@ -106,7 +120,8 @@ def test_only_classify_imports_mpmath(tmp_path, capsys):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    # the same JSON as classify prints where mpmath was loaded already
+    # the same JSON as classify prints in this process, where the
+    # tests' oracle has loaded mpmath
     code, out, _ = run(capsys, "classify", "--matrix", "[[2,1],[1,1]]", "--p", "101")
     assert code == 0 and result.stdout == out
 
@@ -428,11 +443,12 @@ class TestConfigFile:
         assert code == 0 and json.loads(out)["n_mix"] == 3
 
     def test_int_accepted_for_float(self, capsys, tmp_path):
-        # an int epsilon is never inside (0, 1), so tol carries the case
+        # an int epsilon passes the type check and meets the range rule
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"matrix": [[2, 1], [1, 1]], "tol": 1}))
-        code, out, _ = run(capsys, "classify", "--config", str(cfg))
-        assert code == 0 and json.loads(out)["tolerance"] == 1
+        cfg.write_text(json.dumps({"matrix": [[2, 1], [1, 1]], "p": 5, "epsilon": 1}))
+        code, out, err = run(capsys, "mixtime", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "config error: eps must lie in (0, 1)" in err
 
 
 class TestOneWalkPerCommand:
@@ -535,8 +551,9 @@ def exit_code(argv):
 
 class TestRemovedOptions:
     """--threads was ignored, --m had one legal value, sweep's --seed
-    was read by nothing, and --state-cap / --char-cap are read only by
-    bounds, mixtime and sweep; all are gone elsewhere."""
+    was read by nothing, classify's class is exact so --tol is gone, and
+    --state-cap / --char-cap are read only by bounds, mixtime and sweep;
+    all are gone elsewhere."""
 
     ROT = ["--matrix", "[[0,-1],[1,0]]", "--p", "101"]
 
@@ -548,6 +565,7 @@ class TestRemovedOptions:
         ["project", *ROT, "--m", "4"],
         ["sweep", *ROT, "--epsilon", "0.25", "--seed", "7"],
         ["classify", *ROT, "--state-cap", "100"],
+        ["classify", *ROT, "--tol", "0.7"],
         ["orbit", *ROT, "--c", "[1,0]", "--char-cap", "100"],
         ["project", *ROT, "--state-cap", "100"],
         ["simulate", *ROT, "--n", "3", "--samples", "5", "--char-cap", "100"],

@@ -11,7 +11,14 @@ from affinewalk import indexing, spectral
 from affinewalk.errors import BudgetError, PreconditionError, RootConvergenceError
 from affinewalk.exactdist import WalkConfig, evolve, tv_from_uniform, tv_vector
 from affinewalk.fourier import fourier_n
-from affinewalk.modmath import IntMatrix, ModVector, mat_pow_mod
+from affinewalk.modmath import (
+    IntMatrix,
+    ModVector,
+    is_admissible,
+    is_prime,
+    mat_pow_mod,
+    nullspace_mod_prime,
+)
 from affinewalk.montecarlo import (
     TrajectoryBatch,
     empirical_tv,
@@ -162,6 +169,26 @@ class TestProjectionFunctional:
     def test_rejects_no_root_of_unity(self):
         with pytest.raises(PreconditionError, match="no root-of-unity eigenvalue"):
             projection_functional(FIB, 101)
+
+    def test_nullspace_never_empty(self):
+        # Phi_m divides the characteristic polynomial, so (T^m)^t - I is
+        # singular over Q, hence mod every prime: the projection always
+        # finds a direction
+        matrices = [
+            UPPER, ROT, IntMatrix.identity(3), IntMatrix([[-1, 0], [0, -1]]),
+            IntMatrix([[0, -1], [1, 1]]), IntMatrix([[0, -1], [1, -1]]),
+            IntMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]]),
+            IntMatrix([[1, 1, 0], [0, 2, 1], [0, 1, 1]]),
+            IntMatrix([[0, -1, 0], [1, 0, 0], [0, 0, 2]]),
+        ]
+        for T in matrices:
+            m = spectral.root_of_unity_order(T)
+            for p in filter(is_prime, range(2, 200)):
+                if not is_admissible(T, p):
+                    continue
+                A = mat_pow_mod(T, m, p).transpose() + IntMatrix.identity(T.dim).scale(-1)
+                assert nullspace_mod_prime(A, p), (T.tag(), p)
+                assert projection_functional(T, p).m == m
 
     def test_json_round_trip(self):
         rep = projection_functional(UPPER, 101)

@@ -19,6 +19,28 @@ def test_root_convergence_error_exits_3(monkeypatch, capsys):
     assert "residuals not certified" in capsys.readouterr().err
 
 
+def test_numpy_root_failure_exits_3(monkeypatch, capsys):
+    # numpy's LinAlgError is a ValueError; classify re-raises it typed, so
+    # it exits 3 rather than 2 as a config error
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np, "roots", no_convergence)
+    with pytest.raises(RootConvergenceError, match="did not converge"):
+        spectral.complex_roots(spectral.CharPoly((1, -3, 1)))
+    assert cli.main(["classify", "--matrix", "[[2,1],[1,1]]"]) == cli.EXIT_PRECONDITION
+    assert "did not converge" in capsys.readouterr().err
+
+
+def test_coefficient_past_float_range_exits_3(capsys):
+    # the class is exact at any size; only the listed roots need floats
+    big = 10**200
+    T = IntMatrix([[big, 0], [0, big + 1]])  # constant term ~1e400
+    assert spectral.root_of_unity_order(T) is None
+    assert cli.main(["classify", "--matrix", str(T.to_lists())]) == cli.EXIT_PRECONDITION
+    assert "eigenvalue listing failed" in capsys.readouterr().err
+
+
 class TestNegativeStepCap:
     """n_cap counts steps, so a negative one is a bad input (exit 2), not
     a search that ran out of steps (exit 4)."""

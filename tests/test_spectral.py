@@ -1,29 +1,33 @@
 import json
 import math
 import random
+from itertools import product
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 import readers
+from affinewalk import spectral
 from affinewalk.modmath import IntMatrix, int_det
 from affinewalk.spectral import (
     CharPoly,
     Classification,
-    JordanBlockSpec,
+    _circle_roots,
     char_poly,
     classify,
     complex_roots,
     cyclotomic_order,
     cyclotomic_poly,
-    jordan_power,
 )
 
 FIB = IntMatrix([[2, 1], [1, 1]])
 ROT = IntMatrix([[0, -1], [1, 0]])
 UPPER = IntMatrix([[1, 1], [0, 2]])
+# companion of x^4 - x^3 - x^2 - x + 1: a reciprocal quartic with two
+# non-cyclotomic roots exactly on the unit circle
+SALEM = IntMatrix([[0, 0, 0, -1], [1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
 
 
 class TestCharPoly:
@@ -69,6 +73,13 @@ class TestComplexRoots:
         roots = sorted((z for z, _ in complex_roots(CharPoly((1, 0, 1)))), key=lambda z: z.imag)
         assert roots[0] == pytest.approx(-1j)
         assert roots[1] == pytest.approx(1j)
+
+    def test_zero_parts_print_unsigned(self):
+        # numpy returns the rotation's +i as -0.0+1j; the listing shows 0.0
+        for cp in (CharPoly((1, 0, 1)), CharPoly((1, 0, 0, 0, 1)), CharPoly((1, 1, 1))):
+            for z, _ in complex_roots(cp):
+                for part in (z.real, z.imag):
+                    assert math.copysign(1.0, part) == 1.0 or part != 0
 
     def test_double_root_merged(self):
         roots = complex_roots(CharPoly((1, -2, 1)))
@@ -127,72 +138,48 @@ class TestClassify:
     def test_singular(self):
         assert classify(IntMatrix([[1, 1], [1, 1]])).classification == Classification.SINGULAR
 
-    def test_tolerance_independence(self):
-        for T in (FIB, ROT, UPPER):
-            tags = {classify(T, tol=t).classification for t in (1e-6, 1e-12)}
-            assert len(tags) == 1
-
     def test_salem_like_unit_modulus(self):
-        # companion of x^4 - x^3 - x^2 - x + 1: a reciprocal quartic with
-        # two non-cyclotomic roots exactly on the unit circle
-        C = IntMatrix([[0, 0, 0, -1], [1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
-        assert char_poly(C).coeffs == (1, -1, -1, -1, 1)
-        rep = classify(C)
+        assert char_poly(SALEM).coeffs == (1, -1, -1, -1, 1)
+        rep = classify(SALEM)
         assert rep.classification == Classification.UNIT_MODULUS_NON_CYCLOTOMIC
         assert sum(1 for r in rep.moduli if abs(r - 1) < 1e-9) == 2
 
-    def test_borderline_under_loose_tolerance(self):
-        # x^2 - x - 1 has no reciprocal factor; a huge tol pulls 0.618
-        # "near" the circle but the exact test refuses to confirm
-        rep = classify(IntMatrix([[1, 1], [1, 0]]), tol=0.5)
-        assert rep.classification == Classification.BORDERLINE
+    def test_golden_companion_never_borderline(self):
+        # x^2 - x - 1 shares no root with its reversal: gcd 1, h = 1
+        rep = classify(IntMatrix([[1, 1], [1, 0]]))
+        assert rep.classification == Classification.ALL_OFF_UNIT_CIRCLE
+        assert {c.value for c in Classification} == {
+            "singular", "all_off_unit_circle", "root_of_unity",
+            "unit_modulus_non_cyclotomic",
+        }
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
     def test_tol_outside_positive_reals_refused(self, tol):
-        with pytest.raises(ValueError, match="positive and finite"):
+        # the class has no tolerance: classify refuses any tol, not
+        # only these, rather than ignore it
+        with pytest.raises(TypeError, match="tol"):
             classify(FIB, tol=tol)
 
-    def test_cyclotomic_overrides_numerics(self):
-        # the exact divisibility witness must not depend on tol
-        rep = classify(ROT, tol=1e-15)
-        assert rep.root_of_unity_order == 4
+    def test_cyclotomic_overrides_numerics(self, monkeypatch):
+        # no class reads the listed roots: with every listed root put on
+        # the circle, or every one off it, each class stays the exact one
+        cases = [
+            (T, classify(T).classification, classify(T).root_of_unity_order)
+            for T in (FIB, ROT, UPPER, SALEM)
+        ]
+        for modulus in (1.0, 3.0):
+            monkeypatch.setattr(
+                spectral, "complex_roots",
+                lambda cp, r=modulus: [(complex(r), cp.degree)],
+            )
+            for T, cls, m in cases:
+                rep = classify(T)
+                assert (rep.classification, rep.root_of_unity_order) == (cls, m)
 
     def test_json_round_trip(self):
         rep = classify(FIB)
         back = readers.spectrum_report(json.loads(json.dumps(rep.to_dict())))
         assert back == rep
-
-
-class TestJordanPower:
-    def test_example_a2(self):
-        out = jordan_power(JordanBlockSpec(2, 2), 3)
-        assert np.allclose(out, [[8, 12], [0, 8]])
-
-    def test_zero_power_identity(self):
-        out = jordan_power(JordanBlockSpec(3 + 1j, 3), 0)
-        assert np.allclose(out, np.eye(3))
-
-    def test_example_imaginary(self):
-        out = jordan_power(JordanBlockSpec(1j, 2), 2)
-        assert np.allclose(out, [[-1, 2j], [0, -1]])
-
-    def test_binomial_convention_small_ell(self):
-        # entries with j - i > ell vanish by the binomial convention
-        out = jordan_power(JordanBlockSpec(5, 4), 1)
-        assert out[0, 2] == 0 and out[0, 3] == 0 and out[0, 1] == 1
-
-    def test_matches_iterated_multiplication(self):
-        rng = random.Random(17)
-        eigs = [2, -2, 0.5, -0.5, 1j, 1 + 1j, 3]
-        for _ in range(200):
-            a = rng.choice(eigs)
-            size = rng.randint(1, 4)
-            ell = rng.randint(0, 64)
-            J = np.diag([a] * size).astype(complex) + np.diag([1] * (size - 1), 1)
-            expected = np.linalg.matrix_power(J, ell)
-            got = jordan_power(JordanBlockSpec(a, size), ell)
-            scale = max(1.0, float(np.abs(expected).max()))
-            assert np.abs(got - expected).max() <= 1e-10 * scale
 
 
 def test_root_of_unity_tag_backed_by_exact_division():
@@ -268,3 +255,73 @@ def test_unipotent_classifies_like_identity(d, data):
     assert rep.classification == Classification.ROOT_OF_UNITY
     assert rep.root_of_unity_order == 1
     assert rep.eigenvalues == ((1.0, d),)
+
+
+class TestCircleRoots:
+    """_circle_roots counts the distinct roots on the unit circle of a
+    polynomial with no root +-1, by Sturm's theorem on h, where
+    gcd(chi, chi*)(x) = x^k h(x + 1/x)."""
+
+    @pytest.mark.parametrize("coeffs, count", [
+        ((1, -3, 1), 0),  # cat map: its own reversal, so g = chi; h = y - 3
+        ((-1, -1, 1), 0),  # x^2 - x - 1: gcd 1
+        ((1, -1, -1, -1, 1), 2),  # Salem quartic: h = y^2 - y - 3, one root in (-2, 2)
+        ((1, 0, 0, 0, 1), 4),  # Phi_8: h = y^2 - 2, both roots in (-2, 2)
+        ((2, 1, 1), 0),  # x^2 + x + 2 has roots of modulus sqrt 2: gcd 1
+    ])
+    def test_examples(self, coeffs, count):
+        assert _circle_roots(CharPoly(coeffs)) == count
+
+    def test_block_sums(self):
+        # a factor shared with a repeated block counts once
+        for T, count in [
+            (direct_sum(FIB, SALEM), 2),
+            (direct_sum(SALEM, SALEM), 2),
+            (direct_sum(FIB, FIB), 0),
+        ]:
+            assert _circle_roots(char_poly(T)) == count
+
+
+def _small_matrix(max_dim, bound):
+    return st.integers(1, max_dim).flatmap(
+        lambda d: st.lists(
+            st.lists(st.integers(-bound, bound), min_size=d, max_size=d),
+            min_size=d, max_size=d,
+        ).map(IntMatrix)
+    )
+
+
+_BLOCKS = st.one_of(
+    st.sampled_from([FIB, SALEM, ROT, UPPER, IntMatrix([[0, -1], [1, -1]]),
+                     IntMatrix([[1, 1], [1, 0]]), IntMatrix([[-1]])]),
+    _small_matrix(2, 3),
+)
+_SPECTRA = st.one_of(_small_matrix(4, 3), st.builds(direct_sum, _BLOCKS, _BLOCKS))
+
+
+def _check_exact_class(T):
+    """The class agrees with a 50-digit count of the roots on the unit
+    circle, and (Kronecker) a spectrum all on the circle is cyclotomic."""
+    rep = classify(T)
+    if rep.classification == Classification.SINGULAR:
+        assert int_det(T) == 0
+        return
+    distinct, with_mult = oracles.circle_roots(rep.charpoly.coeffs)
+    if rep.root_of_unity_order is None:
+        assert _circle_roots(rep.charpoly) == distinct
+    assert (rep.classification == Classification.ALL_OFF_UNIT_CIRCLE) == (distinct == 0)
+    if with_mult == T.dim:
+        assert rep.classification == Classification.ROOT_OF_UNITY
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SPECTRA)
+def test_class_agrees_with_high_precision_root_count(T):
+    _check_exact_class(T)
+
+
+def test_every_small_2x2_classified_exactly():
+    # all 625 matrices with entries in [-2, 2]: many have every root on
+    # the circle (det 1, |trace| <= 2), so Kronecker's check runs often
+    for a, b, c, d in product(range(-2, 3), repeat=4):
+        _check_exact_class(IntMatrix([[a, b], [c, d]]))
