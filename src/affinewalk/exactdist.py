@@ -6,7 +6,11 @@ places P(x)/(d+1) on T x with one gather through an inverse permutation
 into the new vector, then adds the placed grid shifted by one along each
 axis (the shift by e_r) into that vector in place, a block of rows at a
 time; no (p^d, d) coordinate table, no rolled copy and no second output
-is formed. Mass drift is asserted, never renormalized away.
+is formed. The permutation is int32 whenever every index fits
+(`indexing.index_dtype`), and the gather widens it a block at a time
+into the step's own block temporary, so np.take never converts the
+whole table.
+Mass drift is asserted, never renormalized away.
 
 The walk starts at X_0 = 0, so X_n = sum_{k<n} T^(n-1-k) B_k and P_n
 lives on at most (d+1)^n states. While it is that small, the walk holds
@@ -22,10 +26,13 @@ hands the dense masses to step_exact and never goes back (the support
 never shrinks). The dense vector of a law held by its support is built
 only when something reads `masses` (its TV to uniform does not), and
 the gather table only at the first dense step, before that step builds
-the dense vector of its input. So the walk's peak of 24 bytes per state
-(the state, the permutation and the new state, which takes the shifted
-adds in place) starts there, with 16.8 bytes per state while the table
-is built; the permutation is dropped when the walk ends.
+the dense vector of its input. So the walk's peak of 20 bytes per state
+(the state, the 4-byte permutation and the new state, which takes the
+shifted adds in place) starts there, with 8.6 bytes per state while the
+table is built; the permutation is dropped when the walk ends. TV to
+uniform adds no vector over every state: past TV_LEAF states it sums the
+leaves of numpy's pairwise summation tree, each formed in one reused
+buffer.
 
 The gather and the shifted adds of a dense step, and the build of the
 gather table (`indexing.linear_perm` over every state), run by
@@ -65,6 +72,10 @@ HEAD_RATIO = 64
 # d = 2, p = 997 in 14.0 ms, against 6.9 and 6.0 ms with these bounds.
 BLOCKS = 8
 BLOCK_STATES = 1 << 16
+# TV to uniform sums a vector of more than TV_LEAF entries in runs of at
+# most TV_LEAF through one buffer of that size (512 KiB), never a
+# temporary over the whole vector.
+TV_LEAF = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -174,9 +185,18 @@ def delta_at_zero(p: int, d: int) -> DenseDistribution:
 def _gather_index(T: IntMatrix, p: int) -> np.ndarray:
     """Index map T x -> x over all states, that is x -> T^{-1} x mod p
     (`indexing.linear_perm` with h = p, so nothing flips), so a step
-    reads its sources in index order. Only the latest table is
-    kept, and dense_states drops it when its walk ends."""
-    return indexing.linear_perm(mat_inv_mod(T, p).entries, p, p)
+    reads its sources in index order. int32 whenever p^d <= 2^31
+    (`indexing.index_dtype`), so always under the default state cap.
+    Only the latest table is kept, and dense_states drops it when its
+    walk ends."""
+    return indexing.linear_perm(mat_inv_mod(T, p).entries, p, p, indexing.index_dtype(p, T.dim))
+
+
+def _blocks(s: slice, step: int, m: int) -> Iterator[tuple[int, int]]:
+    """The flat (start, stop) of each block of `step` rows of m states in
+    the rows s, from the top down; the last block may be shorter."""
+    for top in range(s.stop, s.start, -step):
+        yield max(s.start, top - step) * m, top * m
 
 
 def step_exact(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
@@ -185,54 +205,60 @@ def step_exact(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
     coordinate r (x + e_r receives x), r = 0..d-1 in order.
 
     The shifts are slice adds into the placed grid itself, with no rolled
-    copy and no second vector: the step holds P, the gather table and the
-    new state (24 bytes per state) and never writes P. Coordinate 0 is
-    the last numpy axis, so its shift is one add over flat views, which
-    is right wherever x_0 > 0, followed by the states x_0 = 0, rewritten
-    from x_0 = p-1 of their run. Each further coordinate r adds along
-    numpy axis d-1-r, where x_r steps by p^r: the interior slab x_r >= 1
-    takes x_r - 1 and the wrap-around slab x_r = 0 takes x_r = p-1. That
-    is the addition order of the placed grid plus d rolled copies. Each
-    state receives exactly d+1 terms, so mass is conserved up to float
-    addition.
+    copy and no second vector: the step holds P, the 4-byte gather table
+    and the new state (20 bytes per state) and never writes P. Coordinate
+    0 is the last numpy axis, so its shift is one add over flat views,
+    which is right wherever x_0 > 0, followed by the states x_0 = 0,
+    rewritten from x_0 = p-1 of their run. Each further coordinate r adds
+    along numpy axis d-1-r, where x_r steps by p^r: the interior slab
+    x_r >= 1 takes x_r - 1 and the wrap-around slab x_r = 0 takes
+    x_r = p-1. That is the addition order of the placed grid plus d
+    rolled copies. Each state receives exactly d+1 terms, so mass is
+    conserved up to float addition.
 
-    Both phases run by ranges (`indexing.split_rows`): the gather and
-    division by ranges of states, then, once every state is placed, the
-    shifted adds by ranges of rows of numpy axis 0. A row's terms are
-    placed values in the same row and in the row below it (row p-1 below
-    row 0), so each range sums its rows from the top down in blocks, each
-    block into a small temporary copied back over it: a block reads only
-    rows that no range has rewritten yet, except the row below the
-    range's first, which is copied before any range writes. The
-    temporaries and the copied rows are allocated here, not in the
-    ranges."""
+    Both phases run by the same ranges of rows of numpy axis 0
+    (`indexing.split_rows`), each range in blocks of rows with a small
+    temporary, `sums`, allocated here before the gather. The gather
+    widens a block of the table into `sums` read as intp, the index type
+    np.take would otherwise convert the whole table to on every call,
+    takes that block of P and divides it. Once every state is placed, the
+    shifted adds run: a row's terms are placed values in the same row
+    and in the row below it (row p-1 below row 0), so each range sums its
+    rows from the top down, each block into `sums` copied back over it: a
+    block reads only rows that no range has rewritten yet, except the row
+    below the range's first, which is copied before any range writes."""
     cfg.require_admissible()
     if (P.p, P.d) != (cfg.p, cfg.d):
         raise ValueError("distribution does not match config")
     p, d, n = cfg.p, cfg.d, cfg.num_states
     src = _gather_index(cfg.T, p)  # built before P's dense vector, and not in the ranges
     masses = P.masses
+    m = n // p  # states per row of numpy axis 0
+    ranges = indexing.row_ranges(p, m)
+    work = {}  # per range: rows per block, a block's sums
+    for s in ranges:
+        step = max(1, min(-(-(s.stop - s.start) // BLOCKS), BLOCK_STATES // m))
+        work[s.start] = step, np.empty(step * m)
     placed = np.empty(n)
 
     def place(s):
-        np.take(masses, src[s], out=placed[s], mode="clip")
-        placed[s] /= d + 1
+        step, sums = work[s.start]
+        wide = sums.view(np.intp)
+        for a, b in _blocks(s, step, m):
+            index = wide[: b - a]
+            index[...] = src[a:b]
+            np.take(masses, index, out=placed[a:b], mode="clip")
+            placed[a:b] /= d + 1
 
-    indexing.split_rows(place, n)
-    m = n // p  # states per row of numpy axis 0
+    indexing.split_rows(place, p, m)
+    # the row below each range's first (p-1 below 0), before any range writes
+    below_first = {s.start: placed[(s.start - 1) % p * m :][:m].copy() for s in ranges}
 
-    def prepare(s):  # rows per block, a block's sums, the row below row s.start (p-1 below 0)
-        step = max(1, min(-(-(s.stop - s.start) // BLOCKS), BLOCK_STATES // m))
-        return step, np.empty(step * m), placed[(s.start - 1) % p * m :][:m].copy()
-
-    work = {s.start: prepare(s) for s in indexing.row_ranges(p, m)}  # before any range writes
-
-    def add_shifts(s):  # rows s of numpy axis 0
-        step, sums, below_first = work[s.start]
-        for top in range(s.stop, s.start, -step):
-            a, b = max(s.start, top - step) * m, top * m
+    def add_shifts(s):
+        step, sums = work[s.start]
+        for a, b in _blocks(s, step, m):
             g, t = placed[a:b], sums[: b - a]
-            below = placed[a - m : a] if a > s.start * m else below_first
+            below = placed[a - m : a] if a > s.start * m else below_first[s.start]
             np.add(g[1:], g[:-1], out=t[1:])
             if d == 1:
                 np.add(g[:1], below, out=t[:1])
@@ -324,23 +350,63 @@ def evolve(
 
 
 def tv_from_uniform(P: DenseDistribution) -> float:
-    """TV of P to uniform. A law held by its support builds no mass
-    vector: |m - 1/N| is 1/N exactly off the support, so filling the
-    deviations with 1/N and writing them on the support gives tv_vector's
-    vector, and sum, to the bit."""
+    """TV of P to uniform, holding nothing over every state beyond P
+    (tv_vector). A law held by its support builds no mass vector:
+    |m - 1/N| is 1/N exactly off the support, so filling each leaf of the
+    sum with 1/N and writing the deviations of the support states inside
+    it gives tv_vector's vector, and sum, to the bit."""
     if P.support is None:
         return tv_vector(P.masses)
     states, weights = P.support
     n = P.p**P.d
-    dev = np.full(n, 1.0 / n)
-    dev[states] = np.abs(weights - 1.0 / n)
-    return 0.5 * float(dev.sum())
+    devs = np.abs(weights - 1.0 / n)
+    if n <= TV_LEAF:
+        dev = np.full(n, 1.0 / n)
+        dev[states] = devs
+        return 0.5 * float(dev.sum())
+
+    def fill(t, a):
+        t.fill(1.0 / n)
+        lo, hi = np.searchsorted(states, (a, a + t.shape[0]))
+        t[states[lo:hi] - a] = devs[lo:hi]
+
+    return 0.5 * float(_pairwise_sum(fill, np.empty(TV_LEAF), 0, n))
 
 
 def tv_vector(dist_p: np.ndarray) -> float:
     """TV between a probability vector of length n and uniform on n
-    points (a length-p law on Z/pZ, or a dense distribution's masses)."""
+    points (a length-p law on Z/pZ, or a dense distribution's masses):
+    half the sum of |v - 1/n|, which np.sum adds by pairwise summation.
+    A vector of at most TV_LEAF entries takes one temporary; a longer one
+    is summed in the leaves of that summation tree (_pairwise_sum), each
+    formed in one reused TV_LEAF buffer, with the same bits and no
+    temporary over the whole vector."""
     n = dist_p.shape[0]
-    dev = dist_p - 1.0 / n
-    np.abs(dev, out=dev)
-    return 0.5 * float(dev.sum())
+    if n <= TV_LEAF:
+        dev = dist_p - 1.0 / n
+        np.abs(dev, out=dev)
+        return 0.5 * float(dev.sum())
+
+    def fill(t, a):
+        np.subtract(dist_p[a : a + t.shape[0]], 1.0 / n, out=t)
+        np.abs(t, out=t)
+
+    return 0.5 * float(_pairwise_sum(fill, np.empty(TV_LEAF), 0, n))
+
+
+def _pairwise_sum(fill, buf: np.ndarray, start: int, k: int) -> float:
+    """np.sum of the k entries from `start` of a float64 vector that
+    fill(t, a) writes, entries a.. into t, never held whole. numpy sums a
+    run of more than 128 entries as the sum of its first k//2 rounded
+    down to a multiple of 8 plus the sum of the rest; this splits the
+    same way down to runs of at most TV_LEAF entries, fills each in buf,
+    sums it with np.sum and adds the sums in the tree's order: np.sum's
+    bits. A module function, not a closure calling itself: that closure
+    would be a reference cycle holding its arrays until the cycle
+    collector ran."""
+    if k <= TV_LEAF:
+        t = buf[:k]
+        fill(t, start)
+        return t.sum()
+    half = k // 2 // 8 * 8
+    return _pairwise_sum(fill, buf, start, half) + _pairwise_sum(fill, buf, start + half, k - half)

@@ -545,7 +545,7 @@ def bound_series(
     goes up to max n and keeps only the ub and lb scalars, and its
     tables are dropped before the dense walk runs and keeps only
     tv_exact. The character walk holds about half the characters and
-    peaks near 16 bytes per state, the dense walk at 24. Both caps are
+    peaks near 16 bytes per state, the dense walk at 20. Both caps are
     checked before either walk steps; a negative one raises ValueError."""
     check_caps(state_cap=state_cap, char_cap=char_cap)
     cfg.require_admissible()

@@ -121,36 +121,45 @@ def slab(p: int, d: int, h: int) -> tuple[list[np.ndarray], tuple[int, ...]]:
     return [k] * (d - 1) + [k[:h]], (h,) + (p,) * (d - 1)
 
 
-def linear_perm(rows, p: int, h: int) -> np.ndarray:
+def index_dtype(p: int, d: int) -> type:
+    """int32 when every state index, p^d - 1, and the modulus p fit in it
+    (p^d <= 2^31, p < 2^31), else int64: the dtype of the dense gather
+    table, decided from (p, d) alone."""
+    return np.int32 if p < 2**31 and p**d <= 2**31 else np.int64
+
+
+def linear_perm(rows, p: int, h: int, dtype: type = np.int64) -> np.ndarray:
     """Index map x -> M x mod p over the states with x_{d-1} < h (`slab`),
-    M given by its d rows of residues mod p. An image whose top
-    coordinate is h or more is replaced by its negative. The dense step's
-    gather table is x -> T^{-1} x with h = p, where nothing flips; the
-    character walk's is c -> +-T^t c with h = p//2 + 1, where every image
-    or its negative lies in the slab.
+    M given by its d rows of residues mod p, as `dtype`, which must hold
+    every index and p (`index_dtype`). An image whose top coordinate is
+    h or more is replaced by its negative. The dense step's gather table
+    is x -> T^{-1} x with h = p, where nothing flips; the character
+    walk's is c -> +-T^t c with h = p//2 + 1, where every image or its
+    negative lies in the slab.
 
     Built by broadcasting length-p columns over the slab's grid, so no
     (p^d, d) coordinate table is formed. The map, one image coordinate
     and, when h < p, the flip mask are allocated here, in that order, and
     filled by ranges of rows of numpy axis 0 (`split_rows`), which carries
     x_{d-1}; the terms of the other coordinates are summed once, outside
-    the ranges. Each coordinate of the image is a copy and an in-place
-    add, which takes one 64 KiB numpy buffer per range where a broadcast
-    np.add takes buffers for both operands: the build peaks at the two
-    int64 grids (16 bytes per state of the slab) plus about 80-120 KiB,
-    16.8 B/state for the gather table at p = 317, d = 2. The top
-    coordinate of the image decides the flip, and the lower ones are
-    negated where it flipped and added in by Horner's rule,
-    index = sum_j y_j p^j."""
+    the ranges, in `dtype`. Each coordinate of the image is a copy and an
+    in-place add, which takes one 64 KiB numpy buffer per range where a
+    broadcast np.add takes buffers for both operands: the build peaks at
+    the two grids (16 bytes per state of the slab in int64, 8 in int32)
+    plus about 80-120 KiB, 16.8 B/state for an int64 table at p = 317,
+    d = 2, and 8.6 for the int32 gather table. The top coordinate of the
+    image decides the flip, and the lower ones are negated where it
+    flipped and added in by Horner's rule, index = sum_j y_j p^j."""
     d = len(rows)
     spans, shape = slab(p, d, h)
     terms = []  # per image coordinate: its x_{d-1} term, the sum of the others
     for row in rows:
-        *low, top = (along(m * span % p, d, r) for r, (m, span) in enumerate(zip(row, spans)))
+        cols = ((m * span % p).astype(dtype, copy=False) for m, span in zip(row, spans))
+        *low, top = (along(col, d, r) for r, col in enumerate(cols))
         terms.append((top, sum(low)))
     # allocated in the order measured for peak RSS, which moves with it
-    out = np.empty(shape, dtype=np.int64)
-    y = np.empty(shape, dtype=np.int64) if d > 1 else None
+    out = np.empty(shape, dtype=dtype)
+    y = np.empty(shape, dtype=dtype) if d > 1 else None
     flip = np.empty(shape, dtype=bool) if h < p else None  # images replaced by their negatives
 
     def fill(s):

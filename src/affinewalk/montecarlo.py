@@ -230,10 +230,13 @@ def check_counting(cfg: WalkConfig, samples: int, count_cap: int = DEFAULT_COUNT
 def empirical_tv(batch: TrajectoryBatch, count_cap: int = DEFAULT_COUNT_CAP) -> float:
     """TV between the batch's empirical histogram and uniform. Biased
     upward by about sqrt(p^d / samples); fine as a mixing indicator,
-    useless beyond the counting budget (`check_counting`)."""
+    useless beyond the counting budget (`check_counting`). The walks are
+    encoded and counted RNG_CHUNK at a time into one int64 histogram, so
+    nothing is held per walk beyond the batch."""
     check_counting(batch.cfg, batch.samples, count_cap)
-    idx = indexing.encode(batch.final_states, batch.cfg.p)
-    counts = np.bincount(idx, minlength=batch.cfg.num_states)
+    counts = np.zeros(batch.cfg.num_states, dtype=np.int64)
+    for lo in range(0, batch.samples, RNG_CHUNK):
+        np.add.at(counts, indexing.encode(batch.final_states[lo : lo + RNG_CHUNK], batch.cfg.p), 1)
     return exactdist.tv_vector(counts / batch.samples)
 
 

@@ -16,12 +16,17 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import RootConvergenceError
 from .modmath import IntMatrix, int_det
+
+# complex_roots reads real parts closer than this, relative to the largest
+# root modulus (at least 1), as equal
+TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -211,8 +216,13 @@ def complex_roots(cp: CharPoly) -> list[tuple[complex, int]]:
     cp is split into square-free factors (_square_free_factors); the
     roots of each factor are simple, found by `np.roots` (the
     eigenvalues of its companion matrix), and take the factor's
-    multiplicity. Raises RootConvergenceError where numpy's eigenvalue
-    iteration does not converge, or a coefficient overflows a float.
+    multiplicity. Real parts equal in exact arithmetic come out a few
+    ulps apart (-1 as -1.0000000000000009 and -1.0000000000000004), so
+    the sort reads a run of real parts, each within TIE_TOL times the
+    largest modulus (at least 1) of the one before, as one tie, and
+    orders a tie by imag alone: last-bit rounding cannot order a tie.
+    Raises RootConvergenceError where numpy's eigenvalue iteration does
+    not converge, or a coefficient overflows a float.
     """
     try:
         roots = [
@@ -224,7 +234,11 @@ def complex_roots(cp: CharPoly) -> list[tuple[complex, int]]:
         raise RootConvergenceError(
             f"no roots for the degree {cp.degree} characteristic polynomial: {exc}"
         ) from exc
-    return sorted(roots, key=lambda zm: (zm[0].real, zm[0].imag))
+    roots.sort(key=lambda zm: zm[0].real)
+    tol = TIE_TOL * max(1.0, *(abs(z) for z, _ in roots))
+    steps = (b.real - a.real > tol for (a, _), (b, _) in zip(roots, roots[1:]))
+    tie = list(accumulate(steps, initial=0))
+    return [roots[i] for i in sorted(range(len(roots)), key=lambda i: (tie[i], roots[i][0].imag))]
 
 
 def _q_eval(a: Sequence[Fraction], x: Fraction) -> Fraction:

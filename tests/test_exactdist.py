@@ -3,9 +3,11 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from affinewalk import indexing
+from affinewalk import exactdist, indexing
 from affinewalk.errors import BudgetError, PreconditionError
 from affinewalk.exactdist import (
     DenseDistribution,
@@ -179,3 +181,103 @@ class TestPushforward:
 
         monkeypatch.setattr(indexing, "all_coords", boom)
         assert np.array_equal(oracles.pushforward(P, v), want)
+
+
+LEAF = exactdist.TV_LEAF
+# lengths about numpy's summation tree: short ones (one temporary), a leaf
+# and one either side, two leaves plus 8k + r, and longer ones
+TV_LENGTHS = st.one_of(
+    st.integers(1, 300),
+    st.sampled_from([LEAF - 1, LEAF, LEAF + 1]),
+    st.builds(lambda k, r: 2 * LEAF + 8 * k + r, st.integers(0, 64), st.integers(0, 7)),
+    st.integers(LEAF + 1, 6 * LEAF),
+)
+
+
+def dense_tv(v):
+    """TV to uniform through one temporary over the whole vector."""
+    return 0.5 * float(np.abs(v - 1 / v.shape[0]).sum())
+
+
+def leaf_starts(a, k):
+    """Where each leaf of the TV sum over a..a+k-1 starts."""
+    if k <= LEAF:
+        return [a]
+    half = k // 2 // 8 * 8
+    return leaf_starts(a, half) + leaf_starts(a + half, k - half)
+
+
+def spread_law(rng, n):
+    # masses over 13 orders of magnitude, so the order of the sum shows in its bits
+    v = rng.random(n) * 10.0 ** rng.integers(-12, 1, n)
+    return v / v.sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(TV_LENGTHS, st.integers(0, 2**32 - 1))
+def test_tv_vector_has_the_bits_of_one_sum(n, seed):
+    v = spread_law(np.random.default_rng(seed), n)
+    assert tv_vector(v) == dense_tv(v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(TV_LENGTHS, st.integers(0, 2**32 - 1))
+def test_support_tv_has_the_bits_of_the_dense_law(n, seed):
+    # support states on both sides of every leaf boundary, the first and
+    # last state, and some others
+    rng = np.random.default_rng(seed)
+    edges = [b + o for b in leaf_starts(0, n) for o in (-1, 0, 1)] + [n - 1]
+    states = np.unique(np.clip(np.concatenate([edges, rng.integers(0, n, 50)]), 0, n - 1))
+    weights = spread_law(rng, states.shape[0])
+    P = DenseDistribution(n, 1, support=(states, weights))
+    dense = np.zeros(n)
+    dense[states] = weights
+    assert tv_from_uniform(P) == dense_tv(dense)
+    assert P._masses is None
+
+
+@pytest.mark.parametrize("p,d,dtype", [
+    (2, 31, np.int32),  # p^d = 2^31: the largest index, 2^31 - 1, fits
+    (2**31 + 1, 1, np.int64),  # p^d = 2^31 + 1
+    (2, 32, np.int64),
+    (46340, 2, np.int32),
+    (46341, 2, np.int64),
+    (2**31 - 1, 1, np.int32),
+    (2**31, 1, np.int64),  # every index fits, but not the modulus the build reduces by
+])
+def test_index_dtype(p, d, dtype):
+    assert indexing.index_dtype(p, d) is dtype
+
+
+@pytest.mark.parametrize("p,dtype", [(2**31 - 1, np.int32), (2**31 + 11, np.int64)])
+def test_gather_table_takes_the_index_dtype(monkeypatch, p, dtype):
+    # decided from (p, d) before anything is allocated
+    seen = []
+    monkeypatch.setattr(indexing, "linear_perm", lambda rows, p, h, dtype: seen.append(dtype))
+    exactdist._gather_index.__wrapped__(IntMatrix([[3]]), p)
+    assert seen == [dtype]
+
+
+GATHER_WALKS = [
+    WalkConfig(IntMatrix([[3]]), 10007),
+    WalkConfig(FIB, 101),
+    WalkConfig(IntMatrix([[0, 0, 1], [1, 0, -1], [0, 1, 3]]), 23),
+]
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+@pytest.mark.parametrize("cfg", GATHER_WALKS, ids=lambda c: f"d{c.d}-p{c.p}")
+def test_step_through_int64_table_is_the_int32_step(cfg, split, request, monkeypatch):
+    if split:
+        request.getfixturevalue("forced_split")
+    P = DenseDistribution(cfg.p, cfg.d, spread_law(np.random.default_rng(cfg.p), cfg.num_states))
+    exactdist._gather_index.cache_clear()
+    want = step_exact(P, cfg).masses
+    assert exactdist._gather_index(cfg.T, cfg.p).dtype == np.int32
+    with monkeypatch.context() as patched:
+        patched.setattr(indexing, "index_dtype", lambda p, d: np.int64)
+        exactdist._gather_index.cache_clear()
+        got = step_exact(P, cfg).masses
+        assert exactdist._gather_index(cfg.T, cfg.p).dtype == np.int64
+    exactdist._gather_index.cache_clear()
+    assert np.array_equal(got, want)

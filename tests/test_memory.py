@@ -10,26 +10,30 @@ holds |f|^2, the folded transpose map and the old and new |P_hat|^2
 peaks near 13 B (16 B budgeted): step_factor_table holds |f|^2 and its
 complex temporary (12 B), then transpose_perm holds the folded map, the
 image coordinate and the flip mask next to |f|^2 (12.5 B). The dense
-walk holds the state, the gather permutation and the new state (8 B
-each) from its first dense step on: the step adds the shifted copies
-into its placed grid in place, a block of rows at a time, through one
-temporary per range of at most 1/8 of that range (so at most 1 B per
-state in all) and one saved row per range. Measured: 25.3-25.6 B serial
-and 25.4-25.9 B on three ranges (26 B budgeted). Before the first dense
-step the walk holds P_n by its support, at most p^d / 64 states, and no
-table. Both WALKS cross that switch (test_walks_cross_the_switch). The
-first dense step builds the gather table before it expands the
-support-held law to its dense vector. Building the table
-(indexing.linear_perm, nothing folded) holds the map and one image
-coordinate (8 B each) and a 64 KiB numpy buffer per range for the
-in-place broadcast add: 16 B plus 83-120 KiB measured, serial and split
-(17 B budgeted), under the step's 24 B. bound_series runs one engine at
-a time, so its peak is the larger of the two. After
-each call returns, traced memory is back to its level before the call:
-no index table outlives its walk. Each budget holds with the tables and
-walk steps run on the calling thread and split into uneven ranges on
-three threads (`indexing.split_rows`), which allocates nothing of its
-own.
+walk holds the state (8 B), the gather permutation (4 B: int32, since
+p^d <= 2^31) and the new state (8 B) from its first dense step on: the
+step adds the shifted copies into its placed grid in place, a block of
+rows at a time, through one temporary per range of at most 1/8 of that
+range (so at most 1 B per state in all) and one saved row per range,
+and the gather widens each block of the table into that same temporary
+before np.take reads it. Measured: 21.3-21.6 B serial and on three
+ranges (22 B budgeted).
+Before the first dense step the walk holds P_n by its support, at most
+p^d / 64 states, and no table. Both WALKS cross that switch
+(test_walks_cross_the_switch). The first dense step builds the gather
+table before it expands the support-held law to its dense vector.
+Building the table (indexing.linear_perm, nothing folded, int32) holds
+the map and one image coordinate (4 B each) and a numpy buffer per
+range for the in-place broadcast add: 8.5-8.6 B measured (9 B
+budgeted), under the step's 20 B. TV to uniform holds no vector over
+every state: past exactdist.TV_LEAF states it sums in leaves through
+one buffer of TV_LEAF float64, so its budget is that buffer and, on a
+support-held law, 8 B per support state (test_tv_peak). bound_series runs one engine at a time, so its peak is
+the larger of the two. After each call returns, traced memory is back
+to its level before the call: no index table outlives its walk. Each
+budget holds with the tables and walk steps run on the calling thread
+and split into uneven ranges on three threads (`indexing.split_rows`),
+which allocates nothing of its own.
 
 The slack is a constant, not a share of p^d. Its largest part is the
 buffers numpy's ufunc machinery may allocate for an add over a strided
@@ -48,15 +52,20 @@ step: under 0.2 B per sample-step of a full chunk at d <= 2, and with
 fewer than 256 walks no more codes per group than walks, so 72 B per
 step for 10 walks at d = 2. The budget is 1.5 B per sample-step of one
 chunk, 16 d B per walk, 128 d^2 B per step and the tile's temporaries,
-plus the slack.
+plus the slack. empirical_tv counts RNG_CHUNK walks at a time into one
+int64 histogram, so it holds nothing per walk: the histogram and the
+frequencies (16 B per state), TV's temporary (8 B per state, or its
+leaf buffer), and per chunk the encoded indices (8 B per walk of the
+chunk), 24 B per state and 16 RNG_CHUNK B budgeted.
 """
 
 import tracemalloc
 from itertools import islice
 
+import numpy as np
 import pytest
 
-from affinewalk import cli, exactdist, indexing, montecarlo
+from affinewalk import cli, exactdist, montecarlo
 from affinewalk.exactdist import WalkConfig, evolve
 from affinewalk.fourier import (
     bound_series,
@@ -65,7 +74,8 @@ from affinewalk.fourier import (
     transpose_perm,
     ub_bound,
 )
-from affinewalk.modmath import IntMatrix, mat_inv_mod
+from affinewalk.exactdist import DenseDistribution
+from affinewalk.modmath import IntMatrix
 
 SLACK = 128 * 1024
 WALKS = [
@@ -75,14 +85,14 @@ WALKS = [
 NS = range(12)
 # call -> (peak budget in bytes per state, the call)
 CALLS = {
-    "bound_series_exact": (26, lambda cfg: bound_series(cfg, NS, include_exact=True)),
+    "bound_series_exact": (22, lambda cfg: bound_series(cfg, NS, include_exact=True)),
     "bound_series_no_exact": (24, lambda cfg: bound_series(cfg, NS, include_exact=False)),
-    "mixing_time_exact": (26, lambda cfg: mixing_time(cfg, 0.25, method="exact")),
-    "evolve": (26, lambda cfg: evolve(cfg, max(NS))),
+    "mixing_time_exact": (22, lambda cfg: mixing_time(cfg, 0.25, method="exact")),
+    "evolve": (22, lambda cfg: evolve(cfg, max(NS))),
     "mixing_time_ub": (24, lambda cfg: mixing_time(cfg, 0.25, method="ub")),
     "ub_bound": (24, lambda cfg: ub_bound(max(NS), cfg)),
     "tables": (16, lambda cfg: (step_factor_table(cfg.p, cfg.d), transpose_perm(cfg))),
-    "gather_table": (17, lambda cfg: indexing.linear_perm(mat_inv_mod(cfg.T, cfg.p).entries, cfg.p, cfg.p)),
+    "gather_table": (9, lambda cfg: exactdist._gather_index.__wrapped__(cfg.T, cfg.p)),
 }
 
 
@@ -134,6 +144,33 @@ def test_bounds_exact_leaves_nothing(traced, tmp_path, request, split):
     before = tracemalloc.get_traced_memory()[0]
     assert cli.main(argv) == 0
     assert tracemalloc.get_traced_memory()[0] - before <= SLACK
+
+
+@pytest.mark.parametrize("n", [3 * exactdist.TV_LEAF + 5, 24 * exactdist.TV_LEAF + 3])
+def test_tv_peak(traced, n):
+    # the same constant at both sizes: no term per state
+    v = np.full(n, 1.0 / n)
+    states = np.arange(0, n, n // 1000)
+    P = DenseDistribution(n, 1, support=(states, np.full(states.shape[0], 1.0 / states.shape[0])))
+    for tv, held in ((lambda: exactdist.tv_vector(v), 0), (lambda: exactdist.tv_from_uniform(P), states.shape[0])):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tv()
+        after, peak = tracemalloc.get_traced_memory()
+        assert peak - before <= 8 * exactdist.TV_LEAF + 8 * held + SLACK
+        assert after - before <= SLACK
+
+
+@pytest.mark.parametrize("samples", [20_000, 300_000])
+def test_empirical_tv_peak(traced, samples):
+    cfg = WalkConfig(IntMatrix([[2, 1], [1, 1]]), 101)
+    batch = montecarlo.simulate(cfg, 12, samples, seed=1)
+    before = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    montecarlo.empirical_tv(batch)
+    after, peak = tracemalloc.get_traced_memory()
+    assert peak - before <= 24 * cfg.num_states + 16 * montecarlo.RNG_CHUNK + SLACK
+    assert after - before <= SLACK
 
 
 SIMULATIONS = [  # (walk, n, samples)

@@ -81,6 +81,16 @@ class TestComplexRoots:
                 for part in (z.real, z.imag):
                     assert math.copysign(1.0, part) == 1.0 or part != 0
 
+    def test_exact_ties_order_by_imag(self):
+        # (x + 1)(x^2 + 2x + 30): the real root and the pair -1 +- i sqrt(29)
+        # have real part -1 exactly, which np.roots returns as
+        # -1.0000000000000004 and -1.0000000000000009
+        cp = char_poly(IntMatrix([[-1, -3, 3], [4, 1, 2], [-5, -3, -3]]))
+        assert cp.coeffs == (30, 32, 3, 1)
+        roots = [z for z, _ in complex_roots(cp)]
+        assert [z.real for z in roots] == pytest.approx([-1.0] * 3)
+        assert [z.imag for z in roots] == pytest.approx([-math.sqrt(29), 0.0, math.sqrt(29)])
+
     def test_double_root_merged(self):
         roots = complex_roots(CharPoly((1, -2, 1)))
         assert len(roots) == 1
