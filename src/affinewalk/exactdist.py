@@ -30,9 +30,9 @@ the dense vector of its input. So the walk's peak of 20 bytes per state
 (the state, the 4-byte permutation and the new state, which takes the
 shifted adds in place) starts there, with 8.6 bytes per state while the
 table is built; the permutation is dropped when the walk ends. TV to
-uniform adds no vector over every state: past TV_LEAF states it sums the
-leaves of numpy's pairwise summation tree, each formed in one reused
-buffer.
+uniform adds no vector over every state: it sums the leaves of numpy's
+pairwise summation tree, each formed in one reused buffer of at most
+TV_LEAF entries.
 
 The gather and the shifted adds of a dense step, and the build of the
 gather table (`indexing.linear_perm` over every state), run by
@@ -72,9 +72,9 @@ HEAD_RATIO = 64
 # d = 2, p = 997 in 14.0 ms, against 6.9 and 6.0 ms with these bounds.
 BLOCKS = 8
 BLOCK_STATES = 1 << 16
-# TV to uniform sums a vector of more than TV_LEAF entries in runs of at
-# most TV_LEAF through one buffer of that size (512 KiB), never a
-# temporary over the whole vector.
+# TV to uniform sums a vector in runs of at most TV_LEAF entries through
+# one buffer of at most that size (512 KiB), never a temporary over the
+# whole vector.
 TV_LEAF = 1 << 16
 
 
@@ -360,38 +360,29 @@ def tv_from_uniform(P: DenseDistribution) -> float:
     states, weights = P.support
     n = P.p**P.d
     devs = np.abs(weights - 1.0 / n)
-    if n <= TV_LEAF:
-        dev = np.full(n, 1.0 / n)
-        dev[states] = devs
-        return 0.5 * float(dev.sum())
 
     def fill(t, a):
         t.fill(1.0 / n)
         lo, hi = np.searchsorted(states, (a, a + t.shape[0]))
         t[states[lo:hi] - a] = devs[lo:hi]
 
-    return 0.5 * float(_pairwise_sum(fill, np.empty(TV_LEAF), 0, n))
+    return 0.5 * float(_pairwise_sum(fill, np.empty(min(n, TV_LEAF)), 0, n))
 
 
 def tv_vector(dist_p: np.ndarray) -> float:
     """TV between a probability vector of length n and uniform on n
     points (a length-p law on Z/pZ, or a dense distribution's masses):
-    half the sum of |v - 1/n|, which np.sum adds by pairwise summation.
-    A vector of at most TV_LEAF entries takes one temporary; a longer one
-    is summed in the leaves of that summation tree (_pairwise_sum), each
-    formed in one reused TV_LEAF buffer, with the same bits and no
-    temporary over the whole vector."""
+    half the sum of |v - 1/n|, with np.sum's pairwise-summation bits. The
+    vector is summed in the leaves of that summation tree (_pairwise_sum),
+    each formed in one reused buffer of at most TV_LEAF entries, so no
+    temporary spans the whole vector."""
     n = dist_p.shape[0]
-    if n <= TV_LEAF:
-        dev = dist_p - 1.0 / n
-        np.abs(dev, out=dev)
-        return 0.5 * float(dev.sum())
 
     def fill(t, a):
         np.subtract(dist_p[a : a + t.shape[0]], 1.0 / n, out=t)
         np.abs(t, out=t)
 
-    return 0.5 * float(_pairwise_sum(fill, np.empty(TV_LEAF), 0, n))
+    return 0.5 * float(_pairwise_sum(fill, np.empty(min(n, TV_LEAF)), 0, n))
 
 
 def _pairwise_sum(fill, buf: np.ndarray, start: int, k: int) -> float:

@@ -24,8 +24,8 @@ import numpy as np
 from .errors import RootConvergenceError
 from .modmath import IntMatrix, int_det
 
-# complex_roots reads real parts closer than this, relative to the largest
-# root modulus (at least 1), as equal
+# complex_roots reads two real parts closer than this, relative to the
+# larger modulus (at least 1) of their two roots, as equal
 TIE_TOL = 1e-9
 
 
@@ -210,8 +210,8 @@ def _square_free_factors(cp: CharPoly) -> list[tuple[CharPoly, int]]:
 
 
 def complex_roots(cp: CharPoly) -> list[tuple[complex, int]]:
-    """All distinct roots of cp with exact multiplicities, sorted by
-    (real, imag), for display only: no class reads them.
+    """All distinct roots of cp with exact multiplicities, sorted by real
+    part and a tie by imag, for display only: no class reads them.
 
     cp is split into square-free factors (_square_free_factors); the
     roots of each factor are simple, found by `np.roots` (the
@@ -219,8 +219,9 @@ def complex_roots(cp: CharPoly) -> list[tuple[complex, int]]:
     multiplicity. Real parts equal in exact arithmetic come out a few
     ulps apart (-1 as -1.0000000000000009 and -1.0000000000000004), so
     the sort reads a run of real parts, each within TIE_TOL times the
-    largest modulus (at least 1) of the one before, as one tie, and
-    orders a tie by imag alone: last-bit rounding cannot order a tie.
+    larger modulus (at least 1) of it and the one before, as one tie, and
+    orders a tie by imag alone: last-bit rounding cannot order a tie, and
+    a large root elsewhere in the spectrum does not widen it.
     Raises RootConvergenceError where numpy's eigenvalue iteration does
     not converge, or a coefficient overflows a float.
     """
@@ -235,8 +236,10 @@ def complex_roots(cp: CharPoly) -> list[tuple[complex, int]]:
             f"no roots for the degree {cp.degree} characteristic polynomial: {exc}"
         ) from exc
     roots.sort(key=lambda zm: zm[0].real)
-    tol = TIE_TOL * max(1.0, *(abs(z) for z, _ in roots))
-    steps = (b.real - a.real > tol for (a, _), (b, _) in zip(roots, roots[1:]))
+    steps = (
+        b.real - a.real > TIE_TOL * max(1.0, abs(a), abs(b))
+        for (a, _), (b, _) in zip(roots, roots[1:])
+    )
     tie = list(accumulate(steps, initial=0))
     return [roots[i] for i in sorted(range(len(roots)), key=lambda i: (tie[i], roots[i][0].imag))]
 

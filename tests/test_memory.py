@@ -26,8 +26,8 @@ Building the table (indexing.linear_perm, nothing folded, int32) holds
 the map and one image coordinate (4 B each) and a numpy buffer per
 range for the in-place broadcast add: 8.5-8.6 B measured (9 B
 budgeted), under the step's 20 B. TV to uniform holds no vector over
-every state: past exactdist.TV_LEAF states it sums in leaves through
-one buffer of TV_LEAF float64, so its budget is that buffer and, on a
+every state: it sums in leaves through one buffer of at most
+exactdist.TV_LEAF float64, so its budget is that buffer and, on a
 support-held law, 8 B per support state (test_tv_peak). bound_series runs one engine at a time, so its peak is
 the larger of the two. After each call returns, traced memory is back
 to its level before the call: no index table outlives its walk. Each

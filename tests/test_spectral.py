@@ -91,6 +91,14 @@ class TestComplexRoots:
         assert [z.real for z in roots] == pytest.approx([-1.0] * 3)
         assert [z.imag for z in roots] == pytest.approx([-math.sqrt(29), 0.0, math.sqrt(29)])
 
+    def test_large_root_does_not_merge_real_parts(self):
+        # (x - 10^12)(x^2 + 2x + 5)(x - 1): the roots -1 +- 2i and 1 differ
+        # in real part by 2, which a tolerance scaled by 10^12 would call a tie
+        big = 10**12
+        cp = CharPoly((5 * big, -3 * big - 5, -big + 3, -big + 1, 1))
+        roots = [z for z, _ in complex_roots(cp)]
+        assert roots == pytest.approx([-1 - 2j, -1 + 2j, 1, big], rel=1e-8)
+
     def test_double_root_merged(self):
         roots = complex_roots(CharPoly((1, -2, 1)))
         assert len(roots) == 1
