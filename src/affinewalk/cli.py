@@ -1,8 +1,11 @@
 """Command-line driver.
 
 Subcommands: classify, bounds, mixtime, orbit, project, simulate, sweep.
-Options can come from flags or from a JSON config file (--config);
-flags override file values. Only sweep takes several matrices, and only
+Each option is declared once, in OPTIONS (its type, its default and its
+argparse keywords), and each subcommand's flags once, in COMMANDS; the
+parser and the config-file check both read these two tables. Options
+can come from flags or from a JSON config file (--config); flags
+override file values. Only sweep takes several matrices, and only
 sweep and classify several moduli (classify reports admissibility at
 each); any other second --matrix or --p is refused (exit 2). Every CSV
 output starts with a comment line carrying the tool version and the
@@ -10,7 +13,8 @@ full effective config; JSON outputs carry the same information in a
 "meta" field. Outputs contain nothing run-dependent (no timestamps), so
 identical configs give identical bytes.
 
-Exit codes: 0 ok, 2 bad config (an --epsilon outside (0, 1) included),
+Exit codes: 0 ok, 2 bad config (an --epsilon outside (0, 1) and a matrix
+or vector entry that is not an integer included),
 3 mathematical precondition violated (singular matrix, inadmissible or
 composite p where primality is needed) or eigenvalues that numpy could
 not find for classify's listing, 4 resource budget exceeded (including
@@ -29,45 +33,66 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, get_args, get_type_hints
+from typing import Optional, Sequence
 
 from . import __version__, exactdist, fourier, montecarlo, spectral
 from .errors import BudgetError, PreconditionError, RootConvergenceError
 from .exactdist import WalkConfig
-from .modmath import IntMatrix, ModVector, is_admissible
+from .modmath import IntMatrix, ModVector, as_int, is_admissible
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
 
+# option -> (the type its value must have, its value when unset, further
+# add_argument keywords). Its flag is --option with "_" written "-", and
+# an int or float flag converts to that type. Type None marks the options
+# read on their own: the config file, the walk (matrix, p) and the
+# character vector c, which is JSON text.
+OPTIONS = {
+    "config": (None, None, {"help": "JSON config file; flags override its values"}),
+    "matrix": (None, None, {
+        "action": "append", "help": 'row-major JSON, e.g. "[[2,1],[1,1]]" (repeatable for sweep)',
+    }),
+    "p": (None, None, {
+        "type": int, "action": "append", "help": "modulus (repeatable for sweep and classify)",
+    }),
+    "epsilon": (float, None, {}),
+    "n": (int, None, {}),
+    "n_min": (int, 0, {}),
+    "n_max": (int, None, {}),
+    "c": (None, None, {"help": 'character vector as JSON, e.g. "[1,0]"'}),
+    "c1": (float, fourier.DEFAULT_C1, {}),
+    "blocks": (int, None, {"help": "also evolve the projected walk"}),
+    "samples": (int, None, {}),
+    "seed": (int, montecarlo.DEFAULT_SEED, {}),
+    "method": (str, None, {"choices": montecarlo.METHODS}),
+    "output": (str, None, {"help": "output file (default stdout)"}),
+    "fit_json": (str, None, {"help": "write fit summaries here"}),
+    "dump_states": (bool, False, {"action": "store_true"}),
+    "exact": (bool, None, {
+        "action": argparse.BooleanOptionalAction, "help": "force (or forbid) the exact TV column",
+    }),
+    "state_cap": (int, exactdist.DEFAULT_STATE_CAP, {}),
+    "char_cap": (int, fourier.DEFAULT_CHAR_CAP, {}),
+    "ell_max": (int, None, {}),
+    "n_cap": (int, fourier.DEFAULT_MIX_CAP, {}),
+}
+# the keys a config file may set: every option of some subcommand
+_FILE_KEYS = set(OPTIONS) - {"config"}
 
-@dataclass
+
 class ExperimentConfig:
-    """Validated inputs for one subcommand run."""
+    """Validated inputs for one subcommand run: the walk's matrices and
+    moduli, the effective config `raw` that meta records, and one
+    attribute per option of OPTIONS other than config, matrix and p."""
 
-    matrices: list[IntMatrix]
-    ps: list[int]
-    epsilon: Optional[float] = None
-    n: Optional[int] = None
-    n_min: int = 0
-    n_max: Optional[int] = None
-    c: Optional[list[int]] = None
-    c1: float = fourier.DEFAULT_C1
-    blocks: Optional[int] = None
-    samples: Optional[int] = None
-    seed: int = montecarlo.DEFAULT_SEED
-    method: Optional[str] = None
-    output: Optional[str] = None
-    fit_json: Optional[str] = None
-    dump_states: bool = False
-    exact: Optional[bool] = None
-    state_cap: int = exactdist.DEFAULT_STATE_CAP
-    char_cap: int = fourier.DEFAULT_CHAR_CAP
-    ell_max: Optional[int] = None
-    n_cap: int = fourier.DEFAULT_MIX_CAP
-    raw: dict = field(default_factory=dict)
+    def __init__(self, matrices: list[IntMatrix], ps: list[int], raw: dict, **options):
+        self.matrices = matrices
+        self.ps = ps
+        self.raw = raw
+        self.__dict__.update(options)
 
     @property
     def T(self) -> IntMatrix:
@@ -94,21 +119,9 @@ class ExperimentConfig:
         return {"tool": f"affinewalk {__version__}", "config": self.raw}
 
 
-# fields copied from the merged options once their type checks, each
-# with the type it declares (X for Optional[X]); the rest are parsed
-_PLAIN_TYPES = {
-    name: next((a for a in get_args(hint) if a is not type(None)), hint)
-    for name, hint in get_type_hints(ExperimentConfig).items()
-    if name not in ("matrices", "ps", "c", "raw")
-}
-# the keys a config file may set: every option of some subcommand
-_FILE_KEYS = {"matrix", "p", "c", *_PLAIN_TYPES}
-
-
-def _check_type(name: str, value) -> None:
-    """A config value must have its field's type; an int passes for a
+def _check_type(name: str, want: type, value) -> None:
+    """A config value must have its option's type; an int passes for a
     float, and a bool passes only for a bool."""
-    want = _PLAIN_TYPES[name]
     accepted = (int, float) if want is float else want
     if isinstance(value, bool) != (want is bool) or not isinstance(value, accepted):
         raise ValueError(f"config key {name!r} must be {want.__name__}, got {value!r}")
@@ -132,9 +145,9 @@ def _parse_vector(value) -> list[int]:
             value = json.loads(value)
         except json.JSONDecodeError as exc:
             raise ValueError(f"vector must be JSON like [1,0]: {exc}") from exc
-    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
+    if not isinstance(value, list):
         raise ValueError("vector must be a list of integers")
-    return value
+    return [as_int(x) for x in value]
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -182,20 +195,20 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     if any(p < 2 for p in ps):
         raise ValueError("all moduli must be >= 2")
 
-    cfg = ExperimentConfig(matrices=matrices, ps=ps)
-    for name in _PLAIN_TYPES:
-        if merged.get(name) is not None:
-            _check_type(name, merged[name])
-            setattr(cfg, name, merged[name])
-    if merged.get("c") is not None:
-        cfg.c = _parse_vector(merged["c"])
-    cfg.raw = {
-        k: v for k, v in merged.items() if v is not None and k not in ("output", "fit_json")
-    }
-    cfg.raw["matrix"] = [m.to_lists() for m in matrices]
+    options = {}
+    for name, (want, default, _) in OPTIONS.items():
+        if want is not None:
+            value = merged.get(name)
+            if value is not None:
+                _check_type(name, want, value)
+            options[name] = default if value is None else value
+    c = merged.get("c")
+    options["c"] = None if c is None else _parse_vector(c)
+    raw = {k: v for k, v in merged.items() if v is not None and k not in ("output", "fit_json")}
+    raw["matrix"] = [m.to_lists() for m in matrices]
     if ps:
-        cfg.raw["p"] = ps
-    return cfg
+        raw["p"] = ps
+    return ExperimentConfig(matrices, ps, raw, **options)
 
 
 def _emit(text: str, path: Optional[str]) -> None:
@@ -319,6 +332,27 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+# subcommand -> (its handler, its help text, its options after COMMON),
+# each list in the order of the subcommand's --help
+COMMON = ("config", "matrix", "p", "output")
+COMMANDS = {
+    "classify": (cmd_classify, "spectrum report for the matrix", ()),
+    "bounds": (cmd_bounds, "upper/lower/exact TV series as CSV",
+               ("state_cap", "char_cap", "n_min", "n_max", "exact")),
+    "mixtime": (cmd_mixtime, "least n with distance <= epsilon",
+                ("state_cap", "char_cap", "epsilon", "method", "n_cap")),
+    "orbit": (cmd_orbit, "orbit of a character under T^t", ("c", "c1", "ell_max")),
+    "project": (cmd_project, "slow-mixing projection functional", ("blocks",)),
+    "simulate": (cmd_simulate, "Monte Carlo trajectories",
+                 ("n", "samples", "seed", "dump_states")),
+    "sweep": (cmd_sweep, "mixing-time scaling over moduli",
+              ("state_cap", "char_cap", "epsilon", "method", "n_cap", "fit_json")),
+}
+# keywords that one subcommand's flag adds to its OPTIONS entry: only
+# sweep's cells may leave the method to "auto"
+OVERRIDES = {("sweep", "method"): {"choices": ("auto", *montecarlo.METHODS)}}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="affinewalk",
@@ -327,80 +361,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"affinewalk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--config", help="JSON config file; flags override its values")
-        sp.add_argument(
-            "--matrix",
-            action="append",
-            help='row-major JSON, e.g. "[[2,1],[1,1]]" (repeatable for sweep)',
-        )
-        sp.add_argument(
-            "--p", type=int, action="append", dest="p",
-            help="modulus (repeatable for sweep and classify)",
-        )
-        sp.add_argument("-o", "--output", help="output file (default stdout)")
-
-    def caps(sp):
-        sp.add_argument("--state-cap", type=int, dest="state_cap")
-        sp.add_argument("--char-cap", type=int, dest="char_cap")
-
-    sp = sub.add_parser("classify", help="spectrum report for the matrix", allow_abbrev=False)
-    common(sp)
-    sp.set_defaults(func=cmd_classify)
-
-    sp = sub.add_parser("bounds", help="upper/lower/exact TV series as CSV", allow_abbrev=False)
-    common(sp)
-    caps(sp)
-    sp.add_argument("--n-min", type=int, dest="n_min")
-    sp.add_argument("--n-max", type=int, dest="n_max")
-    sp.add_argument(
-        "--exact",
-        dest="exact",
-        action=argparse.BooleanOptionalAction,
-        help="force (or forbid) the exact TV column",
-    )
-    sp.set_defaults(func=cmd_bounds)
-
-    sp = sub.add_parser("mixtime", help="least n with distance <= epsilon", allow_abbrev=False)
-    common(sp)
-    caps(sp)
-    sp.add_argument("--epsilon", type=float)
-    sp.add_argument("--method", choices=montecarlo.METHODS)
-    sp.add_argument("--n-cap", type=int, dest="n_cap")
-    sp.set_defaults(func=cmd_mixtime)
-
-    sp = sub.add_parser("orbit", help="orbit of a character under T^t", allow_abbrev=False)
-    common(sp)
-    sp.add_argument("--c", help='character vector as JSON, e.g. "[1,0]"')
-    sp.add_argument("--c1", type=float)
-    sp.add_argument("--ell-max", type=int, dest="ell_max")
-    sp.set_defaults(func=cmd_orbit)
-
-    sp = sub.add_parser("project", help="slow-mixing projection functional", allow_abbrev=False)
-    common(sp)
-    sp.add_argument("--blocks", type=int, help="also evolve the projected walk")
-    sp.set_defaults(func=cmd_project)
-
-    sp = sub.add_parser("simulate", help="Monte Carlo trajectories", allow_abbrev=False)
-    common(sp)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument(
-        "--dump-states", action="store_true", default=None, dest="dump_states"
-    )
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("sweep", help="mixing-time scaling over moduli", allow_abbrev=False)
-    common(sp)
-    caps(sp)
-    sp.add_argument("--epsilon", type=float)
-    sp.add_argument("--method", choices=("auto", *montecarlo.METHODS))
-    sp.add_argument("--n-cap", type=int, dest="n_cap")
-    sp.add_argument("--fit-json", dest="fit_json", help="write fit summaries here")
-    sp.set_defaults(func=cmd_sweep)
-
+    for command, (func, help_text, own) in COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        for name in COMMON + own:
+            want, _, kw = OPTIONS[name]
+            flags = ("-o",) if name == "output" else ()
+            if want in (int, float):
+                kw = {"type": want, **kw}
+            kw = {**kw, **OVERRIDES.get((command, name), {})}
+            # an unset flag stays None, so a file value or the table
+            # default stands and meta records nothing for it
+            sp.add_argument(*flags, "--" + name.replace("_", "-"), default=None, **kw)
+        sp.set_defaults(func=func)
     return parser
 
 

@@ -54,7 +54,7 @@ import numpy as np
 
 from . import indexing
 from .errors import BudgetError, PreconditionError
-from .modmath import IntMatrix, is_admissible, mat_inv_mod
+from .modmath import IntMatrix, int_det, is_admissible, mat_inv_mod
 
 DEFAULT_STATE_CAP = 10_000_000
 MASS_TOL = 1e-12
@@ -101,7 +101,7 @@ class WalkConfig:
         if not is_admissible(self.T, self.p):
             raise PreconditionError(
                 f"(T, p={self.p}) not admissible: need det(T) != 0 and "
-                f"gcd(det T, p) = 1, det = {_det_str(self.T)}"
+                f"gcd(det T, p) = 1, det = {int_det(self.T)}"
             )
 
     def require_states(self, cap: int, name: str, budget: str, advice: str = "") -> None:
@@ -126,12 +126,6 @@ class WalkConfig:
                     f"{what} needs {expr} <= 2^63 - 1 for exact int64 "
                     f"arithmetic; d={self.d}, p={self.p} exceeds it"
                 )
-
-
-def _det_str(T: IntMatrix) -> str:
-    from .modmath import int_det
-
-    return str(int_det(T))
 
 
 class DenseDistribution:

@@ -8,11 +8,24 @@ walk dimension d, typically 2..5), so O(d^3) algorithms are fine.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
+
+
+def as_int(x) -> int:
+    """x as an exact int. An int or a numpy integer is read through
+    operator.index; a bool, float, string or anything else is refused
+    with a ValueError naming the entry, never truncated."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"entry {x!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -22,7 +35,7 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __init__(self, entries: Iterable[Iterable[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(tuple(as_int(x) for x in row) for row in entries)
         if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square and non-empty")
         object.__setattr__(self, "entries", rows)
@@ -99,7 +112,7 @@ class ModVector:
         if p < 2:
             raise ValueError("modulus must be >= 2")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "entries", tuple(int(x) % p for x in entries))
+        object.__setattr__(self, "entries", tuple(as_int(x) % p for x in entries))
 
     @property
     def d(self) -> int:

@@ -43,6 +43,7 @@ from .modmath import (
     is_prime,
     mat_pow_exact,
     mat_pow_mod,
+    mat_vec_mod,
     nullity_rational,
     nullspace_mod_prime,
 )
@@ -300,12 +301,16 @@ def projection_functional(T: IntMatrix, p: int) -> ProjectionReport:
     degenerate = len(basis) != generic
     v = basis[0]
 
-    # weight row for block position j: v^t T^(m-1-j) mod p
+    # the weight rows v^t T^(m-1-j) mod p of block positions j = m-1, ...,
+    # 0 are w = v, T^t w, ...; the counts are exact, so convolving the
+    # positions in this order gives the same law
     counts = [0] * p
     counts[0] = 1
-    for j in range(m):
-        w = mat_pow_mod(T, m - 1 - j, p).transpose().apply(v.entries)
-        vals = [0] + [wi % p for wi in w]
+    tt = T.transpose()
+    w = v
+    for _ in range(m):
+        vals = [0, *w.entries]
+        w = mat_vec_mod(tt, w)
         nxt = [0] * p
         for r in range(p):
             cr = counts[r]

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 import readers
 import affinewalk
 from affinewalk import montecarlo
-from affinewalk.cli import main
+from affinewalk.cli import build_parser, main
 from affinewalk.montecarlo import METHODS
 
 
@@ -451,6 +452,52 @@ class TestConfigFile:
         assert "config error: eps must lie in (0, 1)" in err
 
 
+    def test_output_bytes_pin_meta_key_order(self, capsys, tmp_path, monkeypatch):
+        # file keys keep the file's order; flags follow in the order the
+        # subcommand declares them (char_cap before n_cap), not as typed
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.json").write_text(
+            '{"p": 101, "method": "ub", "matrix": "[[2,1],[1,1]]", "epsilon": 0.25}'
+        )
+        code, out, err = run(
+            capsys, "mixtime", "--config", "run.json", "--n-cap", "50", "--char-cap", "100000"
+        )
+        assert code == 0 and err == ""
+        assert out == (
+            '{\n  "n_mix": 11,\n  "epsilon": 0.25,\n  "method": "ub",\n  "meta": {\n'
+            f'    "tool": "affinewalk {affinewalk.__version__}",\n    "config": {{\n'
+            '      "p": [\n        101\n      ],\n      "method": "ub",\n'
+            '      "matrix": [\n        [\n          [\n            2,\n            1\n'
+            '          ],\n          [\n            1,\n            1\n          ]\n'
+            '        ]\n      ],\n      "epsilon": 0.25,\n      "char_cap": 100000,\n'
+            '      "n_cap": 50\n    }\n  }\n}\n'
+        )
+
+
+class TestIntegerEntries:
+    """A matrix or character entry that is not a JSON integer is refused
+    (exit 2), never truncated into another walk's answer."""
+
+    @pytest.mark.parametrize("argv, bad", [
+        (["mixtime", "--matrix", "[[2.9,1],[1,1.5]]", "--epsilon", "0.25", "--method", "ub"],
+         "2.9"),
+        (["mixtime", "--matrix", "[[true,1],[1,false]]", "--epsilon", "0.25"], "True"),
+        (["mixtime", "--matrix", '["21","11"]', "--epsilon", "0.25"], "'2'"),
+        (["orbit", "--matrix", "[[2,1],[1,1]]", "--c", "[1, true]"], "True"),
+    ])
+    def test_exit_2(self, argv, bad, capsys):
+        code, out, err = run(capsys, *argv, "--p", "101")
+        assert code == 2 and out == ""
+        assert f"entry {bad} is not an integer" in err
+
+    def test_config_file_matrix(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"matrix": [[True, 1], [1, False]], "p": 101, "epsilon": 0.25}))
+        code, out, err = run(capsys, "mixtime", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "entry True is not an integer" in err
+
+
 class TestOneWalkPerCommand:
     """Only sweep reads several matrices, and only sweep and classify
     several moduli; any other command refuses a second one rather than
@@ -572,6 +619,27 @@ class TestRemovedOptions:
     ])
     def test_exit_2(self, argv, capsys):
         assert exit_code(argv) == 2
+
+
+COMMON = {"-h", "--help", "--config", "--matrix", "--p", "-o", "--output"}
+
+
+@pytest.mark.parametrize("command, own", [
+    ("classify", set()),
+    ("bounds", {"--state-cap", "--char-cap", "--n-min", "--n-max", "--exact", "--no-exact"}),
+    ("mixtime", {"--state-cap", "--char-cap", "--epsilon", "--method", "--n-cap"}),
+    ("orbit", {"--c", "--c1", "--ell-max"}),
+    ("project", {"--blocks"}),
+    ("simulate", {"--n", "--samples", "--seed", "--dump-states"}),
+    ("sweep", {"--state-cap", "--char-cap", "--epsilon", "--method", "--n-cap", "--fit-json"}),
+])
+def test_each_subcommand_has_exactly_its_flags(command, own):
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == {"classify", "bounds", "mixtime", "orbit", "project",
+                                "simulate", "sweep"}
+    flags = {s for action in sub.choices[command]._actions for s in action.option_strings}
+    assert flags == COMMON | own
 
 
 def test_flag_prefixes_are_refused(capsys):

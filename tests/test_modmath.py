@@ -26,6 +26,31 @@ from affinewalk.modmath import (
 FIB = IntMatrix([[2, 1], [1, 1]])
 
 
+class TestIntegerEntries:
+    """Matrix and vector entries are exact integers: a float, bool or
+    string is refused, never truncated to some other walk."""
+
+    @pytest.mark.parametrize("rows, bad", [
+        ([[2.9, 1], [1, 1.5]], "2.9"),
+        ([[True, 1], [1, False]], "True"),
+        (["21", "11"], "'2'"),
+    ])
+    def test_matrix_refused(self, rows, bad):
+        with pytest.raises(ValueError, match=f"entry {bad} is not an integer"):
+            IntMatrix(rows)
+
+    @pytest.mark.parametrize("entries, bad", [([1, True], "True"), ([1, 1.0], "1.0")])
+    def test_vector_refused(self, entries, bad):
+        with pytest.raises(ValueError, match=f"entry {bad} is not an integer"):
+            ModVector(101, entries)
+
+    def test_numpy_integers_accepted(self):
+        T = IntMatrix(np.array([[2, 1], [1, 1]], dtype=np.int64))
+        v = ModVector(5, np.array([7, -1], dtype=np.int32))
+        assert T == FIB and v.entries == (2, 4)
+        assert all(type(x) is int for x in (*T.entries[0], *v.entries))
+
+
 def det_fraction_gauss(rows):
     """Independent determinant oracle: plain Gaussian elimination over Q."""
     a = [[Fraction(x) for x in row] for row in rows]
