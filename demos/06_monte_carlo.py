@@ -19,7 +19,7 @@ cfg = WalkConfig(T, 5)
 print("small modulus: compare the plug-in TV estimate against exact TV")
 print(f"{'n':>3} {'exact TV':>10} {'empirical (10^5)':>17} {'empirical (10^6)':>17}")
 for n in (0, 2, 5, 8, 12):
-    exact = tv_from_uniform(evolve(cfg, n))
+    exact = float(tv_from_uniform(evolve(cfg, n)))  # an exact Fraction, rounded
     est5 = empirical_tv(simulate(cfg, n, 100_000, seed=1))
     est6 = empirical_tv(simulate(cfg, n, 1_000_000, seed=1))
     print(f"{n:>3} {exact:>10.5f} {est5:>17.5f} {est6:>17.5f}")

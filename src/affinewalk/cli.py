@@ -175,9 +175,9 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     matrices_raw = merged.get("matrix")
     if matrices_raw is None:
         raise ValueError("a matrix is required (--matrix or config key 'matrix')")
-    try:
-        is_single = isinstance(matrices_raw, str) or isinstance(
-            matrices_raw[0][0], int
+    try:  # by nesting depth: a matrix is a string or a list of rows of entries
+        is_single = isinstance(matrices_raw, str) or not (
+            isinstance(matrices_raw[0], str) or isinstance(matrices_raw[0][0], list)
         )
     except (TypeError, IndexError, KeyError) as exc:
         raise ValueError(f"bad matrix value: {matrices_raw!r}") from exc

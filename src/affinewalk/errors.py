@@ -27,9 +27,9 @@ class NotMixedError(BudgetError):
     def __init__(self, n_cap: int, method: str, last_value: float):
         self.n_cap = n_cap
         self.method = method
-        self.last_value = last_value
+        self.last_value = float(last_value)  # an exact TV comes as a Fraction
         super().__init__(
-            f"not mixed by n_max={n_cap} (method={method}, value={last_value:.6g})"
+            f"not mixed by n_max={n_cap} (method={method}, value={self.last_value:.6g})"
         )
 
 

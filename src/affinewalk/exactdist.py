@@ -1,63 +1,58 @@
 """Ground-truth engine: exact dense evolution of the walk distribution
 over all p^d states and its total variation distance to uniform.
 
-Dense float64 vectors in mixed-radix index order (see indexing). A step
-places P(x)/(d+1) on T x with one gather through an inverse permutation
-into the new vector, then adds the placed grid shifted by one along each
-axis (the shift by e_r) into that vector in place, a block of rows at a
-time; no (p^d, d) coordinate table, no rolled copy and no second output
-is formed. The permutation is int32 whenever every index fits
-(`indexing.index_dtype`), and the gather widens it a block at a time
-into the step's own block temporary, so np.take never converts the
-whole table.
-Mass drift is asserted, never renormalized away.
+The increment is uniform on {0, e_1, ..., e_d}, so P_n = c_n / (d+1)^n
+with integer counts c_n. A law is held as counts and a scale in
+mixed-radix index order (see indexing): int64 counts and the Python int
+scale (d+1)^n while that is at most 2^63 - 1 (n <= 62, 39, 31, 27 at
+d = 1..4), so every state is exact, the counts sum to the scale exactly
+and TV to uniform is a Fraction; past that, float64 counts, multiplied
+with the scale by 2^-RESCALE_BITS (exactly) whenever the scale passes
+2^RESCALE_BITS, and a mass check within MASS_TOL. A caller's float
+vector is a law of scale 1. Mass drift is asserted, never renormalized.
 
-The walk starts at X_0 = 0, so X_n = sum_{k<n} T^(n-1-k) B_k and P_n
-lives on at most (d+1)^n states. While it is that small, the walk holds
-P_n by its support, (state indices, masses), and steps that form
-(`_step_support`): the support goes through T mod p coordinate by
-coordinate, each image is shifted by b = 0, e_0, ..., e_{d-1} in that
-order, and np.bincount sums the terms of each state in that order. That
-is the order in which step_exact adds a state's d+1 terms, and a term
-the support form leaves out is an exact +0.0 there, so every mass is
-bit-identical to the dense step's. The walk steps the support while
-(d+1) |supp P_n| <= p^d / HEAD_RATIO; from the first step past that it
-hands the dense masses to step_exact and never goes back (the support
-never shrinks). The dense vector of a law held by its support is built
-only when something reads `masses` (its TV to uniform does not), and
-the gather table only at the first dense step, before that step builds
-the dense vector of its input. So the walk's peak of 20 bytes per state
-(the state, the 4-byte permutation and the new state, which takes the
-shifted adds in place) starts there, with 8.6 bytes per state while the
-table is built; the permutation is dropped when the walk ends. TV to
-uniform adds no vector over every state: it sums the leaves of numpy's
-pairwise summation tree, each formed in one reused buffer of at most
-TV_LEAF entries.
+A step gathers each count onto T x through an inverse permutation
+(int32 when every index fits, widened a block at a time), adds the grid
+shifted by each e_r into itself in place, a block of rows at a time,
+and multiplies the scale by d+1: no division, no coordinate table. The
+step and the gather table's build run by ranges on the CPUs of the
+affinity mask (`indexing.split_rows`), each state taking the same terms
+in the same order whatever the split; support steps and sums are serial.
 
-The gather and the shifted adds of a dense step, and the build of the
-gather table (`indexing.linear_perm` over every state), run by
-contiguous ranges on the CPUs of the process's affinity mask
-(`indexing.split_rows`). Each state takes the same terms in the same
-order whatever the split, so every state is bit-identical to a serial
-step; the support steps and the reductions (the mass check, TV to
-uniform) stay serial.
+X_n = sum_{k<n} T^(n-1-k) B_k lives on at most (d+1)^n states, so while
+(d+1) |supp P_n| <= p^d / HEAD_RATIO the walk holds P_n by its support
+and steps that (`_step_support`), then hands the dense counts to
+step_exact for good. The dense vector of a support-held law is built only
+when read, and the gather table at the first dense step, so the walk's
+peak of 20 bytes per state (state, 4-byte table, new state) starts there.
+
+TV to uniform: with t = scale // N and r = scale mod N (N = p^d), an
+integer count exceeds scale/N exactly when it exceeds t, so
+TV = (N S - k r)/(N scale), S = sum max(c - t, 0), k = #{c > t}, summed
+BLOCK_STATES counts at a time through one buffer; a support-held law
+reads only its support (every other count is 0 <= t).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
 from . import indexing
 from .errors import BudgetError, PreconditionError
-from .modmath import IntMatrix, int_det, is_admissible, mat_inv_mod
+from .modmath import IntMatrix, as_int, int_det, is_admissible, mat_inv_mod
 
 DEFAULT_STATE_CAP = 10_000_000
+INT64_MAX = 2**63 - 1
+# Past the int64 range: the mass check's relative tolerance, and where the
+# scale is rescaled (module docstring), far below float overflow at any d.
 MASS_TOL = 1e-12
+RESCALE_BITS = 960
 # The walk steps P_n by its support while (d+1) |supp P_n| <= p^d / HEAD_RATIO.
 # Chosen by measurement (README, Performance): a smaller ratio keeps more
 # steps on the support but raised the dense_exact benchmark's peak RSS,
@@ -65,17 +60,14 @@ MASS_TOL = 1e-12
 HEAD_RATIO = 64
 # step_exact sums each range of rows in blocks of at most 1/BLOCKS of the
 # range and BLOCK_STATES states, at least one row, so its temporaries take
-# at most 1 B per state in all and 512 KiB per range. Chosen by measurement
+# at most 1 B per state in all and 512 KiB per range; TV to uniform reads
+# BLOCK_STATES counts at a time through one buffer. Chosen by measurement
 # (README, Performance): each block makes about ten numpy calls, for which
 # the ranges' threads take the interpreter lock in turn, so on two ranges
 # one-row blocks stepped d = 3, p = 97 in 11.1 ms and 4096-state blocks
 # d = 2, p = 997 in 14.0 ms, against 6.9 and 6.0 ms with these bounds.
 BLOCKS = 8
 BLOCK_STATES = 1 << 16
-# TV to uniform sums a vector in runs of at most TV_LEAF entries through
-# one buffer of at most that size (512 KiB), never a temporary over the
-# whole vector.
-TV_LEAF = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -86,6 +78,7 @@ class WalkConfig:
     p: int
 
     def __post_init__(self):
+        object.__setattr__(self, "p", as_int(self.p))
         if self.p < 2:
             raise ValueError("modulus must be >= 2")
 
@@ -121,7 +114,7 @@ class WalkConfig:
         if indices:
             bounds.append(("p^d - 1", self.num_states - 1))
         for expr, value in bounds:
-            if value > 2**63 - 1:
+            if value > INT64_MAX:
                 raise BudgetError(
                     f"{what} needs {expr} <= 2^63 - 1 for exact int64 "
                     f"arithmetic; d={self.d}, p={self.p} exceeds it"
@@ -129,50 +122,72 @@ class WalkConfig:
 
 
 class DenseDistribution:
-    """A law on the p^d states, in index order.
+    """A law on the p^d states, in index order: P = counts / scale.
 
-    `masses` is the dense float64 vector. A walk holds its first states
-    by their support instead: `support` is (indices, masses) of the
-    states that carry mass, indices increasing, and `masses` is built
-    from it on first read and kept. `max_support` bounds the number of
-    states that carry mass: the exact count while the support is held,
-    else p^d, or d+1 times the bound of the law that step_exact stepped."""
+    `counts` is the dense vector, or is built on first read (and kept)
+    from `support`, (indices, counts) of the states that carry mass,
+    indices increasing. `masses` is the float64 view counts / scale, built
+    on each read. `max_support` bounds the number of states that carry
+    mass: exact while the support is held, else p^d, or d+1 times the
+    bound of the law step_exact stepped."""
 
-    def __init__(self, p: int, d: int, masses: Optional[np.ndarray] = None, *,
+    def __init__(self, p: int, d: int, counts: Optional[np.ndarray] = None, *,
                  support: Optional[tuple[np.ndarray, np.ndarray]] = None,
-                 max_support: Optional[int] = None):
-        if (masses is None) == (support is None):
-            raise ValueError("give exactly one of the mass vector and the support")
-        if masses is not None and masses.shape != (p**d,):
-            raise ValueError("mass vector has wrong length")
-        self.p, self.d = p, d
+                 scale: Union[int, float] = 1, max_support: Optional[int] = None):
+        if (counts is None) == (support is None):
+            raise ValueError("give exactly one of the count vector and the support")
+        if counts is not None and counts.shape != (p**d,):
+            raise ValueError("count vector has wrong length")
+        self.p, self.d, self.scale = p, d, scale
         self.support = support
-        self._masses = masses
+        self._counts = counts
         if max_support is None:
             max_support = p**d if support is None else support[0].shape[0]
         self.max_support = max_support
 
     @property
+    def counts(self) -> np.ndarray:  # length p^d
+        if self._counts is None:
+            states, held = self.support
+            counts = np.zeros(self.p**self.d, dtype=held.dtype)
+            counts[states] = held
+            self._counts = counts  # only once filled: no reader sees a part
+        return self._counts
+
+    @property
     def masses(self) -> np.ndarray:  # length p^d, float64
-        if self._masses is None:
-            states, weights = self.support
-            masses = np.zeros(self.p**self.d)
-            masses[states] = weights
-            self._masses = masses  # only once filled: no reader sees a part
-        return self._masses
+        return self.counts / self.scale
+
+    def held(self) -> np.ndarray:
+        """The counts as held: the support's, else the dense vector."""
+        return self.counts if self.support is None else self.support[1]
 
     def mass_defect(self) -> float:
-        held = self.masses if self.support is None else self.support[1]
-        return abs(float(held.sum()) - 1.0)
+        return abs(float(self.held().sum()) / self.scale - 1.0)
 
     def check_mass(self) -> None:
-        defect = self.mass_defect()
-        if defect > MASS_TOL:
-            raise AssertionError(f"mass drifted by {defect:.3e}")
+        """Integer counts sum to the scale exactly, float ones within
+        MASS_TOL of it."""
+        total = self.held().sum().item()
+        drifted = total != self.scale if isinstance(total, int) else self.mass_defect() > MASS_TOL
+        if drifted:
+            raise AssertionError(f"mass drifted: the counts sum to {total!r}, not {self.scale!r}")
 
 
 def delta_at_zero(p: int, d: int) -> DenseDistribution:
-    return DenseDistribution(p, d, support=(np.zeros(1, dtype=np.int64), np.ones(1)))
+    return DenseDistribution(p, d, support=(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)))
+
+
+def _next_scale(scale: Union[int, float], dtype: np.dtype, d: int):
+    """(scale, count dtype, factor) one step after counts of `dtype` at
+    `scale`: int64 while (d+1) scale <= 2^63 - 1, then float64; the step
+    multiplies its placed counts by the factor, 2^-RESCALE_BITS once the
+    scale passes 2^RESCALE_BITS, else 1."""
+    scale *= d + 1
+    if dtype == np.int64 and scale <= INT64_MAX:
+        return scale, np.dtype(np.int64), 1
+    factor = 2.0**-RESCALE_BITS if scale > 2.0**RESCALE_BITS else 1.0
+    return float(scale) * factor, np.dtype(np.float64), factor
 
 
 @lru_cache(maxsize=1)
@@ -194,46 +209,44 @@ def _blocks(s: slice, step: int, m: int) -> Iterator[tuple[int, int]]:
 
 
 def step_exact(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
-    """One step: place P(x)/(d+1) on T x by one gather through the cached
-    inverse permutation, then add that grid shifted by one along each
-    coordinate r (x + e_r receives x), r = 0..d-1 in order.
+    """One step: put each count c(x) on T x by one gather through the
+    cached inverse permutation, add that grid shifted by one along each
+    coordinate r (x + e_r receives x), r = 0..d-1 in order, and multiply
+    the scale by d+1 (`_next_scale`): d+1 terms per state.
 
-    The shifts are slice adds into the placed grid itself, with no rolled
-    copy and no second vector: the step holds P, the 4-byte gather table
-    and the new state (20 bytes per state) and never writes P. Coordinate
-    0 is the last numpy axis, so its shift is one add over flat views,
-    which is right wherever x_0 > 0, followed by the states x_0 = 0,
-    rewritten from x_0 = p-1 of their run. Each further coordinate r adds
-    along numpy axis d-1-r, where x_r steps by p^r: the interior slab
-    x_r >= 1 takes x_r - 1 and the wrap-around slab x_r = 0 takes
-    x_r = p-1. That is the addition order of the placed grid plus d
-    rolled copies. Each state receives exactly d+1 terms, so mass is
-    conserved up to float addition.
+    The shifts are slice adds into the placed grid itself: the step holds
+    P, the 4-byte gather table and the new state (20 bytes per state) and
+    never writes P. Coordinate 0 is the last numpy axis, so its shift is
+    one add over flat views, right wherever x_0 > 0, then the states
+    x_0 = 0 from x_0 = p-1 of their run. Each further coordinate r adds
+    along numpy axis d-1-r, where x_r steps by p^r: the slab x_r >= 1
+    takes x_r - 1 and the slab x_r = 0 takes x_r = p-1.
 
     Both phases run by the same ranges of rows of numpy axis 0
-    (`indexing.split_rows`), each range in blocks of rows with a small
-    temporary, `sums`, allocated here before the gather. The gather
-    widens a block of the table into `sums` read as intp, the index type
-    np.take would otherwise convert the whole table to on every call,
-    takes that block of P and divides it. Once every state is placed, the
-    shifted adds run: a row's terms are placed values in the same row
-    and in the row below it (row p-1 below row 0), so each range sums its
-    rows from the top down, each block into `sums` copied back over it: a
-    block reads only rows that no range has rewritten yet, except the row
-    below the range's first, which is copied before any range writes."""
+    (`indexing.split_rows`), each in blocks of rows with a temporary,
+    `sums`. The gather widens a block of the table into `sums` read as
+    intp (np.take would convert the whole table on every call) and takes
+    that block of P's counts, in P's dtype, copied back times the factor
+    through `sums` on the step that leaves int64 or rescales. The shifted
+    adds sum each range's rows from the top down, each block into `sums`
+    copied back over it: a row's terms lie in it and the row below (p-1
+    below 0), which no range has rewritten yet, except the row below the
+    range's first, copied before any range writes."""
     cfg.require_admissible()
     if (P.p, P.d) != (cfg.p, cfg.d):
         raise ValueError("distribution does not match config")
     p, d, n = cfg.p, cfg.d, cfg.num_states
     src = _gather_index(cfg.T, p)  # built before P's dense vector, and not in the ranges
-    masses = P.masses
+    counts = P.counts
+    scale, dtype, factor = _next_scale(P.scale, counts.dtype, d)
     m = n // p  # states per row of numpy axis 0
     ranges = indexing.row_ranges(p, m)
     work = {}  # per range: rows per block, a block's sums
     for s in ranges:
         step = max(1, min(-(-(s.stop - s.start) // BLOCKS), BLOCK_STATES // m))
-        work[s.start] = step, np.empty(step * m)
-    placed = np.empty(n)
+        work[s.start] = step, np.empty(step * m, dtype=dtype)
+    placed = np.empty(n, dtype=dtype)
+    taken = placed if counts.dtype == dtype else placed.view(counts.dtype)  # in P's dtype
 
     def place(s):
         step, sums = work[s.start]
@@ -241,8 +254,10 @@ def step_exact(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
         for a, b in _blocks(s, step, m):
             index = wide[: b - a]
             index[...] = src[a:b]
-            np.take(masses, index, out=placed[a:b], mode="clip")
-            placed[a:b] /= d + 1
+            np.take(counts, index, out=taken[a:b], mode="clip")
+            if taken is not placed or factor != 1:
+                np.multiply(taken[a:b], factor, out=sums[: b - a])
+                placed[a:b] = sums[: b - a]
 
     indexing.split_rows(place, p, m)
     # the row below each range's first (p-1 below 0), before any range writes
@@ -269,26 +284,29 @@ def step_exact(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
             g[...] = t
 
     indexing.split_rows(add_shifts, p, m)
-    return DenseDistribution(p, d, placed, max_support=min(n, (d + 1) * P.max_support))
+    return DenseDistribution(p, d, placed, scale=scale, max_support=min(n, (d + 1) * P.max_support))
 
 
 def _step_support(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
-    """step_exact on a law held by its support, to the bit: the support
-    goes through T mod p coordinate by coordinate, the images are
-    shifted by b = 0, e_0, ..., e_{d-1} in that order, and bincount adds
-    each state's terms in input order, as step_exact adds them; the
-    terms it leaves out are the exact zeros step_exact adds. The
-    coordinates and keys stay exact in int64 under the int64 refusals
-    of dense_states, which run before any step."""
+    """step_exact on a law held by its support: the support goes through
+    T mod p coordinate by coordinate, the images are shifted by
+    b = 0, e_0, ..., e_{d-1}, and np.add.reduceat sums each state's terms
+    in sorted key order (exact in int64 in any order). Coordinates and
+    keys stay exact under the int64 refusals of dense_states."""
     p, d = cfg.p, cfg.d
-    states, weights = P.support
+    states, counts = P.support
+    scale, dtype, factor = _next_scale(P.scale, counts.dtype, d)
     image = indexing.decode(states, p, d) @ np.array(cfg.T.mod(p).entries, dtype=np.int64).T % p
     place = p ** np.arange(d, dtype=np.int64)
     base = image @ place
-    keys = [base] + [base + np.where(image[:, r] == p - 1, (1 - p) * place[r], place[r]) for r in range(d)]
-    support, which = np.unique(np.concatenate(keys), return_inverse=True)
-    sums = np.bincount(which, weights=np.tile(weights / (d + 1), d + 1), minlength=support.shape[0])
-    return DenseDistribution(p, d, support=(support, sums))
+    keys = np.concatenate(
+        [base] + [base + np.where(image[:, r] == p - 1, (1 - p) * place[r], place[r]) for r in range(d)]
+    )
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    sums = np.add.reduceat(np.tile(counts.astype(dtype) * factor, d + 1)[order], starts)
+    return DenseDistribution(p, d, support=(keys[starts], sums), scale=scale)
 
 
 def check_caps(**caps: int) -> None:
@@ -304,8 +322,7 @@ def dense_states(
     cfg: WalkConfig, state_cap: int = DEFAULT_STATE_CAP
 ) -> Iterator[DenseDistribution]:
     """P_0, P_1, P_2, ... from the point mass at zero, one step per item
-    (a support step while P_n is small, else step_exact; see the module
-    docstring), with the mass defect checked after every step.
+    (a support step while P_n is small, else step_exact), each checked.
 
     The walk is refused on the call, in the order check_simulate uses:
     the state cap (`WalkConfig.require_states`), an inadmissible (T, p)
@@ -343,55 +360,40 @@ def evolve(
     return next(islice(dense_states(cfg, state_cap), n, None))
 
 
-def tv_from_uniform(P: DenseDistribution) -> float:
-    """TV of P to uniform, holding nothing over every state beyond P
-    (tv_vector). A law held by its support builds no mass vector:
-    |m - 1/N| is 1/N exactly off the support, so filling each leaf of the
-    sum with 1/N and writing the deviations of the support states inside
-    it gives tv_vector's vector, and sum, to the bit."""
-    if P.support is None:
-        return tv_vector(P.masses)
-    states, weights = P.support
-    n = P.p**P.d
-    devs = np.abs(weights - 1.0 / n)
-
-    def fill(t, a):
-        t.fill(1.0 / n)
-        lo, hi = np.searchsorted(states, (a, a + t.shape[0]))
-        t[states[lo:hi] - a] = devs[lo:hi]
-
-    return 0.5 * float(_pairwise_sum(fill, np.empty(min(n, TV_LEAF)), 0, n))
+def tv_from_uniform(P: DenseDistribution) -> Union[Fraction, float]:
+    """TV of P to uniform: exact, a Fraction, while P's counts are
+    integers, else a float. A law held by its support is read on its
+    support alone and builds no dense vector (`_tv`)."""
+    return _tv(P.held(), P.scale, P.p**P.d)
 
 
 def tv_vector(dist_p: np.ndarray) -> float:
     """TV between a probability vector of length n and uniform on n
-    points (a length-p law on Z/pZ, or a dense distribution's masses):
-    half the sum of |v - 1/n|, with np.sum's pairwise-summation bits. The
-    vector is summed in the leaves of that summation tree (_pairwise_sum),
-    each formed in one reused buffer of at most TV_LEAF entries, so no
-    temporary spans the whole vector."""
-    n = dist_p.shape[0]
-
-    def fill(t, a):
-        np.subtract(dist_p[a : a + t.shape[0]], 1.0 / n, out=t)
-        np.abs(t, out=t)
-
-    return 0.5 * float(_pairwise_sum(fill, np.empty(min(n, TV_LEAF)), 0, n))
+    points (a length-p law on Z/pZ, or a dense distribution's masses), as
+    a float: `_tv` at scale 1."""
+    return float(_tv(dist_p, 1, dist_p.shape[0]))
 
 
-def _pairwise_sum(fill, buf: np.ndarray, start: int, k: int) -> float:
-    """np.sum of the k entries from `start` of a float64 vector that
-    fill(t, a) writes, entries a.. into t, never held whole. numpy sums a
-    run of more than 128 entries as the sum of its first k//2 rounded
-    down to a multiple of 8 plus the sum of the rest; this splits the
-    same way down to runs of at most TV_LEAF entries, fills each in buf,
-    sums it with np.sum and adds the sums in the tree's order: np.sum's
-    bits. A module function, not a closure calling itself: that closure
-    would be a reference cycle holding its arrays until the cycle
-    collector ran."""
-    if k <= TV_LEAF:
-        t = buf[:k]
-        fill(t, start)
-        return t.sum()
-    half = k // 2 // 8 * 8
-    return _pairwise_sum(fill, buf, start, half) + _pairwise_sum(fill, buf, start + half, k - half)
+def _tv(counts: np.ndarray, scale: Union[int, float], n: int) -> Union[Fraction, float]:
+    """TV to uniform on n points of counts / scale, its other n - len(counts)
+    counts 0: the Fraction (n S - k r)/(n scale) for integer counts (module
+    docstring), where the zeros add nothing. Float counts sum to the scale
+    only up to rounding, so they take half the sum of |c - t| over all n
+    counts, t = scale/n, each zero adding t, over the scale. The counts
+    are read BLOCK_STATES at a time through one buffer."""
+    exact = counts.dtype.kind == "i"
+    t, r = divmod(scale, n) if exact else (scale / n, 0)
+    total = k = 0
+    buf = np.empty(min(counts.shape[0], BLOCK_STATES), dtype=counts.dtype)
+    for a in range(0, counts.shape[0], BLOCK_STATES):
+        part = buf[: counts.shape[0] - a]
+        np.subtract(counts[a : a + part.shape[0]], t, out=part)
+        if exact:
+            np.maximum(part, 0, out=part)
+            k += int(np.count_nonzero(part))  # a numpy int would wrap in n S - k r
+        else:
+            np.abs(part, out=part)
+        total += part.sum().item()
+    if exact:
+        return Fraction(n * total - k * r, n * scale)
+    return (total + (n - counts.shape[0]) * t) / (2 * scale)

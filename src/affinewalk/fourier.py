@@ -32,6 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -48,11 +49,6 @@ CharacterIndex = ModVector
 DEFAULT_CHAR_CAP = 1_000_000
 DEFAULT_C1 = 0.125
 DEFAULT_MIX_CAP = 100_000
-# The exact search skips TV(P_n, U) where 1 - |supp P_n|/p^d > eps + this.
-# The computed TV of a law whose mass sums to 1 within MASS_TOL = 1e-12 is
-# at least its count bound less about 1e-12, so a skipped TV could not
-# have read <= eps.
-SUPPORT_MARGIN = 1e-9
 
 
 def default_ell_max(p: int) -> int:
@@ -473,21 +469,20 @@ def mixing_time(
     """Least n with TV(P_n, U) <= eps (method='exact') or with the
     character upper bound <= eps (method='ub'); raises NotMixedError at
     the cap. n=0 counts: TV(P_0, U) = 1 - 1/p^d, so eps at or above that
-    returns 0 for either method. Bad inputs (`check_search`, a negative
-    state_cap or char_cap, another method) raise ValueError at any eps.
+    (exactly) returns 0 for either method. Bad inputs (`check_search`, a
+    negative state_cap or char_cap, another method) raise ValueError.
 
-    The exact search reads TV only where it may decide the answer. P_n
-    puts no mass on at least p^d - s states, s = P_n.max_support, so
-    TV(P_n, U) >= 1 - s/p^d; at each n < n_cap where that count clears
-    eps by SUPPORT_MARGIN, n cannot be the answer and no TV is taken.
-    While the walk holds P_n by its support, s is exact and P_n's dense
-    vector is never built. The TV at n_cap, which a NotMixedError
-    carries, is always read."""
+    The exact search compares eps with the exact TV (a Fraction while
+    exactdist's counts are integers), read only where it may decide the
+    answer: P_n charges at most s = P_n.max_support states, so
+    TV(P_n, U) >= 1 - s/p^d, and at each n < n_cap where that exact floor
+    exceeds eps no TV is taken (nor, on the support, a dense vector built).
+    The TV at n_cap, which a NotMixedError carries, is always read."""
     check_search(eps, n_cap)
     check_caps(state_cap=state_cap, char_cap=char_cap)
     check_method(method, ("exact", "ub"))
     cfg.require_admissible()
-    if eps >= 1.0 - 1.0 / cfg.num_states:
+    if Fraction(eps) >= 1 - Fraction(1, cfg.num_states):
         return 0
     if method == "exact":
         values = _exact_values(cfg, eps, n_cap, state_cap)
@@ -496,12 +491,12 @@ def mixing_time(
     return first_below(values, eps, n_cap, method)
 
 
-def _exact_values(cfg: WalkConfig, eps: float, n_cap: int, state_cap: int) -> Iterator[float]:
-    """TV(P_n, U) for n = 0, 1, ..., with the counting floor 1 - s/p^d in
-    its place wherever the floor alone puts TV above eps (mixing_time)."""
+def _exact_values(cfg: WalkConfig, eps: float, n_cap: int, state_cap: int) -> Iterator:
+    """TV(P_n, U) for n = 0, 1, ..., with the exact counting floor in its
+    place wherever the floor alone puts TV above eps (mixing_time)."""
     for n, P in enumerate(exactdist.dense_states(cfg, state_cap)):
-        floor = 1.0 - P.max_support / cfg.num_states
-        if n < n_cap and floor > eps + SUPPORT_MARGIN:
+        floor = 1 - Fraction(P.max_support, cfg.num_states)
+        if n < n_cap and floor > eps:
             yield floor
         else:
             yield exactdist.tv_from_uniform(P)
@@ -562,7 +557,7 @@ def bound_series(
         n=ns, ub=[ub for ub, _ in bounds], lb=[lb for _, lb in bounds]
     )
     if states is not None:
-        series.tv_exact = [exactdist.tv_from_uniform(P) for P in _picked(states, ns)]
+        series.tv_exact = [float(exactdist.tv_from_uniform(P)) for P in _picked(states, ns)]
     return series
 
 

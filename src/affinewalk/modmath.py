@@ -108,7 +108,7 @@ class ModVector:
     entries: tuple[int, ...]
 
     def __init__(self, p: int, entries: Iterable[int]):
-        p = int(p)
+        p = as_int(p)
         if p < 2:
             raise ValueError("modulus must be >= 2")
         object.__setattr__(self, "p", p)
@@ -134,8 +134,8 @@ class CenteredVector:
     entries: tuple[int, ...]
 
     def __init__(self, p: int, entries: Iterable[int]):
-        p = int(p)
-        ents = tuple(int(x) for x in entries)
+        p = as_int(p)
+        ents = tuple(as_int(x) for x in entries)
         for e in ents:
             if not (-p < 2 * e <= p):
                 raise ValueError(f"entry {e} outside (-{p}/2, {p}/2]")

@@ -233,12 +233,13 @@ def empirical_tv(batch: TrajectoryBatch, count_cap: int = DEFAULT_COUNT_CAP) -> 
     upward by about sqrt(p^d / samples); fine as a mixing indicator,
     useless beyond the counting budget (`check_counting`). The walks are
     encoded and counted RNG_CHUNK at a time into one int64 histogram, so
-    nothing is held per walk beyond the batch."""
+    nothing is held per walk beyond the batch; the TV is exact, then rounded."""
     check_counting(batch.cfg, batch.samples, count_cap)
     counts = np.zeros(batch.cfg.num_states, dtype=np.int64)
     for lo in range(0, batch.samples, RNG_CHUNK):
         np.add.at(counts, indexing.encode(batch.final_states[lo : lo + RNG_CHUNK], batch.cfg.p), 1)
-    return exactdist.tv_vector(counts / batch.samples)
+    return float(exactdist.tv_from_uniform(exactdist.DenseDistribution(
+        batch.cfg.p, batch.cfg.d, counts, scale=batch.samples)))
 
 
 @dataclass(frozen=True)

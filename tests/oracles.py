@@ -1,16 +1,58 @@
-"""Oracles the tests check the engines against: the dense character
-transform, the law of a linear functional, the uniform law, the full
-table of the one-step multiplier, single-state indexing, and a
+"""Oracles the tests check the engines against: the walk's exact
+counts in Python integers and the exact TV of counts, the dense
+character transform, the law of a linear functional, the uniform law,
+the full table of the one-step multiplier, single-state indexing, and a
 high-precision count of a polynomial's roots on the unit circle. Nothing
 in the package calls them.
 """
+
+from fractions import Fraction
+from typing import Iterator
 
 import mpmath
 import numpy as np
 
 from affinewalk import indexing
-from affinewalk.exactdist import DenseDistribution
+from affinewalk.exactdist import DenseDistribution, WalkConfig
 from affinewalk.modmath import ModVector
+
+EXACT_STATES = 10**4  # the most states exact_counts walks
+
+
+def exact_counts(cfg: WalkConfig) -> Iterator[np.ndarray]:
+    """c_0, c_1, ... with P_n = c_n / (d+1)^n, as object arrays of Python
+    integers, exact at any n: each step adds the counts onto
+    (T x + b) mod p for every b in {0, e_0, ..., e_{d-1}}, each a
+    one-to-one map, through the (p^d, d) coordinate table. For
+    p^d <= EXACT_STATES."""
+    p, d, N = cfg.p, cfg.d, cfg.num_states
+    if N > EXACT_STATES:
+        raise ValueError(f"p^d = {N} is past the exact oracle's {EXACT_STATES} states")
+    moved = indexing.all_coords(p, d) @ np.array(cfg.T.mod(p).entries, dtype=np.int64).T
+    shifts = [np.zeros(d, dtype=np.int64)] + list(np.eye(d, dtype=np.int64))
+    targets = [indexing.encode((moved + b) % p, p) for b in shifts]
+    counts = np.zeros(N, dtype=object)
+    counts[0] = 1
+    while True:
+        yield counts
+        nxt = np.zeros(N, dtype=object)
+        for t in targets:
+            nxt[t] += counts
+        counts = nxt
+
+
+def exact_tv(counts, scale: int) -> Fraction:
+    """TV to uniform of the law counts / scale with integer counts: half
+    the sum of |c/scale - 1/N| over all N counts, in Python integers."""
+    N = len(counts)
+    return Fraction(sum(abs(N * c - scale) for c in counts.tolist()), 2 * N * scale)
+
+
+def exact_mixing_time(cfg: WalkConfig, eps: float) -> int:
+    """The least n with the exact TV(P_n, U) <= eps, by exact_counts."""
+    for n, counts in enumerate(exact_counts(cfg)):
+        if exact_tv(counts, (cfg.d + 1) ** n) <= eps:
+            return n
 
 
 def index_of(state, p: int) -> int:

@@ -10,7 +10,7 @@ import pytest
 import readers
 import affinewalk
 from affinewalk import montecarlo
-from affinewalk.cli import build_parser, main
+from affinewalk.cli import build_config, build_parser, main
 from affinewalk.montecarlo import METHODS
 
 
@@ -182,6 +182,20 @@ class TestMixtimeCommand:
             "--epsilon", "0.25", "--method", "exact",
         )
         assert code == 0 and json.loads(out)["n_mix"] == 3
+
+    # TV equals eps exactly at the answer (the first three), and TV_0 = 8/9
+    # lies above the float 8/9 (the last)
+    @pytest.mark.parametrize("matrix, p, eps, n_mix", [
+        ("[[-3]]", "20", "0.125", 7),
+        ("[[1]]", "20", "0.75", 4),
+        ("[[1,1],[0,1]]", "10", "0.75", 4),
+        ("[[2]]", "9", "0.8888888888888888", 1),
+    ], ids=["neg3-p20", "one-p20", "unipotent-p10", "two-p9"])
+    def test_exact_ties(self, matrix, p, eps, n_mix, capsys):
+        code, out, _ = run(
+            capsys, "mixtime", "--matrix", matrix, "--p", p, "--epsilon", eps, "--method", "exact",
+        )
+        assert code == 0 and json.loads(out)["n_mix"] == n_mix
 
     def test_epsilon_ge_one_gives_zero(self, capsys):
         """TV never exceeds 1, so epsilon 1 would give n_mix 0 without a
@@ -496,6 +510,27 @@ class TestIntegerEntries:
         code, out, err = run(capsys, "mixtime", "--config", str(cfg))
         assert code == 2 and out == ""
         assert "entry True is not an integer" in err
+
+    def test_config_file_float_matrix_names_the_entry(self, capsys, tmp_path):
+        # one matrix or a list is decided by nesting depth, not by the type
+        # of the first entry, so the float entry itself is named
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"matrix": [[2.9, 1], [1, 1]], "p": 101, "epsilon": 0.25}))
+        code, out, err = run(capsys, "mixtime", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == "config error: bad matrix: entry 2.9 is not an integer\n"
+
+    @pytest.mark.parametrize("raw, tags", [
+        ([[2, 1], [1, 1]], ["[[2,1],[1,1]]"]),
+        ([[5]], ["[[5]]"]),
+        ([[[2, 1], [1, 1]], "[[0,-1],[1,0]]"], ["[[2,1],[1,1]]", "[[0,-1],[1,0]]"]),
+        ([[[5]], [[3]]], ["[[5]]", "[[3]]"]),
+    ], ids=["one", "one-1x1", "list", "list-1x1"])
+    def test_config_file_one_matrix_or_a_list(self, raw, tags, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"matrix": raw, "p": 11}))
+        args = build_parser().parse_args(["sweep", "--config", str(cfg)])
+        assert [T.tag() for T in build_config(args).matrices] == tags
 
 
 class TestOneWalkPerCommand:

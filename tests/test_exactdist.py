@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -183,28 +183,18 @@ class TestPushforward:
         assert np.array_equal(oracles.pushforward(P, v), want)
 
 
-LEAF = exactdist.TV_LEAF
-# lengths about numpy's summation tree: short ones (one temporary), a leaf
-# and one either side, two leaves plus 8k + r, and longer ones
+BLOCK = exactdist.BLOCK_STATES
+# lengths about the TV's blocks: short ones (one block), a block and one
+# either side, two blocks plus some, and longer ones
 TV_LENGTHS = st.one_of(
     st.integers(1, 300),
-    st.sampled_from([LEAF - 1, LEAF, LEAF + 1]),
-    st.builds(lambda k, r: 2 * LEAF + 8 * k + r, st.integers(0, 64), st.integers(0, 7)),
-    st.integers(LEAF + 1, 6 * LEAF),
+    st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1]),
+    st.builds(lambda k: 2 * BLOCK + k, st.integers(0, 600)),
+    st.integers(BLOCK + 1, 6 * BLOCK),
 )
-
-
-def dense_tv(v):
-    """TV to uniform through one temporary over the whole vector."""
-    return 0.5 * float(np.abs(v - 1 / v.shape[0]).sum())
-
-
-def leaf_starts(a, k):
-    """Where each leaf of the TV sum over a..a+k-1 starts."""
-    if k <= LEAF:
-        return [a]
-    half = k // 2 // 8 * 8
-    return leaf_starts(a, half) + leaf_starts(a + half, k - half)
+# scales that leave a remainder mod the length, or none, or exceed every
+# count (t = 0), up to the int64 limit
+SCALES = st.one_of(st.integers(1, 2**20), st.integers(2**62, 2**63 - 1))
 
 
 def spread_law(rng, n):
@@ -213,27 +203,53 @@ def spread_law(rng, n):
     return v / v.sum()
 
 
+def spread_counts(rng, n, scale):
+    """n int64 counts that sum to scale: about half of them 0, one at
+    t = scale // n (not above scale/n), and the rest of the scale cut at
+    random points."""
+    counts = np.zeros(n, dtype=np.int64)
+    slots = rng.permutation(n)
+    t = scale // n if n > 1 else 0
+    counts[slots[0]] = t
+    rest = slots[1 : 1 + n // 2] if n > 1 else slots
+    cuts = np.sort(rng.integers(0, scale - t, size=rest.shape[0] - 1, endpoint=True))
+    counts[rest] += np.diff(cuts, prepend=0, append=scale - t)
+    return counts
+
+
+def block_starts(n):
+    """Where each block of the TV over n counts starts."""
+    return list(range(0, n, BLOCK))
+
+
 @settings(max_examples=60, deadline=None)
-@given(TV_LENGTHS, st.integers(0, 2**32 - 1))
-def test_tv_vector_has_the_bits_of_one_sum(n, seed):
-    v = spread_law(np.random.default_rng(seed), n)
-    assert tv_vector(v) == dense_tv(v)
+@given(TV_LENGTHS, SCALES, st.integers(0, 2**32 - 1))
+def test_tv_of_counts_is_the_exact_sum(n, scale, seed):
+    # exact at any length and scale, the count threshold t = scale // n
+    # included; a float law's TV is that value to rounding
+    counts = spread_counts(np.random.default_rng(seed), n, scale)
+    P = DenseDistribution(n, 1, counts, scale=scale)
+    tv = tv_from_uniform(P)
+    assert isinstance(tv, Fraction) and tv == oracles.exact_tv(counts, scale)
+    assert tv_vector(counts / scale) == pytest.approx(float(tv), rel=1e-12, abs=1e-15)
 
 
 @settings(max_examples=40, deadline=None)
-@given(TV_LENGTHS, st.integers(0, 2**32 - 1))
-def test_support_tv_has_the_bits_of_the_dense_law(n, seed):
-    # support states on both sides of every leaf boundary, the first and
-    # last state, and some others
+@given(TV_LENGTHS, SCALES, st.integers(0, 2**32 - 1))
+def test_support_tv_has_the_bits_of_the_dense_law(n, scale, seed):
+    # support states on both sides of every block boundary, the first and
+    # last state, and some others: the TV read on the support alone is
+    # the dense law's exact TV, with no dense vector built
     rng = np.random.default_rng(seed)
-    edges = [b + o for b in leaf_starts(0, n) for o in (-1, 0, 1)] + [n - 1]
+    edges = [b + o for b in block_starts(n) for o in (-1, 0, 1)] + [n - 1]
     states = np.unique(np.clip(np.concatenate([edges, rng.integers(0, n, 50)]), 0, n - 1))
-    weights = spread_law(rng, states.shape[0])
-    P = DenseDistribution(n, 1, support=(states, weights))
-    dense = np.zeros(n)
-    dense[states] = weights
-    assert tv_from_uniform(P) == dense_tv(dense)
-    assert P._masses is None
+    held = spread_counts(rng, states.shape[0], scale)
+    P = DenseDistribution(n, 1, support=(states, held), scale=scale)
+    dense = np.zeros(n, dtype=np.int64)
+    dense[states] = held
+    assert tv_from_uniform(P) == tv_from_uniform(DenseDistribution(n, 1, dense, scale=scale))
+    assert tv_from_uniform(P) == oracles.exact_tv(dense, scale)
+    assert P._counts is None
 
 
 @pytest.mark.parametrize("p,d,dtype", [
@@ -281,3 +297,52 @@ def test_step_through_int64_table_is_the_int32_step(cfg, split, request, monkeyp
         assert exactdist._gather_index(cfg.T, cfg.p).dtype == np.int64
     exactdist._gather_index.cache_clear()
     assert np.array_equal(got, want)
+
+
+# d = 1 and d = 2 walks of at most 10^4 states, long past the int64 range
+# (n <= 62 at d = 1, n <= 39 at d = 2); [[1]] at p = 1000 is slow, so its
+# TV stays large
+LONG_WALKS = [
+    (WalkConfig(IntMatrix([[1]]), 1000), 62, 150),
+    (WalkConfig(IntMatrix([[1, 1], [0, 1]]), 10), 39, 100),
+]
+
+
+@pytest.mark.parametrize("ratio", [1, exactdist.HEAD_RATIO], ids=["support", "dense"])
+@pytest.mark.parametrize("cfg,last_int,steps", LONG_WALKS, ids=["d1-p1000", "d2-p10"])
+def test_walk_past_int64_follows_the_exact_counts(cfg, last_int, steps, ratio, monkeypatch):
+    # int64 counts and a Fraction TV equal to the exact ones up to
+    # (d+1)^n <= 2^63 - 1, then float counts within rounding of them
+    monkeypatch.setattr(exactdist, "HEAD_RATIO", ratio)
+    walk = zip(exactdist.dense_states(cfg), oracles.exact_counts(cfg), range(steps + 1))
+    for P, counts, n in walk:
+        scale = (cfg.d + 1) ** n
+        tv = tv_from_uniform(P)
+        if n <= last_int:
+            assert P.held().dtype == np.int64 and P.scale == scale
+            assert np.array_equal(P.counts, counts.astype(np.int64))
+            assert tv == oracles.exact_tv(counts, scale)
+        else:
+            # the float scale is multiplied by d+1 a step, rounded each time
+            assert P.held().dtype == np.float64 and P.scale == pytest.approx(scale, rel=1e-13)
+            want = np.array([float(Fraction(c, scale)) for c in counts])
+            np.testing.assert_allclose(P.masses, want, rtol=1e-12, atol=1e-300)
+            assert tv == pytest.approx(float(oracles.exact_tv(counts, scale)), rel=1e-12, abs=1e-15)
+        P.check_mass()
+
+
+@pytest.mark.parametrize("ratio", [1, exactdist.HEAD_RATIO], ids=["support", "dense"])
+def test_rescale_keeps_every_mass(ratio, monkeypatch):
+    # multiplying counts and scale by 2^-k is exact, so a walk that
+    # rescales past 2^100 (at n = 101 and 201 here) has every mass and TV
+    # of one that never does
+    cfg = WalkConfig(IntMatrix([[1]]), 1000)
+    monkeypatch.setattr(exactdist, "HEAD_RATIO", ratio)
+    plain = list(islice(exactdist.dense_states(cfg), 251))
+    monkeypatch.setattr(exactdist, "RESCALE_BITS", 100)
+    rescaled = list(islice(exactdist.dense_states(cfg), 251))
+    assert rescaled[100].scale == 2.0**100 and rescaled[101].scale == 2.0
+    assert max(P.scale for P in rescaled) <= 2.0**100 < plain[250].scale
+    for P, Q in zip(rescaled, plain, strict=True):
+        assert np.array_equal(P.masses, Q.masses)
+        assert tv_from_uniform(P) == tv_from_uniform(Q)

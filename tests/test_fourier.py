@@ -1,5 +1,7 @@
 import json
 import math
+from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -283,9 +285,35 @@ class TestMixingTime:
         assert n_ub >= mixing_time(CFG5, 0.25, "exact")
 
     def test_trivial_epsilon(self):
-        eps = 1 - 1 / 25
+        # TV(P_0, U) = 24/25, compared exactly: the float 0.96 lies just
+        # below it (TV_1 = 22/25 is the first at or below), the next float
+        # above it
+        assert Fraction(0.96) < Fraction(24, 25) < Fraction(math.nextafter(0.96, 1))
+        assert mixing_time(CFG5, 0.96, "exact") == 1
+        assert mixing_time(CFG5, 0.96, "ub") > 0
+        eps = math.nextafter(0.96, 1)
         assert mixing_time(CFG5, eps, "exact") == 0
         assert mixing_time(CFG5, eps, "ub") == 0
+
+    def test_n0_rule_compares_exactly(self):
+        # TV_0 = 8/9 lies above the float 8/9, so n = 0 is not the answer
+        cfg, eps = WalkConfig(IntMatrix([[2]]), 9), 0.8888888888888888
+        assert Fraction(eps) < Fraction(8, 9)
+        assert mixing_time(cfg, eps, "exact") == oracles.exact_mixing_time(cfg, eps) == 1
+        assert mixing_time(cfg, eps, "ub") > 0
+
+    # TV_n equals eps exactly at the answer; a float TV read it one ulp above
+    @pytest.mark.parametrize("T,p,eps,n_mix", [
+        ([[-3]], 20, 0.125, 7),
+        ([[1]], 20, 0.75, 4),
+        ([[1, 1], [0, 1]], 10, 0.75, 4),
+    ], ids=["neg3-p20", "one-p20", "unipotent-p10"])
+    def test_exact_tie_is_mixed(self, T, p, eps, n_mix):
+        cfg = WalkConfig(IntMatrix(T), p)
+        counts = list(islice(oracles.exact_counts(cfg), n_mix + 1))
+        assert oracles.exact_tv(counts[n_mix], (cfg.d + 1) ** n_mix) == Fraction(eps)
+        assert exactdist.tv_from_uniform(evolve(cfg, n_mix)) == Fraction(eps)
+        assert mixing_time(cfg, eps, "exact") == oracles.exact_mixing_time(cfg, eps) == n_mix
 
     def test_cap_raises(self):
         with pytest.raises(NotMixedError):

@@ -10,9 +10,9 @@ holds |f|^2, the folded transpose map and the old and new |P_hat|^2
 peaks near 13 B (16 B budgeted): step_factor_table holds |f|^2 and its
 complex temporary (12 B), then transpose_perm holds the folded map, the
 image coordinate and the flip mask next to |f|^2 (12.5 B). The dense
-walk holds the state (8 B), the gather permutation (4 B: int32, since
-p^d <= 2^31) and the new state (8 B) from its first dense step on: the
-step adds the shifted copies into its placed grid in place, a block of
+walk holds the state (8 B: int64 counts), the gather permutation (4 B:
+int32, since p^d <= 2^31) and the new state (8 B) from its first dense
+step on: the step adds the shifted copies into its placed grid in place, a block of
 rows at a time, through one temporary per range of at most 1/8 of that
 range (so at most 1 B per state in all) and one saved row per range,
 and the gather widens each block of the table into that same temporary
@@ -26,9 +26,10 @@ Building the table (indexing.linear_perm, nothing folded, int32) holds
 the map and one image coordinate (4 B each) and a numpy buffer per
 range for the in-place broadcast add: 8.5-8.6 B measured (9 B
 budgeted), under the step's 20 B. TV to uniform holds no vector over
-every state: it sums in leaves through one buffer of at most
-exactdist.TV_LEAF float64, so its budget is that buffer and, on a
-support-held law, 8 B per support state (test_tv_peak). bound_series runs one engine at a time, so its peak is
+every state: it reads the counts in blocks through one buffer of at
+most exactdist.BLOCK_STATES entries, so its budget is that buffer, on a
+dense law and on a law held by its support alike, and the mass check
+holds nothing (test_tv_peak). bound_series runs one engine at a time, so its peak is
 the larger of the two. After each call returns, traced memory is back
 to its level before the call: no index table outlives its walk. Each
 budget holds with the tables and walk steps run on the calling thread
@@ -53,10 +54,10 @@ fewer than 256 walks no more codes per group than walks, so 72 B per
 step for 10 walks at d = 2. The budget is 1.5 B per sample-step of one
 chunk, 16 d B per walk, 128 d^2 B per step and the tile's temporaries,
 plus the slack. empirical_tv counts RNG_CHUNK walks at a time into one
-int64 histogram, so it holds nothing per walk: the histogram and the
-frequencies (16 B per state), TV's temporary (8 B per state, or its
-leaf buffer), and per chunk the encoded indices (8 B per walk of the
-chunk), 24 B per state and 16 RNG_CHUNK B budgeted.
+int64 histogram, so it holds nothing per walk: the histogram (8 B per
+state), the TV's block buffer (at most 8 B per state), and per chunk
+the encoded indices (8 B per walk of the chunk), 16 B per state and
+16 RNG_CHUNK B budgeted.
 """
 
 import tracemalloc
@@ -146,18 +147,22 @@ def test_bounds_exact_leaves_nothing(traced, tmp_path, request, split):
     assert tracemalloc.get_traced_memory()[0] - before <= SLACK
 
 
-@pytest.mark.parametrize("n", [3 * exactdist.TV_LEAF + 5, 24 * exactdist.TV_LEAF + 3])
+@pytest.mark.parametrize("n", [3 * exactdist.BLOCK_STATES + 5, 24 * exactdist.BLOCK_STATES + 3])
 def test_tv_peak(traced, n):
-    # the same constant at both sizes: no term per state
+    # the same constant at both sizes: no term per state, and none per
+    # support state
     v = np.full(n, 1.0 / n)
+    counts = np.full(n, 3, dtype=np.int64)
     states = np.arange(0, n, n // 1000)
-    P = DenseDistribution(n, 1, support=(states, np.full(states.shape[0], 1.0 / states.shape[0])))
-    for tv, held in ((lambda: exactdist.tv_vector(v), 0), (lambda: exactdist.tv_from_uniform(P), states.shape[0])):
+    held = DenseDistribution(n, 1, support=(states, np.full(states.shape[0], 7)), scale=7 * states.shape[0])
+    dense = DenseDistribution(n, 1, counts, scale=3 * n)
+    for call in (lambda: exactdist.tv_vector(v), lambda: exactdist.tv_from_uniform(held),
+                 lambda: exactdist.tv_from_uniform(dense), dense.check_mass):
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        tv()
+        call()
         after, peak = tracemalloc.get_traced_memory()
-        assert peak - before <= 8 * exactdist.TV_LEAF + 8 * held + SLACK
+        assert peak - before <= 8 * exactdist.BLOCK_STATES + SLACK
         assert after - before <= SLACK
 
 
@@ -169,7 +174,8 @@ def test_empirical_tv_peak(traced, samples):
     tracemalloc.reset_peak()
     montecarlo.empirical_tv(batch)
     after, peak = tracemalloc.get_traced_memory()
-    assert peak - before <= 24 * cfg.num_states + 16 * montecarlo.RNG_CHUNK + SLACK
+    tv_buffer = 8 * min(cfg.num_states, exactdist.BLOCK_STATES)
+    assert peak - before <= 8 * cfg.num_states + tv_buffer + 16 * montecarlo.RNG_CHUNK + SLACK
     assert after - before <= SLACK
 
 

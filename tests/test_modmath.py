@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from affinewalk import indexing
 from affinewalk.errors import PreconditionError
+from affinewalk.exactdist import WalkConfig
 from affinewalk.modmath import (
     CenteredVector,
     IntMatrix,
@@ -44,11 +45,30 @@ class TestIntegerEntries:
         with pytest.raises(ValueError, match=f"entry {bad} is not an integer"):
             ModVector(101, entries)
 
+    @pytest.mark.parametrize("entries, bad", [([1.7, True], "1.7"), ([1, True], "True")])
+    def test_centered_vector_refused(self, entries, bad):
+        with pytest.raises(ValueError, match=f"entry {bad} is not an integer"):
+            CenteredVector(5, entries)
+
+    @pytest.mark.parametrize("make", [
+        lambda p: ModVector(p, [7]),
+        lambda p: CenteredVector(p, [1]),
+        lambda p: WalkConfig(FIB, p),
+    ], ids=["ModVector", "CenteredVector", "WalkConfig"])
+    @pytest.mark.parametrize("p, bad", [(5.9, "5.9"), (101.7, "101.7"), (True, "True"), ("7", "'7'")])
+    def test_modulus_refused(self, make, p, bad):
+        with pytest.raises(ValueError, match=f"entry {bad} is not an integer"):
+            make(p)
+
     def test_numpy_integers_accepted(self):
         T = IntMatrix(np.array([[2, 1], [1, 1]], dtype=np.int64))
         v = ModVector(5, np.array([7, -1], dtype=np.int32))
         assert T == FIB and v.entries == (2, 4)
         assert all(type(x) is int for x in (*T.entries[0], *v.entries))
+        c = CenteredVector(np.int64(5), np.array([2, -2], dtype=np.int32))
+        cfg = WalkConfig(FIB, np.int64(101))
+        assert (c.p, c.entries, cfg.p) == (5, (2, -2), 101)
+        assert all(type(x) is int for x in (c.p, *c.entries, cfg.p))
 
 
 def det_fraction_gauss(rows):

@@ -1,14 +1,18 @@
 """The stepping generators and the shared first-below search, checked
-against plain step-by-step reference loops with exact equality: the
-generators run the same float operations in the same order, so their
-results must match bit for bit. Two exceptions match to 1e-12: the
+against plain step-by-step reference loops with exact equality. The
+dense walk's counts are integers, exact in any order, and its TVs are
+exact Fractions; past the int64 range its float counts take the same
+additions in the same order as the reference's, so they match bit for
+bit too, and only their TVs, rounded in another order, match to 1e-15.
+The character walks run the same float operations in the same order as
+their references, with two exceptions that match to 1e-12: the
 projected law is read from the spectrum, and the bounds' real walk steps
 half the characters and reads the rest through c -> -c, where
 |f(-c)| is rounded apart from |f(c)| and the square sum is taken in
 another order.
 
 The references share no code with the engines they check: the dense
-step is a bincount scatter onto T x + b, the support step of the dense
+step scatters the counts onto T x + b, the support step of the dense
 walk's head adds (T x + b) mod p per coordinate for each b in a given
 order, the exact search reads TV at every n, the index and factor
 tables go through the (p^d, d) coordinate table, and the int64 kernels
@@ -17,6 +21,7 @@ row-wise loops that reduce mod p after every step."""
 
 import math
 import threading
+from fractions import Fraction
 from itertools import islice
 from unittest import mock
 
@@ -96,33 +101,33 @@ def ref_transpose_perm(cfg):
     return indexing.encode(coords @ ref_tmod(cfg) % cfg.p, cfg.p)
 
 
-def ref_step(P, cfg):
-    """Scatter P(x)/(d+1) onto T x, then onto T x + e_r for r = 0..d-1,
-    one bincount each."""
-    p, d, n = cfg.p, cfg.d, cfg.num_states
+def ref_step(counts, cfg):
+    """Add each count onto T x, then onto T x + e_r for r = 0..d-1, one
+    scatter each (x -> T x + b is one-to-one): exact for integer counts,
+    and for float counts each state's terms in step_exact's order."""
+    p, d = cfg.p, cfg.d
     base = ref_scatter_base(cfg)
-    share = P.masses / (d + 1)
-    out = np.bincount(base, weights=share, minlength=n)
+    out = np.zeros_like(counts)
+    out[base] += counts
     for r in range(d):
         w = p**r
         digit = (base // w) % p
-        shifted = base + np.where(digit == p - 1, w - w * p, w)
-        out += np.bincount(shifted, weights=share, minlength=n)
-    return DenseDistribution(p, d, out)
+        out[base + np.where(digit == p - 1, w - w * p, w)] += counts
+    return out
 
 
 def ref_support_step(P, cfg, shifts):
     """A support step of the dense walk, written from its definition: the
     support's coordinates times T mod p, one block of keys per shift b in
-    the order given, and each state's terms summed by bincount in input
-    order."""
-    p, d = cfg.p, cfg.d
-    states, weights = P.support
-    image = indexing.decode(states, p, d) @ ref_tmod(cfg).T
+    the order given, and each state's terms added by np.add.at."""
+    p = cfg.p
+    states, counts = P.support
+    image = indexing.decode(states, p, cfg.d) @ ref_tmod(cfg).T
     blocks = [indexing.encode((image + b) % p, p) for b in shifts]
     support, which = np.unique(np.concatenate(blocks), return_inverse=True)
-    share = np.tile(weights / (d + 1), len(shifts))
-    return support, np.bincount(which, weights=share, minlength=support.shape[0])
+    sums = np.zeros(support.shape[0], dtype=counts.dtype)
+    np.add.at(sums, which, np.tile(counts, len(shifts)))
+    return support, sums
 
 
 def step_shifts(d):
@@ -131,18 +136,45 @@ def step_shifts(d):
     return [np.zeros(d, dtype=np.int64)] + list(np.eye(d, dtype=np.int64))
 
 
-def ref_tv(P):
-    n = P.masses.shape[0]
-    return 0.5 * float(np.abs(P.masses - np.full(n, 1.0 / n)).sum())
+def ref_tv(counts, scale):
+    """TV to uniform of counts / scale: exact for integer counts; for float
+    counts half the sum of |c/scale - 1/N| as one float sum."""
+    if counts.dtype == np.int64:
+        return oracles.exact_tv(counts, scale)
+    return 0.5 * float(np.abs(counts / scale - 1.0 / counts.shape[0]).sum())
+
+
+def assert_tv_matches(P, counts, scale):
+    tv = exactdist.tv_from_uniform(P)
+    if counts.dtype == np.int64:
+        assert tv == ref_tv(counts, scale)  # Fractions
+    else:
+        # near uniform, each c - scale/N cancels, rounded apart from
+        # c/scale - 1/N by about 2^-53 scale/N: an absolute margin
+        assert tv == pytest.approx(ref_tv(counts, scale), rel=1e-12, abs=1e-15)
 
 
 def ref_states(cfg, n):
-    P = exactdist.delta_at_zero(cfg.p, cfg.d)
-    out = [P]
+    """(counts, scale) of P_0, ..., P_n by ref_step from the point mass at
+    zero: int64 counts and an int scale while (d+1)^k <= 2^63 - 1, then
+    float64 counts, the last int64 ones converted once, and a float
+    scale."""
+    counts, scale = np.zeros(cfg.num_states, dtype=np.int64), 1
+    counts[0] = 1
+    out = [(counts, scale)]
     for _ in range(n):
-        P = ref_step(P, cfg)
-        out.append(P)
+        scale *= cfg.d + 1
+        if counts.dtype == np.int64 and scale > exactdist.INT64_MAX:
+            counts, scale = counts.astype(np.float64), float(scale)
+        counts = ref_step(counts, cfg)
+        out.append((counts, scale))
     return out
+
+
+def assert_state_matches(P, counts, scale):
+    """P holds the reference's counts, of its dtype, at its scale."""
+    assert P.counts.dtype == counts.dtype and P.scale == scale
+    assert np.array_equal(P.counts, counts)
 
 
 def ref_transforms(cfg, n):
@@ -201,24 +233,12 @@ def assert_powers_read_through_fold(cfg, n):
 
 
 def ref_exactly_uniform(cfg, n):
-    """P_n is exactly uniform: P_n = counts / (d+1)^n, with the path counts
-    stepped in Python integers, and all counts are equal. Needs p^d to
-    divide (d+1)^n, so for most walks no count is stepped."""
-    p, d, N = cfg.p, cfg.d, cfg.num_states
-    if (d + 1) ** n % N:
+    """P_n is exactly uniform: its exact counts (oracles.exact_counts) are
+    all equal. Needs p^d to divide (d+1)^n, so for most walks no count is
+    stepped."""
+    if (cfg.d + 1) ** n % cfg.num_states:
         return False
-    coords = indexing.all_coords(p, d)
-    moved = coords @ ref_tmod(cfg).T
-    targets = [indexing.encode(moved % p, p)] + [
-        indexing.encode((moved + np.eye(d, dtype=np.int64)[r]) % p, p) for r in range(d)
-    ]
-    counts = np.zeros(N, dtype=object)
-    counts[0] = 1
-    for _ in range(n):
-        nxt = np.zeros(N, dtype=object)
-        for t in targets:  # x -> T x + b is one-to-one for each b
-            nxt[t] += counts
-        counts = nxt
+    counts = next(islice(oracles.exact_counts(cfg), n, None))
     return bool((counts == counts[0]).all())
 
 
@@ -250,8 +270,8 @@ def ref_first_below(values, eps):
 @pytest.mark.parametrize("cfg", WALKS, ids=["d2", "d3"])
 class TestMatchesReferenceLoops:
     def test_evolve(self, cfg):
-        for n, P in enumerate(ref_states(cfg, 6)):
-            assert np.array_equal(evolve(cfg, n).masses, P.masses)
+        for n, (counts, scale) in enumerate(ref_states(cfg, 6)):
+            assert_state_matches(evolve(cfg, n), counts, scale)
 
     def test_bound_series(self, cfg):
         ns = [0, 2, 3, 7]
@@ -262,10 +282,10 @@ class TestMatchesReferenceLoops:
         # another order than the full-space reference: equal to round-off
         assert series.ub == pytest.approx([ref_ub(powers[n]) for n in ns], rel=1e-12)
         assert series.lb == pytest.approx([ref_lb(powers[n]) for n in ns], rel=1e-12)
-        assert series.tv_exact == [ref_tv(states[n]) for n in ns]
+        assert series.tv_exact == [float(ref_tv(*states[n])) for n in ns]
 
     def test_mixing_time_exact(self, cfg):
-        tvs = [ref_tv(P) for P in ref_states(cfg, 60)]
+        tvs = [ref_tv(*state) for state in ref_states(cfg, 60)]
         assert mixing_time(cfg, 0.1, method="exact") == ref_first_below(tvs, 0.1)
 
     def test_mixing_time_ub(self, cfg):
@@ -297,9 +317,10 @@ class TestMatchesCoordinateReferences:
 
     def test_dense_states(self, cfg):
         got = islice(exactdist.dense_states(cfg), STEPS + 1)
-        for P, Q in zip(got, ref_states(cfg, STEPS), strict=True):
-            assert np.array_equal(P.masses, Q.masses)
-            assert ref_tv(P) == exactdist.tv_from_uniform(P)
+        # past the int64 range at d = 3 (n = 32) and d = 4 (n >= 28)
+        for P, (counts, scale) in zip(got, ref_states(cfg, STEPS), strict=True):
+            assert_state_matches(P, counts, scale)
+            assert_tv_matches(P, counts, scale)
 
     def test_char_powers(self, cfg):
         assert_powers_read_through_fold(cfg, STEPS)
@@ -326,14 +347,14 @@ def assert_walk_matches_reference(cfg, steps):
     returns, per state, whether the walk held it by its support."""
     held = []
     got = islice(exactdist.dense_states(cfg), steps + 1)
-    for P, Q in zip(got, ref_states(cfg, steps), strict=True):
+    for P, (counts, scale) in zip(got, ref_states(cfg, steps), strict=True):
         held.append(P.support is not None)
-        count = np.count_nonzero(Q.masses)
+        count = np.count_nonzero(counts)
         if held[-1]:
             assert P.max_support == count == P.support[0].shape[0]
         assert P.max_support >= count
-        assert np.array_equal(P.masses, Q.masses)
-        assert exactdist.tv_from_uniform(P) == ref_tv(Q)
+        assert_tv_matches(P, counts, scale)  # before P.counts builds the dense vector
+        assert_state_matches(P, counts, scale)
     return held
 
 
@@ -348,28 +369,28 @@ def test_support_head_matches_reference(cfg, ratio, monkeypatch):
 
 @pytest.mark.parametrize("cfg,ratio", HEAD_WALKS, ids=[f"d{c.d}-p{c.p}" for c, _ in HEAD_WALKS])
 def test_support_tv_builds_no_mass_vector(cfg, ratio, monkeypatch):
-    # the TV of a law held by its support has the dense vector's bits,
-    # read without building (and keeping) that law's mass vector
+    # the TV of a law held by its support is the dense law's exact TV,
+    # read without building (and keeping) that law's dense vector
     if ratio is not None:
         monkeypatch.setattr(exactdist, "HEAD_RATIO", ratio)
     got = islice(exactdist.dense_states(cfg), 4)
-    for P, Q in zip(got, ref_states(cfg, 3), strict=True):
+    for P, (counts, scale) in zip(got, ref_states(cfg, 3), strict=True):
         assert P.support is not None
-        assert exactdist.tv_from_uniform(P) == ref_tv(Q)
-        assert P._masses is None
+        assert exactdist.tv_from_uniform(P) == ref_tv(counts, scale)
+        assert P._counts is None
 
 
-def test_support_step_term_order_decides_bits():
-    # D4 at p = 13: in the step to P_4, eight states take terms whose sum
-    # rounds differently in the reverse order, so a support step summing
-    # in any order but step_exact's would fail the tests above
+def test_support_step_counts_do_not_depend_on_term_order():
+    # D4 at p = 13: in the step to P_4, eight states take terms whose float
+    # sum rounded differently in the reverse order. Counts are integers,
+    # exact in any order, so both orders give the walk's counts.
     cfg = WalkConfig(D4, 13)
     P3, P4 = list(islice(exactdist.dense_states(cfg), 5))[3:]
-    forward = ref_support_step(P3, cfg, step_shifts(cfg.d))
-    backward = ref_support_step(P3, cfg, step_shifts(cfg.d)[::-1])
-    assert np.array_equal(forward[0], backward[0])
-    assert (forward[1] != backward[1]).sum() == 8
-    assert np.array_equal(P4.support[1], forward[1])
+    assert P4.support[1].dtype == np.int64
+    for shifts in (step_shifts(cfg.d), step_shifts(cfg.d)[::-1]):
+        support, counts = ref_support_step(P3, cfg, shifts)
+        assert np.array_equal(P4.support[0], support)
+        assert np.array_equal(P4.support[1], counts)
 
 
 def every_table(cfg):
@@ -380,7 +401,7 @@ def every_table(cfg):
         exactdist._gather_index(cfg.T, cfg.p),
         step_factor_table(cfg.p, cfg.d),
         transpose_perm(cfg),
-        *(P.masses for P in islice(exactdist.dense_states(cfg), STEPS + 1)),
+        *(P.counts for P in islice(exactdist.dense_states(cfg), STEPS + 1)),
         *islice(fourier.char_powers(cfg), STEPS + 1),
     ]
 
@@ -400,20 +421,25 @@ def test_split_step_matches_reference(cfg, forced_split):
     # each range reads the row below its first, and the first range row
     # p-1, from a copy made before any range rewrites it; a wrong copy
     # would change the states of that range's first row
-    P = Q = exactdist.delta_at_zero(cfg.p, cfg.d)
-    for _ in range(STEPS):
-        P, Q = step_exact(P, cfg), ref_step(Q, cfg)
-        assert np.array_equal(P.masses, Q.masses)
+    P = exactdist.delta_at_zero(cfg.p, cfg.d)
+    for counts, scale in ref_states(cfg, STEPS)[1:]:
+        P = step_exact(P, cfg)
+        assert_state_matches(P, counts, scale)
 
 
 def input_laws(cfg):
-    """A law held by its support (every third state) and a dense law, each
-    with masses drawn at random."""
+    """Laws held by their support (every third state) and dense laws, with
+    float masses and with int64 counts drawn at random; the last law's
+    step leaves the int64 range."""
     rng = np.random.default_rng(cfg.p)
     states = np.arange(0, cfg.num_states, 3)
+    held = rng.integers(0, 1000, states.shape[0])
+    dense = rng.integers(0, 1000, cfg.num_states)
     return [
         DenseDistribution(cfg.p, cfg.d, support=(states, rng.dirichlet(np.ones(states.shape[0])))),
         DenseDistribution(cfg.p, cfg.d, rng.dirichlet(np.ones(cfg.num_states))),
+        DenseDistribution(cfg.p, cfg.d, support=(states, held), scale=int(held.sum())),
+        DenseDistribution(cfg.p, cfg.d, dense, scale=exactdist.INT64_MAX // cfg.d),
     ]
 
 
@@ -425,15 +451,15 @@ def test_step_exact_leaves_its_input_alone(cfg, split, request):
         request.getfixturevalue("forced_split")
     for P in input_laws(cfg):
         if P.support is None:
-            support, masses = None, P.masses.tobytes()
+            support, counts = None, P.counts.tobytes()
         else:  # its dense vector is left for the step to build
             support = [a.tobytes() for a in P.support]
-            masses = np.zeros(cfg.num_states)
-            masses[P.support[0]] = P.support[1]
-            masses = masses.tobytes()
+            counts = np.zeros(cfg.num_states, dtype=P.support[1].dtype)
+            counts[P.support[0]] = P.support[1]
+            counts = counts.tobytes()
         Q = step_exact(P, cfg)
-        assert not np.shares_memory(Q.masses, P.masses)
-        assert P.masses.tobytes() == masses
+        assert not np.shares_memory(Q.counts, P.counts)
+        assert P.counts.tobytes() == counts
         if support is not None:
             assert [a.tobytes() for a in P.support] == support
 
@@ -482,10 +508,10 @@ def test_random_walks_match_coordinate_references(cfg):
     g, perm = ref_half_tables(cfg)
     assert np.array_equal(step_factor_table(cfg.p, cfg.d), g)
     assert np.array_equal(transpose_perm(cfg), perm)
-    P = Q = exactdist.delta_at_zero(cfg.p, cfg.d)
-    for _ in range(6):
-        P, Q = step_exact(P, cfg), ref_step(Q, cfg)
-        assert np.array_equal(P.masses, Q.masses)
+    P = exactdist.delta_at_zero(cfg.p, cfg.d)
+    for counts, scale in ref_states(cfg, 6)[1:]:
+        P = step_exact(P, cfg)
+        assert_state_matches(P, counts, scale)
 
 
 
@@ -607,36 +633,48 @@ def exact_search(cfg, eps, n_cap):
         return None, err.last_value
 
 
+def assert_same_search(got, want):
+    """The same answer, or the same TV at the cap: the exact TV correctly
+    rounded, or a float TV to 1e-12 past the int64 range."""
+    assert got[0] == want[0] and (got[1] is None) == (want[1] is None)
+    if isinstance(want[1], Fraction):
+        assert got[1] == float(want[1])
+    elif want[1] is not None:
+        assert got[1] == pytest.approx(want[1], rel=1e-12)
+
+
 @pytest.mark.parametrize("cfg", SEARCH_WALKS, ids=lambda c: f"d{c.d}-p{c.p}")
 def test_exact_search_matches_reading_every_tv(cfg):
-    states = ref_states(cfg, 40)
-    tvs = [ref_tv(Q) for Q in states]
-    floors = [1 - np.count_nonzero(Q.masses) / cfg.num_states for Q in states[1:6]]
-    # eps on both sides of each skip threshold (skipped where eps < floor -
-    # margin), TVs the walk takes, and plain values
-    edges = [f - fourier.SUPPORT_MARGIN + s for f in floors for s in (-1e-12, 1e-12)]
-    for eps in edges + tvs[4:16:3] + [0.001, 0.1, 0.25, 0.5, 0.9]:
+    states = ref_states(cfg, 40)  # the last past the int64 range at d = 2, 3
+    tvs = [ref_tv(*state) for state in states]
+    floors = [1 - Fraction(np.count_nonzero(counts), cfg.num_states) for counts, _ in states[1:6]]
+    # eps at and either side of the float nearest each exact skip threshold
+    # (a TV is skipped where its floor exceeds eps), the floats nearest
+    # TVs the walk takes, and plain values
+    edges = [math.nextafter(float(f), to) for f in floors for to in (0, float(f), 1)]
+    for eps in edges + [float(tv) for tv in tvs[4:16:3]] + [0.001, 0.1, 0.25, 0.5, 0.9]:
         n_mix, _ = ref_exact_search(tvs, eps, 40)
         for n_cap in sorted({0, 1, 2, 3, 5, n_mix - 1, n_mix, 40} - {-1}):
-            assert exact_search(cfg, eps, n_cap) == ref_exact_search(tvs, eps, n_cap)
+            assert_same_search(exact_search(cfg, eps, n_cap), ref_exact_search(tvs, eps, n_cap))
 
 
 def test_exact_search_reads_tv_only_near_the_answer(monkeypatch):
     cfg, eps = SEARCH_WALKS[0], 0.25
     read = []
+    exact_tv = exactdist.tv_from_uniform
 
     def tv(P):
         read.append(P.max_support)
-        return exactdist.tv_vector(P.masses)
+        return exact_tv(P)
 
     monkeypatch.setattr(exactdist, "tv_from_uniform", tv)
     n_mix = mixing_time(cfg, eps, method="exact")
-    tvs = [ref_tv(Q) for Q in ref_states(cfg, n_mix)]
+    tvs = [ref_tv(*state) for state in ref_states(cfg, n_mix)]
     assert n_mix == ref_first_below(tvs, eps) == 11
     # read only where the count leaves TV <= eps open: P_9 .. P_11 here (P_8
     # has at most 4455 of 10201 states, so its TV is at least 0.563)
     assert len(read) == 3
-    assert all(1 - s / cfg.num_states <= eps + fourier.SUPPORT_MARGIN for s in read)
+    assert all(1 - Fraction(s, cfg.num_states) <= eps for s in read)
 
 
 class TestFirstBelow:
@@ -692,15 +730,32 @@ class TestBudgetsBeforeStepping:
 
 
 def test_mass_drift_is_asserted(monkeypatch):
-    def leaky_step(P, cfg):
-        masses = np.zeros_like(P.masses)
+    # integer counts must sum to the scale exactly: one count too many is
+    # drift; float counts may drift by at most MASS_TOL
+    def leaky_count(P, cfg):
+        counts = np.zeros(cfg.num_states, dtype=np.int64)
+        counts[0] = 3**39 + 1  # a defect of 3^-39, far below MASS_TOL
+        return DenseDistribution(P.p, P.d, counts, scale=3**39)
+
+    def leaky_float(P, cfg):
+        masses = np.zeros(cfg.num_states)
         masses[0] = 1.0 + 1e-9
         return DenseDistribution(P.p, P.d, masses)
 
-    monkeypatch.setattr(exactdist, "step_exact", leaky_step)
+    def drifting_float(P, cfg):
+        masses = np.zeros(cfg.num_states)
+        masses[0] = 1.0 + exactdist.MASS_TOL / 2
+        return DenseDistribution(P.p, P.d, masses)
+
+    monkeypatch.setattr(exactdist, "HEAD_RATIO", 10**9)  # every step dense
     assert evolve(WALKS[0], 0).mass_defect() == 0.0
-    with pytest.raises(AssertionError, match="mass drifted"):
-        evolve(WALKS[0], 1)
+    assert evolve(WALKS[0], 3).mass_defect() == 0.0
+    for leaky in (leaky_count, leaky_float):
+        monkeypatch.setattr(exactdist, "step_exact", leaky)
+        with pytest.raises(AssertionError, match="mass drifted"):
+            evolve(WALKS[0], 1)
+    monkeypatch.setattr(exactdist, "step_exact", drifting_float)
+    assert evolve(WALKS[0], 1).mass_defect() <= exactdist.MASS_TOL
 
 
 
