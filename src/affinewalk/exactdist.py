@@ -12,12 +12,13 @@ with the scale by 2^-RESCALE_BITS (exactly) whenever the scale passes
 vector is a law of scale 1. Mass drift is asserted, never renormalized.
 
 A step gathers each count onto T x through an inverse permutation
-(int32 when every index fits, widened a block at a time), adds the grid
-shifted by each e_r into itself in place, a block of rows at a time,
-and multiplies the scale by d+1: no division, no coordinate table. The
-step and the gather table's build run by ranges on the CPUs of the
-affinity mask (`indexing.split_rows`), each state taking the same terms
-in the same order whatever the split; support steps and sums are serial.
+(int32 when every index fits, widened a block at a time) and adds the
+grid shifted by each e_r into itself in place, both in one pass over
+blocks of rows, and multiplies the scale by d+1: no division, no
+coordinate table. The step and the gather table's build run by ranges
+on the CPUs of the affinity mask (`indexing.split_rows`), each state
+taking the same terms in the same order whatever the split; support
+steps and sums are serial.
 
 X_n = sum_{k<n} T^(n-1-k) B_k lives on at most (d+1)^n states, so while
 (d+1) |supp P_n| <= p^d / HEAD_RATIO the walk holds P_n by its support
@@ -58,14 +59,15 @@ RESCALE_BITS = 960
 # steps on the support but raised the dense_exact benchmark's peak RSS,
 # by 6% at 16 and 3% at 32 against 1.8% at 64 and 128.
 HEAD_RATIO = 64
-# step_exact sums each range of rows in blocks of at most 1/BLOCKS of the
-# range and BLOCK_STATES states, at least one row, so its temporaries take
-# at most 1 B per state in all and 512 KiB per range; TV to uniform reads
-# BLOCK_STATES counts at a time through one buffer. Chosen by measurement
-# (README, Performance): each block makes about ten numpy calls, for which
-# the ranges' threads take the interpreter lock in turn, so on two ranges
-# one-row blocks stepped d = 3, p = 97 in 11.1 ms and 4096-state blocks
-# d = 2, p = 997 in 14.0 ms, against 6.9 and 6.0 ms with these bounds.
+# step_exact gathers and sums each range of rows in blocks of at most
+# 1/BLOCKS of the range and BLOCK_STATES states, at least one row, so its
+# temporaries take at most 1 B per state in all and 512 KiB per range, and
+# one row more per range; TV to uniform reads BLOCK_STATES counts at a
+# time through one buffer. Chosen by measurement (README, Performance):
+# each block makes about ten numpy calls, for which the ranges' threads
+# take the interpreter lock in turn, so on two ranges one-row blocks
+# stepped d = 3, p = 97 in 11.1 ms and 4096-state blocks d = 2, p = 997
+# in 14.0 ms, against 6.9 and 6.0 ms with these bounds.
 BLOCKS = 8
 BLOCK_STATES = 1 << 16
 
@@ -201,13 +203,6 @@ def _gather_index(T: IntMatrix, p: int) -> np.ndarray:
     return indexing.linear_perm(mat_inv_mod(T, p).entries, p, p, indexing.index_dtype(p, T.dim))
 
 
-def _blocks(s: slice, step: int, m: int) -> Iterator[tuple[int, int]]:
-    """The flat (start, stop) of each block of `step` rows of m states in
-    the rows s, from the top down; the last block may be shorter."""
-    for top in range(s.stop, s.start, -step):
-        yield max(s.start, top - step) * m, top * m
-
-
 def step_exact(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
     """One step: put each count c(x) on T x by one gather through the
     cached inverse permutation, add that grid shifted by one along each
@@ -222,16 +217,13 @@ def step_exact(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
     along numpy axis d-1-r, where x_r steps by p^r: the slab x_r >= 1
     takes x_r - 1 and the slab x_r = 0 takes x_r = p-1.
 
-    Both phases run by the same ranges of rows of numpy axis 0
-    (`indexing.split_rows`), each in blocks of rows with a temporary,
-    `sums`. The gather widens a block of the table into `sums` read as
-    intp (np.take would convert the whole table on every call) and takes
-    that block of P's counts, in P's dtype, copied back times the factor
-    through `sums` on the step that leaves int64 or rescales. The shifted
-    adds sum each range's rows from the top down, each block into `sums`
-    copied back over it: a row's terms lie in it and the row below (p-1
-    below 0), which no range has rewritten yet, except the row below the
-    range's first, copied before any range writes."""
+    One pass by ranges of rows of numpy axis 0 (`indexing.split_rows`):
+    each range walks its rows upward in blocks, gathers a block and sums
+    its terms into a temporary, `sums`, copied back over it. A row's
+    terms lie in it and the row below (p-1 below 0): the previous block's
+    last row, saved in `below` before the copy back, or for the range's
+    first block that row gathered from P. So a range reads only P and the
+    table, and writes only its own rows."""
     cfg.require_admissible()
     if (P.p, P.d) != (cfg.p, cfg.d):
         raise ValueError("distribution does not match config")
@@ -240,34 +232,32 @@ def step_exact(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
     counts = P.counts
     scale, dtype, factor = _next_scale(P.scale, counts.dtype, d)
     m = n // p  # states per row of numpy axis 0
-    ranges = indexing.row_ranges(p, m)
-    work = {}  # per range: rows per block, a block's sums
-    for s in ranges:
+    work = {}  # per range: rows per block, a block's sums, the row below a block
+    for s in indexing.row_ranges(p, m):
         step = max(1, min(-(-(s.stop - s.start) // BLOCKS), BLOCK_STATES // m))
-        work[s.start] = step, np.empty(step * m, dtype=dtype)
+        work[s.start] = step, np.empty(step * m, dtype=dtype), np.empty(m, dtype=dtype)
     placed = np.empty(n, dtype=dtype)
-    taken = placed if counts.dtype == dtype else placed.view(counts.dtype)  # in P's dtype
+    convert = counts.dtype != dtype or factor != 1
 
-    def place(s):
-        step, sums = work[s.start]
-        wide = sums.view(np.intp)
-        for a, b in _blocks(s, step, m):
-            index = wide[: b - a]
-            index[...] = src[a:b]
-            np.take(counts, index, out=taken[a:b], mode="clip")
-            if taken is not placed or factor != 1:
-                np.multiply(taken[a:b], factor, out=sums[: b - a])
-                placed[a:b] = sums[: b - a]
+    def gather(a, b, out, sums):
+        """out = P's counts at T^{-1} x for the flat x in [a, b), in the new dtype."""
+        # np.take would convert a whole non-intp table on every call
+        index = sums.view(np.intp)[: b - a]
+        index[...] = src[a:b]
+        taken = out.view(counts.dtype)
+        np.take(counts, index, out=taken, mode="clip")
+        if convert:
+            np.multiply(taken, factor, out=sums[: b - a])
+            out[...] = sums[: b - a]
 
-    indexing.split_rows(place, p, m)
-    # the row below each range's first (p-1 below 0), before any range writes
-    below_first = {s.start: placed[(s.start - 1) % p * m :][:m].copy() for s in ranges}
-
-    def add_shifts(s):
-        step, sums = work[s.start]
-        for a, b in _blocks(s, step, m):
+    def step_rows(s):
+        step, sums, below = work[s.start]
+        low = (s.start - 1) % p * m
+        gather(low, low + m, below, sums)
+        for top in range(s.start, s.stop, step):
+            a, b = top * m, min(top + step, s.stop) * m
             g, t = placed[a:b], sums[: b - a]
-            below = placed[a - m : a] if a > s.start * m else below_first[s.start]
+            gather(a, b, g, sums)
             np.add(g[1:], g[:-1], out=t[1:])
             if d == 1:
                 np.add(g[:1], below, out=t[:1])
@@ -281,9 +271,10 @@ def step_exact(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
                     o[:, :w] += gr[:, -w:]
                 t[m:] += g[:-m]
                 t[:m] += below
+            below[...] = g[-m:]
             g[...] = t
 
-    indexing.split_rows(add_shifts, p, m)
+    indexing.split_rows(step_rows, p, m)
     return DenseDistribution(p, d, placed, scale=scale, max_support=min(n, (d + 1) * P.max_support))
 
 

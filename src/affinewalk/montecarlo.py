@@ -30,6 +30,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -365,15 +366,19 @@ def projected_mixing_time(
     The law after k blocks is read from the spectrum (`_block_law`), and
     its TV to uniform is non-increasing in k (uniform is invariant under
     convolution with a probability measure), so the block count is
-    bisected: O(p log p * log(n_cap / m)).
+    bisected over k >= 1: O(p log p * log(n_cap / m)). k = 0, the point
+    mass with TV 1 - 1/p, is decided exactly, as fourier.mixing_time
+    decides n = 0.
     """
     fourier.check_search(eps, n_cap)
     report = projection_functional(T, p)
     m = report.m
+    if Fraction(eps) >= 1 - Fraction(1, p):
+        return 0
     hi = n_cap // m
     law = _block_law(report)
     blocks = bisect.bisect_left(
-        range(hi + 1), True, key=lambda k: exactdist.tv_vector(law(k)) <= eps
+        range(hi + 1), True, lo=1, key=lambda k: exactdist.tv_vector(law(k)) <= eps
     )
     if blocks > hi:
         raise NotMixedError(hi * m, "projected", exactdist.tv_vector(law(hi)))

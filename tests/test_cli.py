@@ -197,6 +197,16 @@ class TestMixtimeCommand:
         )
         assert code == 0 and json.loads(out)["n_mix"] == n_mix
 
+    # eps just below 1 - 1/p, the TV after zero blocks, which the float TV
+    # of the point mass rounds to eps or below: one block of four steps
+    @pytest.mark.parametrize("p, eps", [("7", "0.857142857142857"), ("3", "0.6666666666666666")])
+    def test_projected_zero_block_ties(self, p, eps, capsys):
+        code, out, _ = run(
+            capsys, "mixtime", "--matrix", "[[0,-1],[1,0]]", "--p", p, "--epsilon", eps,
+            "--method", "projected",
+        )
+        assert code == 0 and json.loads(out)["n_mix"] == 4
+
     def test_epsilon_ge_one_gives_zero(self, capsys):
         """TV never exceeds 1, so epsilon 1 would give n_mix 0 without a
         search; it is refused like every epsilon outside (0, 1)."""

@@ -12,12 +12,13 @@ complex temporary (12 B), then transpose_perm holds the folded map, the
 image coordinate and the flip mask next to |f|^2 (12.5 B). The dense
 walk holds the state (8 B: int64 counts), the gather permutation (4 B:
 int32, since p^d <= 2^31) and the new state (8 B) from its first dense
-step on: the step adds the shifted copies into its placed grid in place, a block of
-rows at a time, through one temporary per range of at most 1/8 of that
-range (so at most 1 B per state in all) and one saved row per range,
-and the gather widens each block of the table into that same temporary
-before np.take reads it. Measured: 21.3-21.6 B serial and on three
-ranges (22 B budgeted).
+step on: in one pass over blocks of rows, the step gathers a block,
+widening that block of the table into a temporary of at most 1/8 of its
+range (so at most 1 B per state in all) before np.take reads it, then
+adds the block's shifted copies into it in place through the same
+temporary and one row buffer per range, the row below the block.
+Measured: 21.3-21.6 B serial and 21.4-21.9 B on three ranges (22 B
+budgeted).
 Before the first dense step the walk holds P_n by its support, at most
 p^d / 64 states, and no table. Both WALKS cross that switch
 (test_walks_cross_the_switch). The first dense step builds the gather

@@ -11,6 +11,8 @@ without either being wrong.
 """
 
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -72,6 +74,20 @@ def test_zero_block_cap():
     assert err.value.last_value == pytest.approx(1 - 1 / 101, abs=1e-12)
     # TV of the point mass is 1 - 1/3 <= 0.7, so zero blocks suffice
     assert projected_mixing_time(ROT, 3, 0.7, n_cap=0) == 0
+
+
+def test_zero_blocks_decided_exactly():
+    # eps at the float nearest 1 - 1/p, the TV of the point mass, and at
+    # its two float neighbours: zero blocks exactly when eps >= 1 - 1/p,
+    # else one block (four steps), whatever the point mass's float TV
+    for p in (q for q in range(3, 102) if is_prime(q)):
+        near = float(1 - Fraction(1, p))
+        for eps in (math.nextafter(near, 0), near, math.nextafter(near, 1)):
+            want = 0 if Fraction(eps) >= 1 - Fraction(1, p) else 4
+            assert projected_mixing_time(ROT, p, eps) == want, (p, eps)
+    # the float TV of the point mass rounds to eps or below at these two
+    assert projected_mixing_time(ROT, 7, 0.857142857142857) == 4
+    assert projected_mixing_time(ROT, 3, 0.6666666666666666) == 4
 
 
 @st.composite

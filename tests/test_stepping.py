@@ -418,9 +418,10 @@ def test_split_matches_serial(cfg, monkeypatch, request):
 
 @pytest.mark.parametrize("cfg", MODULI_WALKS, ids=lambda c: f"d{c.d}-p{c.p}")
 def test_split_step_matches_reference(cfg, forced_split):
-    # each range reads the row below its first, and the first range row
-    # p-1, from a copy made before any range rewrites it; a wrong copy
-    # would change the states of that range's first row
+    # each range gathers the row below its first (row p-1 below row 0)
+    # from P itself, and each later block reads the row saved from the
+    # block before it; a wrong row would change the states of that block's
+    # first row
     P = exactdist.delta_at_zero(cfg.p, cfg.d)
     for counts, scale in ref_states(cfg, STEPS)[1:]:
         P = step_exact(P, cfg)
@@ -429,18 +430,69 @@ def test_split_step_matches_reference(cfg, forced_split):
 
 def input_laws(cfg):
     """Laws held by their support (every third state) and dense laws, with
-    float masses and with int64 counts drawn at random; the last law's
-    step leaves the int64 range."""
+    float masses and with int64 counts drawn at random; the step of the
+    last int64 law leaves the int64 range, and that of the last law, past
+    2^960, rescales."""
     rng = np.random.default_rng(cfg.p)
     states = np.arange(0, cfg.num_states, 3)
     held = rng.integers(0, 1000, states.shape[0])
     dense = rng.integers(0, 1000, cfg.num_states)
+    big = 2.0**exactdist.RESCALE_BITS * 2
     return [
         DenseDistribution(cfg.p, cfg.d, support=(states, rng.dirichlet(np.ones(states.shape[0])))),
         DenseDistribution(cfg.p, cfg.d, rng.dirichlet(np.ones(cfg.num_states))),
         DenseDistribution(cfg.p, cfg.d, support=(states, held), scale=int(held.sum())),
         DenseDistribution(cfg.p, cfg.d, dense, scale=exactdist.INT64_MAX // cfg.d),
+        DenseDistribution(cfg.p, cfg.d, rng.dirichlet(np.ones(cfg.num_states)) * big, scale=big),
     ]
+
+
+# d = 1..4 at moduli small enough for a thread per row of numpy axis 0
+ROW_WALKS = [
+    WalkConfig(IntMatrix([[3]]), 23),
+    WalkConfig(IntMatrix([[-5, 7], [3, 4]]), 23),
+    WalkConfig(FAST3, 13),
+    WalkConfig(D4, 7),
+]
+
+
+@pytest.mark.parametrize("ranges", [3, "rows"])
+@pytest.mark.parametrize("cfg", ROW_WALKS, ids=lambda c: f"d{c.d}-p{c.p}")
+def test_split_step_matches_serial(cfg, ranges, monkeypatch):
+    # three uneven ranges, or one range per row, each gathering the row
+    # below its first itself: every law's step, the ones that leave int64
+    # and rescale included, bit for bit the serial step
+    monkeypatch.setattr(indexing, "_cpus", lambda: 1)
+    laws = input_laws(cfg)
+    serial = [step_exact(P, cfg) for P in laws]
+    monkeypatch.setattr(indexing, "MIN_PART", 1)
+    monkeypatch.setattr(indexing, "_cpus", lambda: cfg.p if ranges == "rows" else ranges)
+    assert len(indexing.row_ranges(cfg.p, cfg.num_states // cfg.p)) == (cfg.p if ranges == "rows" else 3)
+    for P, want in zip(laws, serial, strict=True):
+        got = step_exact(P, cfg)
+        assert got.scale == want.scale
+        assert got.counts.dtype == want.counts.dtype
+        assert got.counts.tobytes() == want.counts.tobytes()
+
+
+@pytest.mark.parametrize("cfg", ROW_WALKS, ids=lambda c: f"d{c.d}-p{c.p}")
+def test_one_split_per_step_and_ranges_stand_alone(cfg, forced_split, monkeypatch):
+    # a dense step is one split_rows call, and a range reads nothing that
+    # another range writes: run one at a time, last range first, the
+    # ranges give the step that runs them together
+    laws = input_laws(cfg)
+    want = [step_exact(P, cfg).counts for P in laws]  # builds the table, which splits too
+    calls = []
+
+    def backwards(fn, rows, row_size=1):
+        calls.append(rows)
+        for s in reversed(indexing.row_ranges(rows, row_size)):
+            fn(s)
+
+    monkeypatch.setattr(indexing, "split_rows", backwards)
+    for k, P in enumerate(laws):
+        assert step_exact(P, cfg).counts.tobytes() == want[k].tobytes()
+        assert calls == [cfg.p] * (k + 1)
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
