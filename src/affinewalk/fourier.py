@@ -415,7 +415,12 @@ def orbit_constant_report(
     else:
         rng = np.random.default_rng(seed)
         cs = rng.integers(0, p, size=(sample, d), dtype=np.int64)
-        cs = cs[(cs != 0).any(axis=1)]
+        # drop the zero character, a column at a time: one boolean
+        # temporary, not a (sample, d) one reduced along its rows
+        keep = cs[:, 0] != 0
+        for col in cs.T[1:]:
+            keep |= col != 0
+        cs = cs[keep]
         n_chars = cs.shape[0]
     firsts = first_large_sweep(cfg, c1=c1, cs=cs, ell_max=ell_max)
     found = firsts[firsts >= 0]

@@ -14,7 +14,9 @@ Z/pZ with increments supported on at most (d+1)^m residues. Its
 distance from uniform is the slow-mixing witness. The law after k
 m-step blocks is the k-fold convolution of the block increment law,
 read from the spectrum as ifft(phi^k), phi the DFT of the increment
-law: `projected_walk_dist` returns it at one k, and
+law with phi_0 = 1 exactly, its mass; from 100 blocks on, phi^k is
+read as exp(k log phi), log phi taken once per law (`_block_law`).
+`projected_walk_dist` returns the law at one k, and
 `projected_mixing_time` searches k. Convolving with a probability
 measure cannot move a law away from uniform (uniform is invariant under
 it), so the distance is non-increasing in k and the least mixed block
@@ -27,7 +29,6 @@ each of METHODS to its engine: a scan of the dense or character walk
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,16 +37,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import exactdist, fourier, indexing, spectral
-from .errors import AffineWalkError, NotMixedError, PreconditionError
+from .errors import AffineWalkError, BudgetError, NotMixedError, PreconditionError
 from .exactdist import WalkConfig
 from .modmath import (
     IntMatrix,
     ModVector,
     is_prime,
-    mat_pow_exact,
     mat_pow_mod,
     mat_vec_mod,
-    nullity_rational,
     nullspace_mod_prime,
 )
 
@@ -62,6 +61,9 @@ _TILE_READS = 2**17
 
 # the mixing-time methods `mixing_search` accepts
 METHODS = ("exact", "ub", "projected")
+# `_block_law` reads phi^k as exp(k log phi) from this many blocks on,
+# the exponent from which numpy's complex power calls cpow
+POWER_FROM = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,23 +286,22 @@ def projection_functional(T: IntMatrix, p: int) -> ProjectionReport:
     computed by exact integer convolution over Z/pZ - identical to
     enumerating all (d+1)^m equally likely step tuples, without the
     exponential loop.
+
+    m and the nullity of T^m - I over Q do not depend on p and come from
+    `spectral.cyclotomic_facts`, computed once per matrix.
     """
-    m = spectral.cyclotomic_order(spectral.char_poly(T))
-    if m is None:
+    facts = spectral.cyclotomic_facts(T)
+    if facts is None:
         raise PreconditionError("matrix has no root-of-unity eigenvalue")
     if not is_prime(p):
         raise PreconditionError(f"the projection construction needs a prime p, got {p}")
     cfg = WalkConfig(T, p)
     cfg.require_admissible()
-    d = T.dim
-    tm_t = mat_pow_mod(T, m, p).transpose()
-    A = tm_t + IntMatrix.identity(d).scale(-1)
+    m, d = facts.m, T.dim
+    A = mat_pow_mod(T, m, p).transpose() + IntMatrix.identity(d).scale(-1)
     basis = nullspace_mod_prime(A, p)
-    # generic nullity over Q of T^m - I; a different count mod p flags p
-    generic = nullity_rational(
-        mat_pow_exact(T, m) + IntMatrix.identity(d).scale(-1)
-    )
-    degenerate = len(basis) != generic
+    # a nullity mod p other than the generic one over Q flags p
+    degenerate = len(basis) != facts.fixed_nullity
     v = basis[0]
 
     # the weight rows v^t T^(m-1-j) mod p of block positions j = m-1, ...,
@@ -332,9 +333,39 @@ def projection_functional(T: IntMatrix, p: int) -> ProjectionReport:
 def _block_law(report: ProjectionReport) -> Callable[[int], np.ndarray]:
     """k -> law of the projected walk after k blocks, started at the point
     mass at 0, read from the spectrum as ifft(phi^k).real, phi the DFT
-    of the block increment law."""
+    of the block increment law with phi_0 = 1 exactly, the law's mass.
+
+    From POWER_FROM blocks on, phi^k is read as exp(k log phi), log phi
+    taken once per law. numpy raises a complex array to an integer power
+    of at least 100 by cpow, which the C library computes as
+    cexp(k clog z), so the two agree bit for bit, and the exponential
+    alone costs about a quarter of the power. k scales the real and
+    imaginary parts of log phi apart, so an exact zero of phi
+    (log = -inf) reads 0, never nan. Such a k enters as the nearest
+    float, as it does in numpy's power; a k that rounds past the largest
+    float is refused with a BudgetError."""
     phi = np.fft.fft(report.increment_probs())
-    return lambda k: np.fft.ifft(phi**k).real
+    # the mass of a probability law, which the FFT's sum leaves an ulp
+    # or so off 1: phi_0^k would drain the law over many blocks
+    phi[0] = 1.0
+    with np.errstate(divide="ignore"):  # log 0 = -inf reads exp(-inf) = 0
+        log_parts = np.log(phi).view(np.float64)  # (re, im) interleaved
+
+    def law(k: int) -> np.ndarray:
+        # below 100 numpy's power multiplies phi by itself, which the
+        # exponential would match only to round-off
+        if k < POWER_FROM:
+            return np.fft.ifft(phi**k).real
+        try:
+            kf = float(k)
+        except OverflowError:
+            raise BudgetError(
+                "a block count past the largest float cannot be read from the spectrum"
+            ) from None
+        with np.errstate(over="ignore"):  # k log|phi_j| = -inf reads exp = 0
+            return np.fft.ifft(np.exp((kf * log_parts).view(np.complex128))).real
+
+    return law
 
 
 def projected_walk_dist(
@@ -342,7 +373,10 @@ def projected_walk_dist(
 ) -> np.ndarray:
     """Distribution of pi(X_{blocks*m}): `blocks` convolutions of the
     increment distribution on Z/pZ, starting from the point mass at 0,
-    read from the spectrum (entries agree with stepping to round-off)."""
+    read from the spectrum (entries agree with stepping to round-off).
+    Any block count is an exact Python int; a negative one raises
+    ValueError, and one that rounds past the largest float (about
+    1.8e308) raises BudgetError, the law being read in floats."""
     exactdist.check_caps(blocks=blocks)
     if report.v.p != cfg.p:
         raise ValueError("projection and config use different moduli")
@@ -368,7 +402,9 @@ def projected_mixing_time(
     convolution with a probability measure), so the block count is
     bisected over k >= 1: O(p log p * log(n_cap / m)). k = 0, the point
     mass with TV 1 - 1/p, is decided exactly, as fourier.mixing_time
-    decides n = 0.
+    decides n = 0. The bisection runs on Python ints, so any n_cap is
+    searched; a probe past the largest float raises BudgetError
+    (`_block_law`).
     """
     fourier.check_search(eps, n_cap)
     report = projection_functional(T, p)
@@ -377,9 +413,15 @@ def projected_mixing_time(
         return 0
     hi = n_cap // m
     law = _block_law(report)
-    blocks = bisect.bisect_left(
-        range(hi + 1), True, lo=1, key=lambda k: exactdist.tv_vector(law(k)) <= eps
-    )
+    # bisect_left's search over k = 1, ..., hi + 1, in Python ints, which
+    # never overflow a C index as a range of that length would
+    blocks, top = 1, hi + 1
+    while blocks < top:
+        mid = (blocks + top) // 2
+        if exactdist.tv_vector(law(mid)) <= eps:
+            top = mid
+        else:
+            blocks = mid + 1
     if blocks > hi:
         raise NotMixedError(hi * m, "projected", exactdist.tv_vector(law(hi)))
     return m * blocks

@@ -7,7 +7,10 @@ Every class is decided in exact arithmetic: singularity by the integer
 determinant, a cyclotomic factor by integer polynomial division, and a
 root on the unit circle by a Sturm count over Q (`_circle_roots`).
 Floating point only lists the eigenvalues a report shows
-(`complex_roots`, numpy's companion-matrix roots).
+(`complex_roots`, numpy's companion-matrix roots). A matrix's
+cyclotomic order, and the nullity over Q that the slow-mixing
+projection compares against, are kept per matrix (`cyclotomic_facts`),
+since a sweep asks for them at every modulus.
 """
 
 from __future__ import annotations
@@ -22,11 +25,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import RootConvergenceError
-from .modmath import IntMatrix, int_det
+from .modmath import IntMatrix, int_det, mat_pow_exact, nullity_rational
 
 # complex_roots reads two real parts closer than this, relative to the
 # larger modulus (at least 1) of their two roots, as equal
 TIE_TOL = 1e-9
+# matrices whose cyclotomic facts `cyclotomic_facts` keeps
+FACTS_CACHE = 128
 
 
 @dataclass(frozen=True)
@@ -284,14 +289,38 @@ def _circle_roots(cp: CharPoly) -> int:
     return 2 * (sign_changes(Fraction(-2)) - sign_changes(Fraction(2)))
 
 
+@dataclass(frozen=True)
+class CyclotomicFacts:
+    """What the slow-mixing projection needs of T at every modulus: the
+    least m with Phi_m dividing det(xI - T), and the nullity of T^m - I
+    over Q."""
+
+    m: int
+    fixed_nullity: int
+
+
+@lru_cache(maxsize=FACTS_CACHE)
+def cyclotomic_facts(T: IntMatrix) -> Optional[CyclotomicFacts]:
+    """T's CyclotomicFacts, or None when no cyclotomic polynomial divides
+    det(xI - T); singular T included. Neither depends on a modulus, so
+    each matrix is examined once, by value: equal matrices share one
+    cache entry."""
+    m = cyclotomic_order(char_poly(T))
+    if m is None:
+        return None
+    fixed = mat_pow_exact(T, m) + IntMatrix.identity(T.dim).scale(-1)
+    return CyclotomicFacts(m, nullity_rational(fixed))
+
+
 def root_of_unity_order(T: IntMatrix) -> Optional[int]:
-    """The least m with Phi_m dividing det(xI - T) (`cyclotomic_order`)
+    """The least m with Phi_m dividing det(xI - T) (`cyclotomic_facts`)
     when T is invertible, else None: exact, and the one rule by which
     `classify` answers ROOT_OF_UNITY and `scaling_sweep` picks its
     method and fit."""
     if int_det(T) == 0:
         return None
-    return cyclotomic_order(char_poly(T))
+    facts = cyclotomic_facts(T)
+    return None if facts is None else facts.m
 
 
 def classify(T: IntMatrix) -> SpectrumReport:

@@ -12,6 +12,7 @@ without either being wrong.
 
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -19,8 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinewalk import cli, exactdist, montecarlo
-from affinewalk.errors import NotMixedError
+from affinewalk import cli, exactdist, montecarlo, spectral
+from affinewalk.errors import NotMixedError, PreconditionError
 from affinewalk.exactdist import WalkConfig
 from affinewalk.modmath import IntMatrix, ModVector, is_prime
 from affinewalk.montecarlo import (
@@ -156,3 +157,111 @@ class TestStepCap:
         assert rep.cells == [(101, 2180)]
         assert [p for p, _ in rep.failures] == [151]
         assert rep.failures[0][1].startswith("NotMixedError")
+
+
+class TestBlockLaw:
+    """`_block_law` reads phi^k as exp(k log phi) from POWER_FROM blocks
+    on, with phi_0 = 1 exactly."""
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("T", MATRICES, ids=lambda T: T.tag())
+    def test_law_is_the_power_law_across_the_cutoff(self, T, p):
+        report = projection_functional(T, p)
+        law = montecarlo._block_law(report)
+        phi = np.fft.fft(report.increment_probs())
+        for k in (1, 99, 100, 101, 8000):
+            np.testing.assert_allclose(law(k), np.fft.ifft(phi**k).real, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("T", MATRICES, ids=lambda T: T.tag())
+    def test_zero_blocks_is_the_point_mass(self, T):
+        law = montecarlo._block_law(projection_functional(T, 31))(0)
+        assert law[0] == 1.0
+        np.testing.assert_allclose(law[1:], 0.0, rtol=0, atol=1e-15)
+
+    def test_exact_zero_of_phi_reads_zero_without_warning(self):
+        # increments 0 and 1 at p = 2, each 1/2: phi = (1, 0)
+        report = ProjectionReport(
+            m=1, v=ModVector(2, [1]), increment_support=((0, 0.5), (1, 0.5)), u=2,
+            degenerate_prime=False,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            law = montecarlo._block_law(report)
+            assert law(0).tolist() == [1.0, 0.0]
+            for k in (1, 99, 100, 101, 8000, 10**20, int(1.7e308)):
+                assert law(k).tolist() == [0.5, 0.5], k
+
+    def test_mass_stays_one_over_many_blocks(self):
+        report = projection_functional(IntMatrix([[1, 1], [0, 2]]), 101)
+        law = montecarlo._block_law(report)
+        for k in (10**9, 10**12, 10**15, 10**20, int(1.7e308)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                dist = law(k)
+            assert abs(dist.sum() - 1.0) <= 1e-12
+            assert exactdist.tv_vector(dist) <= 1e-12
+
+
+class TestCyclotomicFactsCache:
+    """What projection_functional needs of T at every p is computed once
+    per matrix (`spectral.cyclotomic_facts`)."""
+
+    def test_cold_and_warm_reports_agree(self):
+        ps = (13, 31, 61, 101)
+        for T in MATRICES:
+            cold = []
+            for p in ps:
+                spectral.cyclotomic_facts.cache_clear()
+                cold.append(projection_functional(T, p))
+            assert [projection_functional(T, p) for p in ps] == cold
+
+    def test_equal_matrices_share_one_entry(self):
+        spectral.cyclotomic_facts.cache_clear()
+        projection_functional(IntMatrix([[0, -1], [1, 0]]), 13)
+        projection_functional(IntMatrix([[0, -1], [1, 0]]), 31)
+        assert spectral.root_of_unity_order(IntMatrix([[0, -1], [1, 0]])) == 4
+        info = spectral.cyclotomic_facts.cache_info()
+        assert (info.currsize, info.misses) == (1, 1)
+
+    @pytest.mark.parametrize("T,p,message", [
+        ([[2, 1], [1, 1]], 15, "no root-of-unity eigenvalue"),
+        ([[0, -1], [1, 0]], 15, "needs a prime p, got 15"),
+        ([[1, 0], [0, 0]], 7, "not admissible"),
+    ])
+    def test_refusals_keep_message_and_order_cold_and_warm(self, T, p, message):
+        spectral.cyclotomic_facts.cache_clear()
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match=message):
+                projection_functional(IntMatrix(T), p)
+
+
+class TestHugeCounts:
+    """Block counts and step caps are Python ints of any size: past 2^63
+    the search runs as below it, and a block count past the largest
+    float is refused (exit 4), never a traceback."""
+
+    UPPER = ["--matrix", "[[1,1],[0,2]]", "--p", "101"]
+
+    def run(self, capsys, *argv):
+        code = cli.main(list(argv))
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def test_step_cap_past_2_63(self, capsys):
+        code, out, _ = self.run(capsys, "mixtime", *self.UPPER, "--epsilon", "0.25",
+                                "--method", "projected", "--n-cap", str(10**23))
+        assert code == cli.EXIT_OK and json.loads(out)["n_mix"] == 726
+
+    def test_blocks_past_2_63_read_uniform(self, capsys):
+        code, out, _ = self.run(capsys, "project", *self.UPPER, "--blocks", str(10**20))
+        assert code == cli.EXIT_OK and json.loads(out)["projected_tv"] < 1e-12
+
+    @pytest.mark.parametrize("argv", [
+        ["project", *UPPER, "--blocks", str(10**400)],
+        ["mixtime", *UPPER, "--epsilon", "0.25", "--method", "projected",
+         "--n-cap", str(10**400)],
+    ], ids=["project", "mixtime"])
+    def test_count_past_the_float_range_exits_4(self, argv, capsys):
+        code, out, err = self.run(capsys, *argv)
+        assert code == cli.EXIT_BUDGET and out == ""
+        assert "past the largest float" in err

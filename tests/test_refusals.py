@@ -61,7 +61,7 @@ class TestNegativeStepCap:
         def boom(*args):
             raise RuntimeError("examined a matrix")
 
-        monkeypatch.setattr(spectral, "cyclotomic_order", boom)
+        monkeypatch.setattr(spectral, "cyclotomic_facts", boom)
         with pytest.raises(ValueError, match="n_cap"):
             montecarlo.scaling_sweep([self.ROT], [101], 0.25, n_cap=-1)
 
@@ -123,7 +123,7 @@ class TestNegativeCaps:
         def boom(*args):
             raise RuntimeError("examined a matrix")
 
-        monkeypatch.setattr(spectral, "cyclotomic_order", boom)
+        monkeypatch.setattr(spectral, "cyclotomic_facts", boom)
         with pytest.raises(ValueError, match=f"{cap} must be >= 0"):
             montecarlo.scaling_sweep([self.ROT.T], [101], 0.25, **{cap: -1})
 
@@ -237,7 +237,7 @@ class TestSweepEpsilon:
         def boom(*args):
             raise RuntimeError("examined a matrix")
 
-        monkeypatch.setattr(spectral, "cyclotomic_order", boom)
+        monkeypatch.setattr(spectral, "cyclotomic_facts", boom)
         with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\)"):
             montecarlo.scaling_sweep([self.ROT], [101], eps)
 
@@ -265,7 +265,7 @@ class TestUnknownMethod:
         def boom(*args):
             raise RuntimeError("examined a matrix")
 
-        monkeypatch.setattr(spectral, "cyclotomic_order", boom)
+        monkeypatch.setattr(spectral, "cyclotomic_facts", boom)
         with pytest.raises(ValueError, match="'fastest' .*auto, exact, ub, projected"):
             montecarlo.scaling_sweep([self.ROT], [11, 13], 0.25, method="fastest")
 
