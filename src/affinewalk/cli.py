@@ -26,11 +26,18 @@ m-step blocks, m the root-of-unity order, which `mixtime` and `project`
 detect.
 
 Randomized subcommands default to seed 12345 unless one is given.
+
+The parser is built once per process (`build_parser` keeps it) and
+shared by every `main` call, since parsing never changes it. Only a
+process that calls `main` more than once, as a test run or a benchmark
+does, gains from that; the console script calls it once and gains
+nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -353,6 +360,7 @@ COMMANDS = {
 OVERRIDES = {("sweep", "method"): {"choices": ("auto", *montecarlo.METHODS)}}
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="affinewalk",

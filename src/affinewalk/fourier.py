@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +49,9 @@ CharacterIndex = ModVector
 DEFAULT_CHAR_CAP = 1_000_000
 DEFAULT_C1 = 0.125
 DEFAULT_MIX_CAP = 100_000
+# `least_below` takes a midpoint after this many probes in a row that
+# leave its bracket wider than half its width when they began
+STALL_PROBES = 3
 
 
 def default_ell_max(p: int) -> int:
@@ -461,6 +464,63 @@ def first_below(values: Iterable[float], eps: float, n_cap: int, method: str) ->
         if n >= n_cap:
             raise NotMixedError(n_cap, method, value)
     raise ValueError("value sequence ended before the search cap")
+
+
+def least_below(
+    value_at: Callable[[int], float], eps: float, lo: int, lo_value: float, hi: int
+) -> int:
+    """Least k with lo < k <= hi and value_at(k) <= eps, or hi + 1 when
+    value_at(hi) > eps: bisect_left's answer for a value_at that does
+    not increase on lo, ..., hi. lo_value is the value at lo, known to
+    lie above eps; lo is neither probed nor returned.
+
+    The cap hi is probed first. Then the bracket (lo, top], with
+    value(lo) > eps >= value(top), shrinks by regula falsi on
+    f = log(value / eps) with the Illinois modification (Dowell and
+    Jarratt, BIT 1971): the probe is the least integer at or past the
+    zero of the line through (lo, f(lo)) and (top, f(top)), and an end
+    kept by two probes in a row has its f halved. The midpoint is
+    probed instead after STALL_PROBES probes in a row that leave the
+    bracket wider than half its width when they began, and whenever an
+    end has no finite f above or below 0: a value of 0, which has no
+    log, or a lo_value that rounded to eps or below. A midpoint halves
+    the bracket (to the ceiling), so every STALL_PROBES + 1 probes do,
+    and the search ends, at top = lo + 1, after at most
+    (STALL_PROBES + 1) * ceil(log2(hi - lo)) + 1 probes. Every k is a
+    Python int, so any hi is searched that value_at can read."""
+    if hi <= lo:
+        return hi + 1
+    top, top_value = hi, value_at(hi)
+    if top_value > eps:
+        return hi + 1
+    log_eps = math.log(eps)
+
+    def excess(value: float) -> float:  # log(value / eps), -inf at or below 0
+        return math.log(value) - log_eps if value > 0 else -math.inf
+
+    f_lo, f_top = excess(lo_value), excess(top_value)
+    moved = None  # the end the last probe moved: "lo" or "top"
+    start, stalled = top - lo, 0
+    while top - lo > 1:
+        if stalled < STALL_PROBES and f_lo > 0 and f_top > -math.inf:
+            step = math.ceil((top - lo) * (f_lo / (f_lo - f_top)))
+            k = min(max(lo + step, lo + 1), top - 1)
+        else:
+            k = (lo + top) // 2
+        value = value_at(k)
+        if value <= eps:
+            if moved == "top":
+                f_lo /= 2
+            top, f_top, moved = k, excess(value), "top"
+        else:
+            if moved == "lo":
+                f_top /= 2
+            lo, f_lo, moved = k, excess(value), "lo"
+        if 2 * (top - lo) <= start + 1:  # halved, to the ceiling
+            start, stalled = top - lo, 0
+        else:
+            stalled += 1
+    return top
 
 
 def mixing_time(

@@ -19,12 +19,15 @@ read as exp(k log phi), log phi taken once per law (`_block_law`).
 `projected_walk_dist` returns the law at one k, and
 `projected_mixing_time` searches k. Convolving with a probability
 measure cannot move a law away from uniform (uniform is invariant under
-it), so the distance is non-increasing in k and the least mixed block
-count is found by bisection, in O(p log p * log cap) time.
+it), so the distance is non-increasing in k, and the least mixed block
+count is found by `fourier.least_below`: regula falsi on log TV, which
+falls about linearly in k once the walk spreads, with a midpoint probe
+when that stalls, in O(p log p) per probe and at most
+4 ceil(log2 cap) + 1 probes.
 
 `mixing_search`, which `mixtime` and `scaling_sweep` both call, sends
 each of METHODS to its engine: a scan of the dense or character walk
-('exact', 'ub') or this bisection ('projected').
+('exact', 'ub') or this search ('projected').
 """
 
 from __future__ import annotations
@@ -399,11 +402,17 @@ def projected_mixing_time(
 
     The law after k blocks is read from the spectrum (`_block_law`), and
     its TV to uniform is non-increasing in k (uniform is invariant under
-    convolution with a probability measure), so the block count is
-    bisected over k >= 1: O(p log p * log(n_cap / m)). k = 0, the point
-    mass with TV 1 - 1/p, is decided exactly, as fourier.mixing_time
-    decides n = 0. The bisection runs on Python ints, so any n_cap is
-    searched; a probe past the largest float raises BudgetError
+    convolution with a probability measure), so the block count is found
+    over k >= 1 by `fourier.least_below`: the cap floor(n_cap / m) is
+    probed first, then regula falsi on log TV narrows the bracket. Each
+    probe costs O(p log p), an FFT at length p, and there are at most
+    4 ceil(log2(n_cap / m)) + 1 of them (about 6 for the slow matrices
+    at p from 101 to 2003, against about 16 by bisection). A probe's TV
+    depends on k alone, so wherever the float TV is non-increasing the
+    answer is bisection's. k = 0, the point mass with TV 1 - 1/p, is
+    decided exactly, as fourier.mixing_time decides n = 0, and the
+    search never returns it. The search runs on Python ints, so any
+    n_cap is searched; a cap past the largest float raises BudgetError
     (`_block_law`).
     """
     fourier.check_search(eps, n_cap)
@@ -413,17 +422,13 @@ def projected_mixing_time(
         return 0
     hi = n_cap // m
     law = _block_law(report)
-    # bisect_left's search over k = 1, ..., hi + 1, in Python ints, which
-    # never overflow a C index as a range of that length would
-    blocks, top = 1, hi + 1
-    while blocks < top:
-        mid = (blocks + top) // 2
-        if exactdist.tv_vector(law(mid)) <= eps:
-            top = mid
-        else:
-            blocks = mid + 1
+
+    def tv(k: int) -> float:
+        return exactdist.tv_vector(law(k))
+
+    blocks = fourier.least_below(tv, eps, 0, 1 - 1 / p, hi)
     if blocks > hi:
-        raise NotMixedError(hi * m, "projected", exactdist.tv_vector(law(hi)))
+        raise NotMixedError(hi * m, "projected", tv(hi))
     return m * blocks
 
 
@@ -484,9 +489,10 @@ def _fit_log_constant(cells: Sequence[tuple[int, int]]) -> tuple[Optional[float]
 
 def _fit_power_law(cells: Sequence[tuple[int, int]]) -> tuple[Optional[float], list[float]]:
     """Fit n = a p^b by least squares on (log p, log n); returns b, or
-    (None, []) with fewer than two cells of n > 0 to fit."""
+    (None, []) when the cells of n > 0 hold fewer than two distinct
+    values of log p: no line is fixed through one abscissa."""
     pts = [(math.log(p), math.log(n)) for p, n in cells if n > 0]
-    if len(pts) < 2:
+    if len({x for x, _ in pts}) < 2:
         return None, []
     xs = np.array([x for x, _ in pts])
     ys = np.array([y for _, y in pts])

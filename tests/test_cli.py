@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -109,17 +110,22 @@ assert "mpmath" not in sys.modules
 """
 
 
-def test_no_command_imports_mpmath(tmp_path, capsys):
+def run_python(cwd, *args):
+    """Run a fresh interpreter on this checkout's package."""
     src = str(Path(affinewalk.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", NO_MPMATH],
-        cwd=tmp_path,
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_no_command_imports_mpmath(tmp_path, capsys):
+    result = run_python(tmp_path, "-c", NO_MPMATH)
     assert result.returncode == 0, result.stderr
     # the same JSON as classify prints in this process, where the
     # tests' oracle has loaded mpmath
@@ -391,6 +397,21 @@ class TestSweepCommand:
 
         fit = json.loads(fit_path.read_text(), parse_constant=refuse)["fits"][0]
         assert fit["cells"] == [[2, 0], [3, 0]]
+        assert (fit["fit_kind"], fit["fit_value"], fit["residuals"]) == (None, None, [])
+
+    def test_repeated_modulus_fixes_no_power_law(self, capsys, tmp_path):
+        # two cells at one p: no line passes through a single log p, so
+        # the fit stays null and numpy is never asked (no RankWarning)
+        fit_path = tmp_path / "fits.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(
+                capsys, "sweep", "--matrix", "[[0,-1],[1,0]]", "--p", "101", "--p", "101",
+                "--epsilon", "0.25", "--fit-json", str(fit_path),
+            )
+        assert code == 0 and err == ""
+        fit = json.loads(fit_path.read_text())["fits"][0]
+        assert fit["cells"] == [[101, 2180], [101, 2180]]
         assert (fit["fit_kind"], fit["fit_value"], fit["residuals"]) == (None, None, [])
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
@@ -692,3 +713,24 @@ def test_flag_prefixes_are_refused(capsys):
             "--meth", "ub", "--n", "5"]
     assert exit_code(argv) == 2
     assert "unrecognized arguments: --meth ub --n 5" in capsys.readouterr().err
+
+
+def test_one_parser_serves_every_call(tmp_path):
+    # main builds its parser once per process: two subcommands run here
+    # write the bytes each writes in an interpreter of its own
+    runs = [
+        ["mixtime", "--matrix", "[[0,-1],[1,0]]", "--p", "101", "--epsilon", "0.25",
+         "--method", "projected"],
+        ["classify", "--matrix", "[[2,1],[1,1]]", "--p", "101"],
+    ]
+    build_parser.cache_clear()
+    for i, argv in enumerate(runs):
+        assert main([*argv, "-o", f"{tmp_path}/here{i}.json"]) == 0
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    for i, argv in enumerate(runs):
+        child = f"{tmp_path}/apart{i}.json"
+        result = run_python(tmp_path, "-c", "import sys; from affinewalk import cli; "
+                            "sys.exit(cli.main(sys.argv[1:]))", *argv, "-o", child)
+        assert result.returncode == 0, result.stderr
+        assert Path(child).read_bytes() == Path(f"{tmp_path}/here{i}.json").read_bytes()

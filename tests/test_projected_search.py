@@ -1,8 +1,11 @@
 """The spectral projected search against the stepped reference loop.
 
 `projected_mixing_time` reads the law after k blocks as ifft(phi^k) and
-bisects on k, relying on TV to uniform being non-increasing in k. These
-tests compare it with the step-by-step convolution of
+searches k with `fourier.least_below` (regula falsi on log TV, midpoints
+when that stalls), relying on TV to uniform being non-increasing in k.
+`TestLeastBelow` holds that search to bisect_left's answer and its
+probe bound on any non-increasing values. The other tests compare the
+projected search with the step-by-step convolution of
 `test_stepping.ref_projected` and its linear search. The spectral and
 stepped TVs differ by round-off only, so every cell also asserts that
 the reference TV keeps at least `MARGIN` away from eps at the answer
@@ -10,6 +13,7 @@ and one block before it: closer than that, the two could disagree
 without either being wrong.
 """
 
+import bisect
 import json
 import math
 import warnings
@@ -20,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinewalk import cli, exactdist, montecarlo, spectral
+from affinewalk import cli, exactdist, fourier, montecarlo, spectral
 from affinewalk.errors import NotMixedError, PreconditionError
 from affinewalk.exactdist import WalkConfig
 from affinewalk.modmath import IntMatrix, ModVector, is_prime
@@ -43,6 +47,8 @@ PRIMES = (13, 31, 61)
 EPSILONS = (0.1, 0.25, 0.5)
 MARGIN = 1e-9
 ROT = IntMatrix([[0, -1], [1, 0]])
+# the root-of-unity matrices of the slow_projected benchmark
+SLOW = ("[[1,1],[0,2]]", "[[0,-1],[1,0]]", "[[0,-1],[1,-1]]", "[[1,1,0],[0,2,1],[0,1,1]]")
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -119,6 +125,118 @@ def test_spectral_tv_is_monotone_and_matches_stepped_law(report):
     stepped = [exactdist.tv_vector(d) for d in stepped_laws]
     assert np.max(np.abs(np.subtract(spectral, stepped))) <= 1e-12
     assert all(b <= a + 1e-12 for a, b in zip(spectral, spectral[1:]))
+
+
+class Probed:
+    """A non-increasing step function on k = 0, 1, ...: values[j] from
+    the j-th of the sorted breakpoints on, values[0] before the first.
+    Records every k it is read at."""
+
+    def __init__(self, breaks, values):
+        self.breaks, self.values, self.probes = breaks, values, []
+
+    def value(self, k):
+        return self.values[bisect.bisect_right(self.breaks, k)]
+
+    def __call__(self, k):
+        assert type(k) is int
+        self.probes.append(k)
+        return self.value(k)
+
+    def first_at_or_below(self, eps, hi):
+        """The least k in 1, ..., hi with value <= eps, else hi + 1: the
+        value changes only at a breakpoint."""
+        starts = (k for k in [1, *self.breaks] if k <= hi)
+        return next((k for k in starts if self.value(k) <= eps), hi + 1)
+
+
+def probe_bound(lo, hi):
+    """least_below's stated worst case: the cap, then STALL_PROBES + 1
+    probes per halving of the bracket."""
+    halvings = (hi - lo - 1).bit_length() if hi > lo else 0
+    return (fourier.STALL_PROBES + 1) * halvings + (hi > lo)
+
+
+def check_least_below(value_at, eps, lo_value, hi, want):
+    got = fourier.least_below(value_at, eps, 0, lo_value, hi)
+    assert got == want
+    assert len(value_at.probes) <= probe_bound(0, hi)
+    assert all(0 < k <= hi for k in value_at.probes)
+
+
+EPS = 0.25
+# values a search may meet: eps itself and its float neighbours (ties),
+# zeros (no log), values far above and just below
+POOL = [1.0, 0.9, 0.5, math.nextafter(EPS, 1), EPS, math.nextafter(EPS, 0), 0.1, 1e-300, 0.0]
+
+
+@st.composite
+def step_functions(draw, hi_max):
+    hi = draw(st.integers(0, hi_max))
+    breaks = sorted(draw(st.sets(st.integers(1, max(hi, 1)), max_size=12)))
+    values = sorted(draw(st.lists(st.sampled_from(POOL), min_size=len(breaks) + 1,
+                                  max_size=len(breaks) + 1)), reverse=True)
+    return hi, Probed(breaks, values)
+
+
+class TestLeastBelow:
+    """`fourier.least_below` answers bisect_left's question in Python
+    ints, within its stated probe bound, on any non-increasing values."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(step_functions(hi_max=300))
+    def test_matches_bisect_left(self, case):
+        hi, value_at = case
+        mixed = [value_at.value(k) <= EPS for k in range(1, hi + 1)]  # False, then True
+        want = bisect.bisect_left(mixed, True) + 1
+        # lo_value may round to eps or below (the point mass at p = 7):
+        # lo is still never returned
+        check_least_below(value_at, EPS, value_at.values[0], hi, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(step_functions(hi_max=10**30))
+    def test_huge_ranges(self, case):
+        hi, value_at = case
+        check_least_below(value_at, EPS, 1.0, hi, value_at.first_at_or_below(EPS, hi))
+
+    CLIFFS = {"1": lambda hi: 1, "2": lambda hi: 2, "middle": lambda hi: hi // 2,
+              "cap-1": lambda hi: hi - 1, "cap": lambda hi: hi}
+
+    @pytest.mark.parametrize("hi", [10**6, 2**61 - 1, 10**30])
+    @pytest.mark.parametrize("cliff", CLIFFS)
+    @pytest.mark.parametrize("low", [EPS, 0.0, 0.2], ids=["tie", "zero", "below"])
+    def test_adversarial_steps(self, hi, cliff, low):
+        # one drop, from just above eps to eps itself, to 0 or to just
+        # below: the line through the ends says nothing of where it is
+        at = self.CLIFFS[cliff](hi)
+        value_at = Probed([at], [math.nextafter(EPS, 1), low])
+        check_least_below(value_at, EPS, 1.0, hi, at)
+
+    def test_cap_first_and_empty_range(self):
+        value_at = Probed([50], [0.9, 0.3])
+        assert fourier.least_below(value_at, EPS, 0, 1.0, 100) == 101
+        assert value_at.probes == [100]
+        assert fourier.least_below(value_at, EPS, 0, 1.0, 0) == 1
+        assert value_at.probes == [100]
+
+
+def test_benchmark_searches_take_few_probes(monkeypatch):
+    # the sweep and mixtime searches of the slow_projected benchmark: 270
+    # probes in all by bisection
+    probes = []
+    block_law = montecarlo._block_law
+
+    def counted(report):
+        law = block_law(report)
+        return lambda k: probes.append(k) or law(k)
+
+    monkeypatch.setattr(montecarlo, "_block_law", counted)
+    slow = [IntMatrix(json.loads(m)) for m in SLOW]
+    got = [projected_mixing_time(T, p, 0.25) for T in slow for p in (101, 151, 211, 307)]
+    got.append(projected_mixing_time(slow[0], 401, 0.25))
+    assert got == [726, 1623, 3168, 6706, 2180, 4868, 9504, 20120, 1308, 2922, 5703,
+                   12072, 968, 2164, 4224, 8942, 11442]
+    assert len(probes) <= 120
 
 
 class TestStepCap:
