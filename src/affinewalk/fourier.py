@@ -18,7 +18,9 @@ lies in [0, p//2] - a prefix of the index order, about half of them -
 and reads G_n at any other character from its negative. Its two tables,
 |f|^2 (step_factor_table) and the folded map c -> +-T^t c
 (transpose_perm, which is indexing.linear_perm with h = p//2 + 1), are
-built over that slab alone.
+built over that slab alone, and neither build divides per character:
+linear_perm reduces mod p by wrap masks, and |f|^2 scales the sums by
+a reciprocal multiply that gives the bits of the complex division.
 
 Each step of that real walk, and the build of its two tables, runs by
 contiguous ranges of characters on the CPUs of the process's affinity
@@ -82,16 +84,21 @@ def step_factor_table(p: int, d: int) -> np.ndarray:
     [0, p//2]: the p phases q^k added to a grid of ones along each
     coordinate in turn, divided by d+1, then squared in modulus.
 
-    The phases are broadcast over the slab's grid (`indexing.slab`), as
-    indexing.linear_perm broadcasts its terms, so no table over every
-    character is formed, and the grid is filled by ranges of rows of
-    numpy axis 0 (`indexing.split_rows`)."""
+    The phases are broadcast over the slab's grid (`indexing.slab`), so
+    no table over every character is formed, and the grid is filled by
+    ranges of rows of numpy axis 0 (`indexing.split_rows`). The division
+    is a multiply of both parts by 1/(d+1), in place on the float64 view
+    of the sums: numpy divides a complex by the complex d+1 + 0j as
+    (re + im*0) * (1/(d+1)) and (im - re*0) * (1/(d+1)), so each part is
+    the same up to the sign of a zero, and |f|^2 the same; the complex
+    division took more than half the build."""
     spans, shape = indexing.slab(p, d, p // 2 + 1)
     w = np.exp(2j * np.pi / p * np.arange(p, dtype=np.int64))
     *phases, lead = (indexing.along(w[span], d, r) for r, span in enumerate(spans))
     head = np.ones((1,) + shape[1:], dtype=complex)
     for ph in phases:  # 1 + q^c_0 + ... + q^c_{d-2}
         head += ph
+    scale = 1 / (d + 1)
     # g, which outlives the build, before the temporary acc: of the orders
     # tried, this one gave the lowest peak RSS on the bound walk
     g = np.empty(shape)
@@ -101,10 +108,12 @@ def step_factor_table(p: int, d: int) -> np.ndarray:
         # head + lead as a copy and an in-place add: a broadcast np.add over
         # the grid takes numpy's ufunc buffers for both operands, in every
         # range of the split at once, and the copy takes none
-        acc[s] = head
-        acc[s] += lead[s]
-        acc[s] /= d + 1
-        np.abs(acc[s], out=g[s])
+        a = acc[s]
+        a[...] = head
+        a += lead[s]
+        parts = a.view(np.float64)
+        parts *= scale
+        np.abs(a, out=g[s])
         g[s] **= 2
 
     indexing.split_rows(fill, shape[0], p ** (d - 1))

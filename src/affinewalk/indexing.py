@@ -31,11 +31,16 @@ def num_states(p: int, d: int) -> int:
 
 
 def encode(coords, p: int) -> np.ndarray:
-    """Indices for an (m, d) array of residue coordinates."""
+    """Indices for an (..., d) array of residue coordinates, as a new
+    int64 array of the leading shape: Horner's rule over the columns,
+    index = (... (x_{d-1} p + x_{d-2}) p + ...) p + x_0, since numpy's
+    integer matmul has no BLAS path."""
     coords = np.asarray(coords, dtype=np.int64)
-    d = coords.shape[-1]
-    weights = p ** np.arange(d, dtype=np.int64)
-    return coords @ weights
+    idx = coords[..., -1].copy()
+    for i in range(coords.shape[-1] - 2, -1, -1):
+        idx *= p
+        idx += coords[..., i]
+    return idx
 
 
 def decode(indices, p: int, d: int) -> np.ndarray:
@@ -128,6 +133,14 @@ def index_dtype(p: int, d: int) -> type:
     return np.int32 if p < 2**31 and p**d <= 2**31 else np.int64
 
 
+def _wrapped(value: int, dtype: type):
+    """value as a scalar of the integer dtype, reduced mod 2^bits into
+    its range, as the dtype's array arithmetic wraps."""
+    bits = np.iinfo(dtype).bits
+    value %= 1 << bits
+    return dtype(value - (1 << bits) if value >> (bits - 1) else value)
+
+
 def linear_perm(rows, p: int, h: int, dtype: type = np.int64) -> np.ndarray:
     """Index map x -> M x mod p over the states with x_{d-1} < h (`slab`),
     M given by its d rows of residues mod p, as `dtype`, which must hold
@@ -137,50 +150,79 @@ def linear_perm(rows, p: int, h: int, dtype: type = np.int64) -> np.ndarray:
     walk's is c -> +-T^t c with h = p//2 + 1, where every image or its
     negative lies in the slab.
 
-    Built by broadcasting length-p columns over the slab's grid, so no
-    (p^d, d) coordinate table is formed. The map, one image coordinate
-    and, when h < p, the flip mask are allocated here, in that order, and
-    filled by ranges of rows of numpy axis 0 (`split_rows`), which carries
-    x_{d-1}; the terms of the other coordinates are summed once, outside
-    the ranges, in `dtype`. Each coordinate of the image is a copy and an
-    in-place add, which takes one 64 KiB numpy buffer per range where a
-    broadcast np.add takes buffers for both operands: the build peaks at
-    the two grids (16 bytes per state of the slab in int64, 8 in int32)
-    plus about 80-120 KiB, 16.8 B/state for an int64 table at p = 317,
-    d = 2, and 8.6 for the int32 gather table. The top coordinate of the
-    image decides the flip, and the lower ones are negated where it
-    flipped and added in by Horner's rule, index = sum_j y_j p^j."""
+    No state goes through a division. Image coordinate i splits into
+    L_i, the reduced sum of its terms in x_0 .. x_{d-2} over their
+    (p,)*(d-1) grid, and t_i = M_{i,d-1} x_{d-1} mod p over the h values
+    of x_{d-1}: y_i = L_i + t_i - p [L_i >= p - t_i]. Both are built once,
+    outside the ranges, and with LL = sum_i p^i L_i and TT = sum_i p^i t_i
+    the index is LL + TT - sum_i p^(i+1) [L_i >= p - t_i]: one broadcast
+    sum, then per coordinate one compare into a bool mask and one masked
+    subtract. The compares read residues in the narrowest dtype that
+    holds p, where numpy compares more of them per instruction. An image
+    flips where that index is h p^(d-1) or more (its top coordinate is at
+    least h), and its negative, whose coordinates are p - y_i or 0, has
+    index S - index - sum_{i<d-1, y_i=0} p^(i+1), S = p + p^2 + ... + p^d,
+    with y_i = 0 exactly where L_i = (-t_i) mod p. At d = 1 the table is
+    a x mod p itself.
+
+    Sums along the way can leave the dtype's range: LL + TT reaches about
+    2 p^d, and S passes p^d. numpy's integer array arithmetic wraps
+    modulo 2^bits, the constants are taken modulo 2^bits (`_wrapped`),
+    and every final index lies in the range, so the table is exact.
+
+    The map, one bool mask and, when h < p, the flip mask are allocated
+    here, in that order, and filled by ranges of rows x_{d-1}
+    (`split_rows`); the L_i and LL, d + 1 arrays over the p^(d-1) lower
+    states, and the per-row terms are built before them. So the build
+    peaks at the map plus one byte per state of the slab for each mask,
+    and numpy's ufunc buffers, 64 KiB per range: traced, 5.1 B/state for
+    the int32 gather table at d = 2, p = 997 and d = 3, p = 97 (5.5-5.6
+    at about 10^5 states), and 5.1-5.2 per state of the full space for
+    the int64 fold (5.8-6.0)."""
     d = len(rows)
-    spans, shape = slab(p, d, h)
-    terms = []  # per image coordinate: its x_{d-1} term, the sum of the others
-    for row in rows:
-        cols = ((m * span % p).astype(dtype, copy=False) for m, span in zip(row, spans))
-        *low, top = (along(col, d, r) for r, col in enumerate(cols))
-        terms.append((top, sum(low)))
-    # allocated in the order measured for peak RSS, which moves with it
-    out = np.empty(shape, dtype=dtype)
-    y = np.empty(shape, dtype=dtype) if d > 1 else None
-    flip = np.empty(shape, dtype=bool) if h < p else None  # images replaced by their negatives
+    k = np.arange(p, dtype=np.int64)
+    tops = [row[-1] * k[:h] % p for row in rows]  # t_i, one per row of x_{d-1}
+    if d == 1:
+        out = tops[0].astype(dtype)
+        if h < p:
+            np.subtract(p, out, out=out, where=out >= h)
+        return out
+    lows = [  # L_i over the lower coordinates, flat in index order
+        (sum(along(m * k % p, d - 1, r) for r, m in enumerate(row[:-1])) % p).reshape(-1)
+        for row in rows
+    ]
+    base = sum(p**i * low for i, low in enumerate(lows)).astype(dtype)  # LL
+    shift = sum(p**i * t for i, t in enumerate(tops)).astype(dtype)[:, None]  # TT
+    # a broadcast compare of uint16s took a quarter of the time of int64s
+    small = np.min_scalar_type(p)
+    bounds = [(p - t).astype(small)[:, None] for t in tops]  # y_i wraps where L_i >= p - t_i
+    zeros = [bound % p for bound in bounds[:-1]]  # y_i = 0 where L_i = -t_i mod p
+    lows = [low.astype(small) for low in lows]
+    wraps = [_wrapped(p ** (i + 1), dtype) for i in range(d)]
+    span = _wrapped(sum(p ** (i + 1) for i in range(d)), dtype)  # S
+    q = p ** (d - 1)
+    # the map first, then the masks: peak RSS moves with the allocation order
+    out = np.empty((h, q), dtype=dtype)
+    mask = np.empty((h, q), dtype=bool)
+    flip = np.empty((h, q), dtype=bool) if h < p else None  # images replaced by their negatives
 
     def fill(s):
-        o = out[s]
-        top, low = terms[d - 1]
-        o[...] = low
-        o += top[s]
-        np.remainder(o, p, out=o)
+        o, m = out[s], mask[s]
+        # LL + TT as a copy and an in-place add, which take half the ufunc
+        # buffers of a broadcast np.add
+        o[...] = base
+        o += shift[s]
+        for low, bound, w in zip(lows, bounds, wraps):
+            np.greater_equal(low, bound[s], out=m)
+            np.subtract(o, w, out=o, where=m)
         if flip is not None:
-            np.greater_equal(o, h, out=flip[s])
-            np.subtract(p, o, out=o, where=flip[s])
-        for top, low in reversed(terms[: d - 1]):
-            t = y[s]
-            t[...] = low
-            t += top[s]
-            np.remainder(t, p, out=t)
-            if flip is not None:
-                np.negative(t, out=t, where=flip[s])
-                np.remainder(t, p, out=t)
-            o *= p
-            o += t
+            f = flip[s]
+            np.greater_equal(o, h * q, out=f)
+            np.subtract(span, o, out=o, where=f)
+            for low, zero, w in zip(lows, zeros, wraps):
+                np.equal(low, zero[s], out=m)
+                m &= f
+                np.subtract(o, w, out=o, where=m)
 
-    split_rows(fill, h, p ** (d - 1))
+    split_rows(fill, h, q)
     return out.reshape(-1)

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -423,6 +424,7 @@ def projected_mixing_time(
     hi = n_cap // m
     law = _block_law(report)
 
+    @lru_cache(maxsize=1)  # a search that ends past the cap read tv(hi) last
     def tv(k: int) -> float:
         return exactdist.tv_vector(law(k))
 

@@ -274,6 +274,67 @@ def test_gather_table_takes_the_index_dtype(monkeypatch, p, dtype):
     assert seen == [dtype]
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_encode_keeps_the_leading_shape_in_a_new_array(d):
+    coords = np.random.default_rng(d).integers(0, 7, (3, 4, d))
+    got = indexing.encode(coords, 7)
+    assert got.dtype == np.int64
+    assert got.tolist() == [[oracles.index_of(x, 7) for x in row] for row in coords]
+    assert not np.shares_memory(got, coords)
+
+
+def ref_linear_perm(rows, p, h):
+    """x -> M x mod p over the states with x_{d-1} < h, each image whose
+    top coordinate is h or more replaced by its negative, through the
+    coordinate table."""
+    d = len(rows)
+    coords = indexing.all_coords(p, d)[: h * p ** (d - 1)]
+    image = coords @ np.array(rows, dtype=np.int64).T % p
+    return indexing.encode(np.where(image[:, -1:] >= h, -image % p, image), p)
+
+
+def assert_linear_perm(rows, p, h, dtype):
+    """linear_perm equals the reference, run serially and split into
+    uneven ranges on three threads (the forced_split of conftest.py)."""
+    want = ref_linear_perm(rows, p, h)
+    for split in (False, True):
+        with pytest.MonkeyPatch.context() as patched:
+            if split:
+                patched.setattr(indexing, "MIN_PART", 1)
+                patched.setattr(indexing, "_cpus", lambda: 3)
+            got = indexing.linear_perm(rows, p, h, dtype)
+        assert got.dtype == dtype and np.array_equal(got, want)
+
+
+@st.composite
+def linear_maps(draw):
+    """(rows, p): any d x d matrix of residues, singular ones included,
+    d = 1..4, p = 2..13 (2..9 at d = 4), even and composite p too."""
+    d = draw(st.integers(1, 4))
+    p = draw(st.integers(2, 13 if d < 4 else 9))
+    row = st.lists(st.integers(0, p - 1), min_size=d, max_size=d)
+    return draw(st.lists(row, min_size=d, max_size=d)), p
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_maps(), st.booleans(), st.booleans())
+def test_linear_perm_matches_coordinate_reference(case, fold, narrow):
+    rows, p = case
+    h = p // 2 + 1 if fold else p
+    assert_linear_perm(rows, p, h, indexing.index_dtype(p, len(rows)) if narrow else np.int64)
+
+
+@pytest.mark.parametrize("fold", [False, True], ids=["all", "fold"])
+@pytest.mark.parametrize("p,d", [(13, 4), (181, 2), (2, 15)])
+def test_linear_perm_wraps_in_a_narrow_dtype(p, d, fold):
+    # int16 holds every index, p^d - 1 <= 2^15 - 1, but not LL + TT, up
+    # to about 2 p^d, nor p^d itself at p = 2: the sums wrap, and the
+    # masked subtracts bring every index back into range
+    rng = np.random.default_rng(p)
+    for rows in ([[p - 1] * d] * d, rng.integers(0, p, (d, d)).tolist()):
+        assert_linear_perm(rows, p, p // 2 + 1 if fold else p, np.int16)
+
+
 GATHER_WALKS = [
     WalkConfig(IntMatrix([[3]]), 10007),
     WalkConfig(FIB, 101),

@@ -8,15 +8,16 @@ steps only the characters with c_{d-1} <= p//2, about half of them, and
 holds |f|^2, the folded transpose map and the old and new |P_hat|^2
 (about 4 B per state each, 24 B budgeted). Building the two tables
 peaks near 13 B (16 B budgeted): step_factor_table holds |f|^2 and its
-complex temporary (12 B), then transpose_perm holds the folded map, the
-image coordinate and the flip mask next to |f|^2 (12.5 B). The dense
-walk holds the state (8 B: int64 counts), the gather permutation (4 B:
-int32, since p^d <= 2^31) and the new state (8 B) from its first dense
-step on: in one pass over blocks of rows, the step gathers a block,
-widening that block of the table into a temporary of at most 1/8 of its
-range (so at most 1 B per state in all) before np.take reads it, then
-adds the block's shifted copies into it in place through the same
-temporary and one row buffer per range, the row below the block.
+complex temporary (12 B), then transpose_perm holds the folded map
+(int64) and two bool masks, a wrap mask and the flip mask, next to
+|f|^2 (10 B). The dense walk holds the state (8 B: int64 counts),
+the gather permutation (4 B: int32, since p^d <= 2^31) and the new
+state (8 B) from its first dense step on: in one pass over blocks of
+rows, the step gathers a block, widening that block of the table into a
+temporary of at most 1/8 of its range (so at most 1 B per state in all)
+before np.take reads it, then adds the block's shifted copies into it
+in place through the same temporary and one row buffer per range, the
+row below the block.
 Measured: 21.3-21.6 B serial and 21.4-21.9 B on three ranges (22 B
 budgeted).
 Before the first dense step the walk holds P_n by its support, at most
@@ -24,9 +25,9 @@ p^d / 64 states, and no table. Both WALKS cross that switch
 (test_walks_cross_the_switch). The first dense step builds the gather
 table before it expands the support-held law to its dense vector.
 Building the table (indexing.linear_perm, nothing folded, int32) holds
-the map and one image coordinate (4 B each) and a numpy buffer per
-range for the in-place broadcast add: 8.5-8.6 B measured (9 B
-budgeted), under the step's 20 B. TV to uniform holds no vector over
+the map (4 B) and one bool wrap mask (1 B), and per range numpy's ufunc
+buffers for the in-place broadcast add (64 KiB): 5.5-5.6 B measured
+(7 B budgeted), under the step's 20 B. TV to uniform holds no vector over
 every state: it reads the counts in blocks through one buffer of at
 most exactdist.BLOCK_STATES entries, so its budget is that buffer, on a
 dense law and on a law held by its support alike, and the mass check
@@ -94,7 +95,7 @@ CALLS = {
     "mixing_time_ub": (24, lambda cfg: mixing_time(cfg, 0.25, method="ub")),
     "ub_bound": (24, lambda cfg: ub_bound(max(NS), cfg)),
     "tables": (16, lambda cfg: (step_factor_table(cfg.p, cfg.d), transpose_perm(cfg))),
-    "gather_table": (9, lambda cfg: exactdist._gather_index.__wrapped__(cfg.T, cfg.p)),
+    "gather_table": (7, lambda cfg: exactdist._gather_index.__wrapped__(cfg.T, cfg.p)),
 }
 
 

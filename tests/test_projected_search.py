@@ -220,23 +220,42 @@ class TestLeastBelow:
         assert value_at.probes == [100]
 
 
-def test_benchmark_searches_take_few_probes(monkeypatch):
-    # the sweep and mixtime searches of the slow_projected benchmark: 270
-    # probes in all by bisection
-    probes = []
+@pytest.fixture
+def probes(monkeypatch):
+    """The block counts, in order, at which the projected searches read
+    their law."""
+    seen = []
     block_law = montecarlo._block_law
 
     def counted(report):
         law = block_law(report)
-        return lambda k: probes.append(k) or law(k)
+        return lambda k: seen.append(k) or law(k)
 
     monkeypatch.setattr(montecarlo, "_block_law", counted)
+    return seen
+
+
+def test_benchmark_searches_take_few_probes(probes):
+    # the sweep and mixtime searches of the slow_projected benchmark: 270
+    # probes in all by bisection
     slow = [IntMatrix(json.loads(m)) for m in SLOW]
     got = [projected_mixing_time(T, p, 0.25) for T in slow for p in (101, 151, 211, 307)]
     got.append(projected_mixing_time(slow[0], 401, 0.25))
     assert got == [726, 1623, 3168, 6706, 2180, 4868, 9504, 20120, 1308, 2922, 5703,
                    12072, 968, 2164, 4224, 8942, 11442]
     assert len(probes) <= 120
+
+
+def test_cap_read_once_when_not_mixed(probes):
+    # the search probes the cap first, and NotMixedError reports that
+    # value without reading the law at the cap again
+    T = IntMatrix([[1, 1], [0, 2]])  # m = 1: the cap is 500 blocks
+    want = exactdist.tv_vector(montecarlo._block_law(projection_functional(T, 101))(500))
+    probes.clear()
+    with pytest.raises(NotMixedError) as err:
+        projected_mixing_time(T, 101, 0.25, n_cap=500)
+    assert probes == [500]
+    assert (err.value.n_cap, err.value.last_value) == (500, want)
 
 
 class TestStepCap:
