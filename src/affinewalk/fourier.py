@@ -51,6 +51,9 @@ CharacterIndex = ModVector
 DEFAULT_CHAR_CAP = 1_000_000
 DEFAULT_C1 = 0.125
 DEFAULT_MIX_CAP = 100_000
+# characters a range of step_factor_table sums at a time (512 KiB of
+# complex sums)
+BLOCK_CHARS = 1 << 15
 # `least_below` takes a midpoint after this many probes in a row that
 # leave its bracket wider than half its width when they began
 STALL_PROBES = 3
@@ -86,12 +89,20 @@ def step_factor_table(p: int, d: int) -> np.ndarray:
 
     The phases are broadcast over the slab's grid (`indexing.slab`), so
     no table over every character is formed, and the grid is filled by
-    ranges of rows of numpy axis 0 (`indexing.split_rows`). The division
-    is a multiply of both parts by 1/(d+1), in place on the float64 view
-    of the sums: numpy divides a complex by the complex d+1 + 0j as
-    (re + im*0) * (1/(d+1)) and (im - re*0) * (1/(d+1)), so each part is
-    the same up to the sign of a zero, and |f|^2 the same; the complex
-    division took more than half the build."""
+    ranges of rows of numpy axis 0 (`indexing.split_rows`). A range sums
+    its rows in blocks of about BLOCK_CHARS characters, each in the first
+    rows of its own part of the complex temporary, so the rest of the
+    temporary is never touched and costs no page faults (the six tables
+    of the bound benchmark in fresh processes on a 2-vCPU host: 14-22 ms,
+    against 18-24 summed over the whole temporary). It still spans the slab: a
+    temporary of one block per range raised the bound walk's peak RSS by
+    1.1 MB, through where malloc then placed the walk's arrays.
+
+    The division is a multiply of both parts by 1/(d+1), in place on the
+    float64 view of the sums: numpy divides a complex by the complex
+    d+1 + 0j as (re + im*0) * (1/(d+1)) and (im - re*0) * (1/(d+1)), so
+    each part is the same up to the sign of a zero, and |f|^2 the same;
+    the complex division took more than half the build."""
     spans, shape = indexing.slab(p, d, p // 2 + 1)
     w = np.exp(2j * np.pi / p * np.arange(p, dtype=np.int64))
     *phases, lead = (indexing.along(w[span], d, r) for r, span in enumerate(spans))
@@ -99,24 +110,27 @@ def step_factor_table(p: int, d: int) -> np.ndarray:
     for ph in phases:  # 1 + q^c_0 + ... + q^c_{d-2}
         head += ph
     scale = 1 / (d + 1)
+    m = p ** (d - 1)  # characters per row
+    step = max(1, BLOCK_CHARS // m)  # rows per block
     # g, which outlives the build, before the temporary acc: of the orders
     # tried, this one gave the lowest peak RSS on the bound walk
     g = np.empty(shape)
     acc = np.empty(shape, dtype=complex)
 
     def fill(s):  # rows s of numpy axis 0: the characters with c_{d-1} in s
-        # head + lead as a copy and an in-place add: a broadcast np.add over
-        # the grid takes numpy's ufunc buffers for both operands, in every
-        # range of the split at once, and the copy takes none
-        a = acc[s]
-        a[...] = head
-        a += lead[s]
-        parts = a.view(np.float64)
-        parts *= scale
-        np.abs(a, out=g[s])
-        g[s] **= 2
+        for i in range(s.start, s.stop, step):
+            j = min(i + step, s.stop)
+            # head + lead as a copy and an in-place add: a broadcast np.add
+            # takes numpy's ufunc buffers for both operands, and the copy none
+            a = acc[s.start : s.start + j - i]
+            a[...] = head
+            a += lead[i:j]
+            parts = a.view(np.float64)
+            parts *= scale
+            np.abs(a, out=g[i:j])
+            g[i:j] **= 2
 
-    indexing.split_rows(fill, shape[0], p ** (d - 1))
+    indexing.split_rows(fill, shape[0], m)
     return g.reshape(-1)
 
 

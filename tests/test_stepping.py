@@ -326,6 +326,18 @@ class TestMatchesCoordinateReferences:
         assert_powers_read_through_fold(cfg, STEPS)
 
 
+@pytest.mark.parametrize("block", [1, 50])
+@pytest.mark.parametrize("cfg", MODULI_WALKS, ids=lambda c: f"d{c.d}-p{c.p}")
+def test_factor_table_in_blocks(cfg, block, monkeypatch, request):
+    # several blocks per range, each summed in the first rows of the
+    # range's part of the temporary: the same table, serial and split
+    monkeypatch.setattr(fourier, "BLOCK_CHARS", block)
+    g, _ = ref_half_tables(cfg)
+    assert np.array_equal(step_factor_table(cfg.p, cfg.d), g)
+    request.getfixturevalue("forced_split")
+    assert np.array_equal(step_factor_table(cfg.p, cfg.d), g)
+
+
 # Walks whose support head runs at least 3 steps and then turns dense at
 # the module's HEAD_RATIO (None), or at the ratio given where p^d is too
 # small for that: at p = 2, (d+1)^3 HEAD_RATIO <= 2^d needs d near 20.
