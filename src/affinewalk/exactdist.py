@@ -3,13 +3,16 @@ over all p^d states and its total variation distance to uniform.
 
 The increment is uniform on {0, e_1, ..., e_d}, so P_n = c_n / (d+1)^n
 with integer counts c_n. A law is held as counts and a scale in
-mixed-radix index order (see indexing): int64 counts and the Python int
-scale (d+1)^n while that is at most 2^63 - 1 (n <= 62, 39, 31, 27 at
-d = 1..4), so every state is exact, the counts sum to the scale exactly
-and TV to uniform is a Fraction; past that, float64 counts, multiplied
-with the scale by 2^-RESCALE_BITS (exactly) whenever the scale passes
-2^RESCALE_BITS, and a mass check within MASS_TOL. A caller's float
-vector is a law of scale 1. Mass drift is asserted, never renormalized.
+mixed-radix index order (see indexing), the counts on three rungs: int32
+with the Python int scale (d+1)^n while that is at most 2^31 - 1 (n <=
+30, 19, 15, 13 at d = 1..4), then int64 while it is at most 2^63 - 1
+(n <= 62, 39, 31, 27), so every state is exact, the counts sum to the
+scale exactly and TV to uniform is a Fraction; past that, float64
+counts, multiplied with the scale by 2^-RESCALE_BITS (exactly) whenever
+the scale passes 2^RESCALE_BITS, and a mass check within MASS_TOL.
+Counts never get narrower: a caller's int64 law stays int64 at any
+scale that fits, and a caller's float vector is a law of scale 1. Mass
+drift is asserted, never renormalized.
 
 A step gathers each count onto T x through an inverse permutation
 (int32 when every index fits, widened a block at a time) and adds the
@@ -25,13 +28,14 @@ X_n = sum_{k<n} T^(n-1-k) B_k lives on at most (d+1)^n states, so while
 and steps that (`_step_support`), then hands the dense counts to
 step_exact for good. The dense vector of a support-held law is built only
 when read, and the gather table at the first dense step, so the walk's
-peak of 20 bytes per state (state, 4-byte table, new state) starts there.
+steady 12 bytes per state (int32 state, int32 table, int32 new state)
+start there; the one step that leaves int32 holds 16.
 
 TV to uniform: with t = scale // N and r = scale mod N (N = p^d), an
 integer count exceeds scale/N exactly when it exceeds t, so
 TV = (N S - k r)/(N scale), S = sum max(c - t, 0), k = #{c > t}, summed
-BLOCK_STATES counts at a time through one buffer; a support-held law
-reads only its support (every other count is 0 <= t).
+BLOCK_STATES counts at a time through one buffer and one bool buffer; a
+support-held law reads only its support (every other count is 0 <= t).
 """
 
 from __future__ import annotations
@@ -50,6 +54,8 @@ from .modmath import IntMatrix, as_int, int_det, is_admissible, mat_inv_mod
 
 DEFAULT_STATE_CAP = 10_000_000
 INT64_MAX = 2**63 - 1
+# The integer rungs of the counts, narrowest first (module docstring).
+COUNT_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
 # Past the int64 range: the mass check's relative tolerance, and where the
 # scale is rescaled (module docstring), far below float overflow at any d.
 MASS_TOL = 1e-12
@@ -177,17 +183,20 @@ class DenseDistribution:
 
 
 def delta_at_zero(p: int, d: int) -> DenseDistribution:
-    return DenseDistribution(p, d, support=(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)))
+    return DenseDistribution(p, d, support=(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int32)))
 
 
 def _next_scale(scale: Union[int, float], dtype: np.dtype, d: int):
     """(scale, count dtype, factor) one step after counts of `dtype` at
-    `scale`: int64 while (d+1) scale <= 2^63 - 1, then float64; the step
-    multiplies its placed counts by the factor, 2^-RESCALE_BITS once the
-    scale passes 2^RESCALE_BITS, else 1."""
+    `scale`: the narrowest of COUNT_DTYPES, no narrower than an integer
+    `dtype`, that holds (d+1) scale, else float64; the step multiplies its
+    placed counts by the factor, 2^-RESCALE_BITS once the scale passes
+    2^RESCALE_BITS, else 1."""
     scale *= d + 1
-    if dtype == np.int64 and scale <= INT64_MAX:
-        return scale, np.dtype(np.int64), 1
+    if dtype in COUNT_DTYPES:
+        for rung in COUNT_DTYPES:
+            if rung.itemsize >= dtype.itemsize and scale <= np.iinfo(rung).max:
+                return scale, rung, 1
     factor = 2.0**-RESCALE_BITS if scale > 2.0**RESCALE_BITS else 1.0
     return float(scale) * factor, np.dtype(np.float64), factor
 
@@ -210,9 +219,11 @@ def step_exact(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
     the scale by d+1 (`_next_scale`): d+1 terms per state.
 
     The shifts are slice adds into the placed grid itself: the step holds
-    P, the 4-byte gather table and the new state (20 bytes per state) and
-    never writes P. Coordinate 0 is the last numpy axis, so its shift is
-    one add over flat views, right wherever x_0 > 0, then the states
+    P, the 4-byte gather table and the new state (12 bytes per state with
+    int32 counts, 16 on the step that leaves int32, 20 with int64 or
+    float counts) and never writes P. Coordinate 0 is the last numpy
+    axis, so its shift is one add over flat views, right wherever
+    x_0 > 0, then the states
     x_0 = 0 from x_0 = p-1 of their run. Each further coordinate r adds
     along numpy axis d-1-r, where x_r steps by p^r: the slab x_r >= 1
     takes x_r - 1 and the slab x_r = 0 takes x_r = p-1.
@@ -223,7 +234,10 @@ def step_exact(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
     terms lie in it and the row below (p-1 below 0): the previous block's
     last row, saved in `below` before the copy back, or for the range's
     first block that row gathered from P. So a range reads only P and the
-    table, and writes only its own rows."""
+    table, and writes only its own rows. `sums` is sized in bytes to hold
+    a block's table widened to intp as well; on a step that widens the
+    counts (int32 to int64, or to float64), a block is gathered into the
+    front of its own bytes in `placed` and widened through `sums`."""
     cfg.require_admissible()
     if (P.p, P.d) != (cfg.p, cfg.d):
         raise ValueError("distribution does not match config")
@@ -232,10 +246,12 @@ def step_exact(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
     counts = P.counts
     scale, dtype, factor = _next_scale(P.scale, counts.dtype, d)
     m = n // p  # states per row of numpy axis 0
+    width = max(dtype.itemsize, np.dtype(np.intp).itemsize)  # bytes per entry of `sums`
     work = {}  # per range: rows per block, a block's sums, the row below a block
     for s in indexing.row_ranges(p, m):
         step = max(1, min(-(-(s.stop - s.start) // BLOCKS), BLOCK_STATES // m))
-        work[s.start] = step, np.empty(step * m, dtype=dtype), np.empty(m, dtype=dtype)
+        sums = np.empty(step * m * width, dtype=np.uint8).view(dtype)
+        work[s.start] = step, sums, np.empty(m, dtype=dtype)
     placed = np.empty(n, dtype=dtype)
     convert = counts.dtype != dtype or factor != 1
 
@@ -244,7 +260,7 @@ def step_exact(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
         # np.take would convert a whole non-intp table on every call
         index = sums.view(np.intp)[: b - a]
         index[...] = src[a:b]
-        taken = out.view(counts.dtype)
+        taken = out.view(counts.dtype)[: b - a]  # the front of out's bytes when the counts widen
         np.take(counts, index, out=taken, mode="clip")
         if convert:
             np.multiply(taken, factor, out=sums[: b - a])
@@ -282,8 +298,10 @@ def _step_support(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
     """step_exact on a law held by its support: the support goes through
     T mod p coordinate by coordinate, the images are shifted by
     b = 0, e_0, ..., e_{d-1}, and np.add.reduceat sums each state's terms
-    in sorted key order (exact in int64 in any order). Coordinates and
-    keys stay exact under the int64 refusals of dense_states."""
+    in sorted key order (exact in integer counts in any order), in the new
+    count dtype, which reduceat would otherwise widen from int32.
+    Coordinates and keys stay exact under the int64 refusals of
+    dense_states."""
     p, d = cfg.p, cfg.d
     states, counts = P.support
     scale, dtype, factor = _next_scale(P.scale, counts.dtype, d)
@@ -296,7 +314,7 @@ def _step_support(P: DenseDistribution, cfg: WalkConfig) -> DenseDistribution:
     order = np.argsort(keys)
     keys = keys[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    sums = np.add.reduceat(np.tile(counts.astype(dtype) * factor, d + 1)[order], starts)
+    sums = np.add.reduceat(np.tile(counts.astype(dtype) * factor, d + 1)[order], starts, dtype=dtype)
     return DenseDistribution(p, d, support=(keys[starts], sums), scale=scale)
 
 
@@ -371,20 +389,30 @@ def _tv(counts: np.ndarray, scale: Union[int, float], n: int) -> Union[Fraction,
     docstring), where the zeros add nothing. Float counts sum to the scale
     only up to rounding, so they take half the sum of |c - t| over all n
     counts, t = scale/n, each zero adding t, over the scale. The counts
-    are read BLOCK_STATES at a time through one buffer."""
+    are read BLOCK_STATES at a time through one buffer. A block of m
+    integer counts adds sum max(c, t) - m t to S, that sum taken in
+    uint64: it is at most scale + m t <= 2 scale <= 2^64 - 2. The counts
+    are read as the unsigned type of their width, which holds the same
+    numbers (they are >= 0), so int64 counts sum with no cast buffer. It
+    adds to k the count of c > t, compared into one bool buffer."""
     exact = counts.dtype.kind == "i"
     t, r = divmod(scale, n) if exact else (scale / n, 0)
     total = k = 0
     buf = np.empty(min(counts.shape[0], BLOCK_STATES), dtype=counts.dtype)
+    above = np.empty(buf.shape[0], dtype=bool) if exact else None
+    unsigned = np.dtype(f"u{counts.itemsize}") if exact else None
     for a in range(0, counts.shape[0], BLOCK_STATES):
         part = buf[: counts.shape[0] - a]
-        np.subtract(counts[a : a + part.shape[0]], t, out=part)
+        block = counts[a : a + part.shape[0]]
         if exact:
-            np.maximum(part, 0, out=part)
-            k += int(np.count_nonzero(part))  # a numpy int would wrap in n S - k r
+            np.maximum(block, t, out=part)
+            total += part.view(unsigned).sum(dtype=np.uint64).item() - part.shape[0] * t
+            # a numpy int would wrap in n S - k r
+            k += int(np.count_nonzero(np.greater(block, t, out=above[: part.shape[0]])))
         else:
+            np.subtract(block, t, out=part)
             np.abs(part, out=part)
-        total += part.sum().item()
+            total += part.sum().item()
     if exact:
         return Fraction(n * total - k * r, n * scale)
     return (total + (n - counts.shape[0]) * t) / (2 * scale)

@@ -15,6 +15,7 @@ a serial run, and every reduction stays with the caller.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 
@@ -162,8 +163,10 @@ def linear_perm(rows, p: int, h: int, dtype: type = np.int64) -> np.ndarray:
     flips where that index is h p^(d-1) or more (its top coordinate is at
     least h), and its negative, whose coordinates are p - y_i or 0, has
     index S - index - sum_{i<d-1, y_i=0} p^(i+1), S = p + p^2 + ... + p^d,
-    with y_i = 0 exactly where L_i = (-t_i) mod p. At d = 1 the table is
-    a x mod p itself.
+    with y_i = 0 exactly where L_i = (-t_i) mod p. At d = 1, M = (a), the
+    same construction runs over x = B i + j on a (ceil(h/B), B) grid,
+    B = ceil(sqrt(h)): L = a j mod p over its columns, t = (a B mod p) i
+    mod p over its rows, and the table is the grid's first h entries.
 
     Sums along the way can leave the dtype's range: LL + TT reaches about
     2 p^d, and S passes p^d. numpy's integer array arithmetic wraps
@@ -180,17 +183,18 @@ def linear_perm(rows, p: int, h: int, dtype: type = np.int64) -> np.ndarray:
     at about 10^5 states), and 5.1-5.2 per state of the full space for
     the int64 fold (5.8-6.0)."""
     d = len(rows)
-    k = np.arange(p, dtype=np.int64)
-    tops = [row[-1] * k[:h] % p for row in rows]  # t_i, one per row of x_{d-1}
-    if d == 1:
-        out = tops[0].astype(dtype)
-        if h < p:
-            np.subtract(p, out, out=out, where=out >= h)
-        return out
-    lows = [  # L_i over the lower coordinates, flat in index order
-        (sum(along(m * k % p, d - 1, r) for r, m in enumerate(row[:-1])) % p).reshape(-1)
-        for row in rows
-    ]
+    q = p ** (d - 1)
+    if d == 1:  # x = B i + j: a x = (a B) i + a j
+        cols = math.isqrt(h - 1) + 1
+        tops = [rows[0][0] * cols % p * np.arange(-(-h // cols), dtype=np.int64) % p]
+        lows = [rows[0][0] * np.arange(cols, dtype=np.int64) % p]
+    else:
+        k = np.arange(p, dtype=np.int64)
+        tops = [row[-1] * k[:h] % p for row in rows]  # t_i, one per row of x_{d-1}
+        lows = [  # L_i over the lower coordinates, flat in index order
+            (sum(along(m * k % p, d - 1, r) for r, m in enumerate(row[:-1])) % p).reshape(-1)
+            for row in rows
+        ]
     base = sum(p**i * low for i, low in enumerate(lows)).astype(dtype)  # LL
     shift = sum(p**i * t for i, t in enumerate(tops)).astype(dtype)[:, None]  # TT
     # a broadcast compare of uint16s took a quarter of the time of int64s
@@ -200,11 +204,11 @@ def linear_perm(rows, p: int, h: int, dtype: type = np.int64) -> np.ndarray:
     lows = [low.astype(small) for low in lows]
     wraps = [_wrapped(p ** (i + 1), dtype) for i in range(d)]
     span = _wrapped(sum(p ** (i + 1) for i in range(d)), dtype)  # S
-    q = p ** (d - 1)
+    grid = (tops[0].shape[0], lows[0].shape[0])
     # the map first, then the masks: peak RSS moves with the allocation order
-    out = np.empty((h, q), dtype=dtype)
-    mask = np.empty((h, q), dtype=bool)
-    flip = np.empty((h, q), dtype=bool) if h < p else None  # images replaced by their negatives
+    out = np.empty(grid, dtype=dtype)
+    mask = np.empty(grid, dtype=bool)
+    flip = np.empty(grid, dtype=bool) if h < p else None  # images replaced by their negatives
 
     def fill(s):
         o, m = out[s], mask[s]
@@ -224,5 +228,5 @@ def linear_perm(rows, p: int, h: int, dtype: type = np.int64) -> np.ndarray:
                 m &= f
                 np.subtract(o, w, out=o, where=m)
 
-    split_rows(fill, h, q)
-    return out.reshape(-1)
+    split_rows(fill, *grid)
+    return out.reshape(-1)[: h * q]

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import islice, product
 
@@ -252,6 +253,53 @@ def test_support_tv_has_the_bits_of_the_dense_law(n, scale, seed):
     assert P._counts is None
 
 
+@pytest.mark.parametrize("scale", [2**61, 2**62 - 1, 2**62, 2**63 - 1])
+@pytest.mark.parametrize("n", [BLOCK, 3 * BLOCK + 5])
+def test_tv_near_the_int64_limit_is_the_exact_sum(n, scale):
+    # one count holds nearly the whole scale, so a block's sum of
+    # max(c, t) comes near scale + BLOCK t, past 2^63 - 1 from 2^62 on:
+    # the uint64 sum holds it up to 2^64 - 2 at scale 2^63 - 1
+    rng = np.random.default_rng(n)
+    counts = spread_counts(rng, n, scale // 1000)
+    counts[rng.integers(n)] += scale - scale // 1000
+    tv = tv_from_uniform(DenseDistribution(n, 1, counts, scale=scale))
+    assert isinstance(tv, Fraction) and tv == oracles.exact_tv(counts, scale)
+
+
+@pytest.mark.parametrize("scale,dtype,d,want", [
+    (1, np.int32, 2, np.int32),
+    ((2**31 - 1) // 3, np.int32, 2, np.int32),  # 3 scale = 2^31 - 2
+    ((2**31 - 1) // 3 + 1, np.int32, 2, np.int64),
+    (2**30, np.int32, 1, np.int64),  # 2^31
+    (1, np.int64, 2, np.int64),  # never narrower
+    ((2**63 - 1) // 4, np.int64, 3, np.int64),
+    ((2**63 - 1) // 4 + 1, np.int32, 3, np.float64),
+    (1, np.float64, 1, np.float64),
+])
+def test_next_scale_takes_the_narrowest_rung(scale, dtype, d, want):
+    got, rung, factor = exactdist._next_scale(scale, np.dtype(dtype), d)
+    assert rung == want and factor == 1
+    assert got == (d + 1) * scale and isinstance(got, int) == (rung.kind == "i")
+
+
+def test_support_step_keeps_int32_counts():
+    # reduceat would widen int32 sums to int64; the step sums in the rung
+    # of the new scale, and its counts equal those of the same law in int64
+    cfg = WalkConfig(FIB, 101)
+    P = delta_at_zero(cfg.p, cfg.d)
+    for _ in range(4):
+        P = exactdist._step_support(P, cfg)
+        assert P.support[1].dtype == np.int32
+    states, held = P.support
+    for scale, rung in [(P.scale, np.int32), ((2**31 - 1) // 3 + 1, np.int64)]:
+        narrow = DenseDistribution(cfg.p, cfg.d, support=(states, held), scale=scale)
+        wide = DenseDistribution(cfg.p, cfg.d, support=(states, held.astype(np.int64)), scale=scale)
+        got, want = exactdist._step_support(narrow, cfg), exactdist._step_support(wide, cfg)
+        assert got.support[1].dtype == rung and want.support[1].dtype == np.int64
+        assert np.array_equal(got.support[0], want.support[0])
+        assert np.array_equal(got.support[1], want.support[1])
+
+
 @pytest.mark.parametrize("p,d,dtype", [
     (2, 31, np.int32),  # p^d = 2^31: the largest index, 2^31 - 1, fits
     (2**31 + 1, 1, np.int64),  # p^d = 2^31 + 1
@@ -325,7 +373,7 @@ def test_linear_perm_matches_coordinate_reference(case, fold, narrow):
 
 
 @pytest.mark.parametrize("fold", [False, True], ids=["all", "fold"])
-@pytest.mark.parametrize("p,d", [(13, 4), (181, 2), (2, 15)])
+@pytest.mark.parametrize("p,d", [(13, 4), (181, 2), (2, 15), (32749, 1)])
 def test_linear_perm_wraps_in_a_narrow_dtype(p, d, fold):
     # int16 holds every index, p^d - 1 <= 2^15 - 1, but not LL + TT, up
     # to about 2 p^d, nor p^d itself at p = 2: the sums wrap, and the
@@ -333,6 +381,16 @@ def test_linear_perm_wraps_in_a_narrow_dtype(p, d, fold):
     rng = np.random.default_rng(p)
     for rows in ([[p - 1] * d] * d, rng.integers(0, p, (d, d)).tolist()):
         assert_linear_perm(rows, p, p // 2 + 1 if fold else p, np.int16)
+
+
+@pytest.mark.parametrize("fold", [False, True], ids=["all", "fold"])
+@pytest.mark.parametrize("a,p", [(3, 10007), (3, 999983), (1, 1000), (999, 1000)])
+def test_linear_perm_at_d1_cuts_its_grid(a, p, fold):
+    # x = B i + j over a grid of ceil(h/B) rows of B = ceil(sqrt(h))
+    # columns, whose last row runs past h at these moduli
+    h = p // 2 + 1 if fold else p
+    assert h % (math.isqrt(h - 1) + 1)
+    assert_linear_perm([[a]], p, h, indexing.index_dtype(p, 1))
 
 
 GATHER_WALKS = [
@@ -372,15 +430,17 @@ LONG_WALKS = [
 @pytest.mark.parametrize("ratio", [1, exactdist.HEAD_RATIO], ids=["support", "dense"])
 @pytest.mark.parametrize("cfg,last_int,steps", LONG_WALKS, ids=["d1-p1000", "d2-p10"])
 def test_walk_past_int64_follows_the_exact_counts(cfg, last_int, steps, ratio, monkeypatch):
-    # int64 counts and a Fraction TV equal to the exact ones up to
-    # (d+1)^n <= 2^63 - 1, then float counts within rounding of them
+    # integer counts and a Fraction TV equal to the exact ones up to
+    # (d+1)^n <= 2^63 - 1, int32 while (d+1)^n <= 2^31 - 1 and int64 past
+    # that, then float counts within rounding of them
     monkeypatch.setattr(exactdist, "HEAD_RATIO", ratio)
     walk = zip(exactdist.dense_states(cfg), oracles.exact_counts(cfg), range(steps + 1))
     for P, counts, n in walk:
         scale = (cfg.d + 1) ** n
         tv = tv_from_uniform(P)
         if n <= last_int:
-            assert P.held().dtype == np.int64 and P.scale == scale
+            rung = np.int32 if scale <= 2**31 - 1 else np.int64
+            assert P.held().dtype == rung and P.scale == scale
             assert np.array_equal(P.counts, counts.astype(np.int64))
             assert tv == oracles.exact_tv(counts, scale)
         else:

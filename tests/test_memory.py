@@ -10,16 +10,22 @@ holds |f|^2, the folded transpose map and the old and new |P_hat|^2
 peaks near 13 B (16 B budgeted): step_factor_table holds |f|^2 and its
 complex temporary (12 B), then transpose_perm holds the folded map
 (int64) and two bool masks, a wrap mask and the flip mask, next to
-|f|^2 (10 B). The dense walk holds the state (8 B: int64 counts),
-the gather permutation (4 B: int32, since p^d <= 2^31) and the new
-state (8 B) from its first dense step on: in one pass over blocks of
-rows, the step gathers a block, widening that block of the table into a
-temporary of at most 1/8 of its range (so at most 1 B per state in all)
-before np.take reads it, then adds the block's shifted copies into it
-in place through the same temporary and one row buffer per range, the
-row below the block.
-Measured: 21.3-21.6 B serial and 21.4-21.9 B on three ranges (22 B
-budgeted).
+|f|^2 (10 B). The dense walk holds the state, the gather permutation
+(4 B: int32, since p^d <= 2^31) and the new state from its first dense
+step on. Its counts are int32 while the scale (d+1)^n is at most
+2^31 - 1, so 4 + 4 + 4 B: in one pass over blocks of rows, the step
+gathers a block, widening that block of the table to intp into a
+temporary of at most 1/8 of its range, sized in bytes (so at most 1 B
+per state in all) before np.take reads it, then adds the block's
+shifted copies into it in place through the same temporary and one row
+buffer per range, the row below the block. Every call with n <= 11 at
+both WALKS steps in int32: 13.2-13.4 B serial and 13.4-13.6 B on three
+ranges measured (14 B budgeted). The step that leaves int32 gathers
+each block into the front of its bytes in the new int64 state and
+widens it through the same temporary, so it holds 4 + 4 + 8 B; each
+later int64 step holds 8 + 4 + 8 B. A walk through its first int64
+state (evolve_across_int32, n = 20 at d = 2 and 16 at d = 3) ends on
+that step: 17.5-17.9 B measured (22 B budgeted, as for a walk in int64).
 Before the first dense step the walk holds P_n by its support, at most
 p^d / 64 states, and no table. Both WALKS cross that switch
 (test_walks_cross_the_switch). The first dense step builds the gather
@@ -27,12 +33,14 @@ table before it expands the support-held law to its dense vector.
 Building the table (indexing.linear_perm, nothing folded, int32) holds
 the map (4 B) and one bool wrap mask (1 B), and per range numpy's ufunc
 buffers for the in-place broadcast add (64 KiB): 5.5-5.6 B measured
-(7 B budgeted), under the step's 20 B. TV to uniform holds no vector over
+(7 B budgeted), under the step's 12 B. TV to uniform holds no vector over
 every state: it reads the counts in blocks through one buffer of at
-most exactdist.BLOCK_STATES entries, so its budget is that buffer, on a
-dense law and on a law held by its support alike, and the mass check
-holds nothing (test_tv_peak). bound_series runs one engine at a time, so its peak is
-the larger of the two. After each call returns, traced memory is back
+most exactdist.BLOCK_STATES entries and, for integer counts, one bool
+buffer as long, so its budget is that buffer (8 B per entry), with the
+bool buffer's 64 KiB inside the slack, on a dense law and on a law held
+by its support alike, and the mass check holds nothing (test_tv_peak).
+bound_series runs one engine at a time, so its peak is the larger of
+the two. After each call returns, traced memory is back
 to its level before the call: no index table outlives its walk. Each
 budget holds with the tables and walk steps run on the calling thread
 and split into uneven ranges on three threads (`indexing.split_rows`),
@@ -86,12 +94,21 @@ WALKS = [
     WalkConfig(IntMatrix([[0, 0, 1], [1, 0, -1], [0, 1, 3]]), 47),  # 103823 states
 ]
 NS = range(12)
+
+
+def first_int64_step(d):
+    """The least n with (d+1)^n > 2^31 - 1: P_n is the walk's first law in
+    int64 counts."""
+    return next(n for n in range(64) if (d + 1) ** n > 2**31 - 1)
+
+
 # call -> (peak budget in bytes per state, the call)
 CALLS = {
     "bound_series_exact": (22, lambda cfg: bound_series(cfg, NS, include_exact=True)),
     "bound_series_no_exact": (24, lambda cfg: bound_series(cfg, NS, include_exact=False)),
-    "mixing_time_exact": (22, lambda cfg: mixing_time(cfg, 0.25, method="exact")),
-    "evolve": (22, lambda cfg: evolve(cfg, max(NS))),
+    "mixing_time_exact": (14, lambda cfg: mixing_time(cfg, 0.25, method="exact")),
+    "evolve": (14, lambda cfg: evolve(cfg, max(NS))),
+    "evolve_across_int32": (22, lambda cfg: evolve(cfg, first_int64_step(cfg.d))),
     "mixing_time_ub": (24, lambda cfg: mixing_time(cfg, 0.25, method="ub")),
     "ub_bound": (24, lambda cfg: ub_bound(max(NS), cfg)),
     "tables": (16, lambda cfg: (step_factor_table(cfg.p, cfg.d), transpose_perm(cfg))),

@@ -139,14 +139,14 @@ def step_shifts(d):
 def ref_tv(counts, scale):
     """TV to uniform of counts / scale: exact for integer counts; for float
     counts half the sum of |c/scale - 1/N| as one float sum."""
-    if counts.dtype == np.int64:
+    if counts.dtype.kind == "i":
         return oracles.exact_tv(counts, scale)
     return 0.5 * float(np.abs(counts / scale - 1.0 / counts.shape[0]).sum())
 
 
 def assert_tv_matches(P, counts, scale):
     tv = exactdist.tv_from_uniform(P)
-    if counts.dtype == np.int64:
+    if counts.dtype.kind == "i":
         assert tv == ref_tv(counts, scale)  # Fractions
     else:
         # near uniform, each c - scale/N cancels, rounded apart from
@@ -154,25 +154,36 @@ def assert_tv_matches(P, counts, scale):
         assert tv == pytest.approx(ref_tv(counts, scale), rel=1e-12, abs=1e-15)
 
 
+def ref_count_dtype(scale):
+    """The dtype of the walk's counts at `scale`, by the three rungs:
+    int32 while the scale is at most 2^31 - 1, int64 while it is at most
+    2^63 - 1, else float64."""
+    if scale <= 2**31 - 1:
+        return np.dtype(np.int32)
+    return np.dtype(np.int64 if scale <= 2**63 - 1 else np.float64)
+
+
 def ref_states(cfg, n):
     """(counts, scale) of P_0, ..., P_n by ref_step from the point mass at
-    zero: int64 counts and an int scale while (d+1)^k <= 2^63 - 1, then
-    float64 counts, the last int64 ones converted once, and a float
-    scale."""
-    counts, scale = np.zeros(cfg.num_states, dtype=np.int64), 1
+    zero: counts of ref_count_dtype(scale), converted once as the scale
+    leaves each rung, and an int scale while the counts are integers, then
+    a float one."""
+    counts, scale = np.zeros(cfg.num_states, dtype=np.int32), 1
     counts[0] = 1
     out = [(counts, scale)]
     for _ in range(n):
         scale *= cfg.d + 1
-        if counts.dtype == np.int64 and scale > exactdist.INT64_MAX:
-            counts, scale = counts.astype(np.float64), float(scale)
+        if counts.dtype != ref_count_dtype(scale):
+            counts = counts.astype(ref_count_dtype(scale))
+            scale = scale if counts.dtype.kind == "i" else float(scale)
         counts = ref_step(counts, cfg)
         out.append((counts, scale))
     return out
 
 
 def assert_state_matches(P, counts, scale):
-    """P holds the reference's counts, of its dtype, at its scale."""
+    """P holds the reference's counts, of its dtype (the three-rung rule,
+    ref_count_dtype), at its scale."""
     assert P.counts.dtype == counts.dtype and P.scale == scale
     assert np.array_equal(P.counts, counts)
 
@@ -379,6 +390,20 @@ def test_support_head_matches_reference(cfg, ratio, monkeypatch):
     assert held[:4] == [True] * 4 and not held[-1]
 
 
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+def test_walk_across_int32_matches_reference(split, request):
+    # 3^19 <= 2^31 - 1 < 3^20: the step to P_20 widens each gathered block
+    # from int32 to int64, and the walk goes on in int64
+    if split:
+        request.getfixturevalue("forced_split")
+    cfg = WalkConfig(IntMatrix([[2, 1], [1, 1]]), 101)
+    got = list(islice(exactdist.dense_states(cfg), 22))
+    assert [P.counts.dtype for P in got[19:]] == [np.int32, np.int64, np.int64]
+    for P, (counts, scale) in zip(got, ref_states(cfg, 21), strict=True):
+        assert_tv_matches(P, counts, scale)
+        assert_state_matches(P, counts, scale)
+
+
 @pytest.mark.parametrize("cfg,ratio", HEAD_WALKS, ids=[f"d{c.d}-p{c.p}" for c, _ in HEAD_WALKS])
 def test_support_tv_builds_no_mass_vector(cfg, ratio, monkeypatch):
     # the TV of a law held by its support is the dense law's exact TV,
@@ -398,7 +423,7 @@ def test_support_step_counts_do_not_depend_on_term_order():
     # exact in any order, so both orders give the walk's counts.
     cfg = WalkConfig(D4, 13)
     P3, P4 = list(islice(exactdist.dense_states(cfg), 5))[3:]
-    assert P4.support[1].dtype == np.int64
+    assert P4.support[1].dtype == np.int32  # scale 5^4, on the int32 rung
     for shifts in (step_shifts(cfg.d), step_shifts(cfg.d)[::-1]):
         support, counts = ref_support_step(P3, cfg, shifts)
         assert np.array_equal(P4.support[0], support)
@@ -442,9 +467,10 @@ def test_split_step_matches_reference(cfg, forced_split):
 
 def input_laws(cfg):
     """Laws held by their support (every third state) and dense laws, with
-    float masses and with int64 counts drawn at random; the step of the
-    last int64 law leaves the int64 range, and that of the last law, past
-    2^960, rescales."""
+    float masses and with int64 and int32 counts drawn at random; the step
+    of the last int64 law leaves the int64 range, that of the int32 law
+    leaves int32 for int64, and that of the last law, past 2^960,
+    rescales."""
     rng = np.random.default_rng(cfg.p)
     states = np.arange(0, cfg.num_states, 3)
     held = rng.integers(0, 1000, states.shape[0])
@@ -455,6 +481,7 @@ def input_laws(cfg):
         DenseDistribution(cfg.p, cfg.d, rng.dirichlet(np.ones(cfg.num_states))),
         DenseDistribution(cfg.p, cfg.d, support=(states, held), scale=int(held.sum())),
         DenseDistribution(cfg.p, cfg.d, dense, scale=exactdist.INT64_MAX // cfg.d),
+        DenseDistribution(cfg.p, cfg.d, dense.astype(np.int32), scale=(2**31 - 1) // cfg.d),
         DenseDistribution(cfg.p, cfg.d, rng.dirichlet(np.ones(cfg.num_states)) * big, scale=big),
     ]
 
